@@ -12,6 +12,7 @@ from .engine import (
     VerificationResult,
     VerifyConfig,
     algebraic_check,
+    evaluate_sides,
     finite_check,
     radical_check,
     sum_series,
@@ -26,7 +27,7 @@ from .errors import (
     TailBoundViolation,
     UnsupportedRecordError,
 )
-from .exactnum import ALPHA, BETA, SQRT5, BigRational, QuadRat, binomial, catalan, fibonacci, lucas, qr_pow
+from .exactnum import ALPHA, BETA, SQRT5, QuadRat, binomial, catalan, fibonacci, lucas, qr_pow
 from .expr import eval_exact_qsqrt5, eval_exact_rational, eval_numeric, free_vars, substitute
 from .seriesdsl import (
     AlgebraicTail,
@@ -46,7 +47,6 @@ __all__ = [
     "ALPHA",
     "AlgebraicTail",
     "BETA",
-    "BigRational",
     "ConvergenceError",
     "DomainError",
     "FibcatError",
@@ -70,6 +70,7 @@ __all__ = [
     "eval_exact_qsqrt5",
     "eval_exact_rational",
     "eval_numeric",
+    "evaluate_sides",
     "fibonacci",
     "finite_check",
     "free_vars",

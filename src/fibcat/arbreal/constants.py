@@ -19,9 +19,6 @@ from ..exactnum import binomial
 from . import core
 from .core import _cached, const_pi, context, guard_digits, round_to
 
-const_ln = core.ln
-
-
 def sqrt5_decimal(digits: int) -> Decimal:
     return _cached("sqrt5", digits, lambda: core.sqrt(Decimal(5), digits))
 

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from ..errors import DomainError
 
-ArbReal = Decimal
-
 _EMAX = 10**9
 
 _cache_lock = threading.Lock()
@@ -41,20 +39,6 @@ def working_context(digits: int) -> Context:
 
 def round_to(x: Decimal, digits: int) -> Decimal:
     return context(digits).plus(x)
-
-
-def to_decimal(x, digits: int) -> Decimal:
-    """Convert int/Fraction/str/Decimal to a Decimal at the given precision."""
-    ctx = context(digits)
-    if isinstance(x, Decimal):
-        return ctx.plus(x)
-    if isinstance(x, int):
-        return ctx.plus(Decimal(x))
-    if isinstance(x, Fraction):
-        return ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
-    if isinstance(x, str):
-        return ctx.plus(Decimal(x))
-    raise TypeError(f"cannot convert {type(x).__name__} to Decimal")
 
 
 def _cached(name: str, digits: int, compute) -> Decimal:
@@ -120,11 +104,6 @@ def nth_root(x: Decimal, n: int, digits: int) -> Decimal:
         return Decimal(0)
     w = digits + guard_digits(digits)
     return round_to(_scaled_int_root(x, n, w), digits)
-
-
-def exp(x: Decimal, digits: int) -> Decimal:
-    w = digits + guard_digits(digits)
-    return round_to(context(w).exp(x), digits)
 
 
 def _atanh_series(t: Decimal, ctx: Context, eps: Decimal) -> Decimal:

@@ -10,24 +10,14 @@ which keeps x accurate right next to a singular endpoint.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal
 
-from ..errors import ConvergenceError, DomainError
+from ..errors import ConvergenceError
 from . import core
 from .core import const_pi, context, guard_digits, round_to
 
 LEVEL_CAP = 12
 
-
-@dataclass(frozen=True)
-class Integrand:
-    """Definite integral description: an expression tree in the single
-    bound variable x together with expression bounds."""
-
-    body: object
-    lower: object
-    upper: object
 
 _node_lock = threading.Lock()
 _node_cache: dict[tuple[int, int], tuple] = {}
@@ -127,20 +117,6 @@ def tanh_sinh(f, a: Decimal, b: Decimal, digits: int, level_cap: int = LEVEL_CAP
         best=estimate,
         gap=gap,
     )
-
-
-def quad_tanh_sinh(integrand: Integrand, digits: int) -> Decimal:
-    """Integrate an expression-tree Integrand to `digits` decimal digits."""
-    from ..expr import QUAD_VAR, Quad, eval_numeric, free_vars
-
-    body_vars = free_vars(integrand.body)
-    if body_vars - {QUAD_VAR}:
-        raise DomainError(
-            f"integrand body may only use the bound variable {QUAD_VAR!r}, got {sorted(body_vars)}"
-        )
-    if free_vars(integrand.lower) or free_vars(integrand.upper):
-        raise DomainError("integration bounds must be closed expressions")
-    return eval_numeric(Quad(integrand.body, integrand.lower, integrand.upper), {}, digits)
 
 
 def clausen2(theta: Decimal, digits: int) -> Decimal:

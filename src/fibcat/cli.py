@@ -1,7 +1,8 @@
 """Batch command-line front end: list, verify, evaluate.
 
 Exit codes: 0 all selected records pass, 1 identity failure, 2 usage or
-I/O error, 3 convergence failure.
+I/O error (including a selection with nothing to check), 3 convergence
+failure.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import json
 import sys
 
 from . import engine
+from .arbreal.core import round_to
 from .errors import FibcatError
-from .seriesdsl import FiniteSpec, SeriesSpec, builtin_registry, parse_registry
+from .seriesdsl import builtin_registry, format_params, parse_registry
 
 _CSV_HEADER = ["id", "binding", "kind", "status", "digits_requested", "digits_achieved", "terms", "seconds"]
 
@@ -104,10 +106,17 @@ def _parse_param_ranges(specs) -> dict:
     return out
 
 
-def _params_text(record) -> str:
-    return " ".join(
-        f"{n}={lo}..{hi}" if lo != hi else f"{n}={lo}" for n, lo, hi in record.params
-    )
+def _config(records, args, digits=None) -> engine.VerifyConfig:
+    """The run's config; a --param no selected record declares, or a
+    selection with nothing to check, is a usage error."""
+    ranges = _parse_param_ranges(args.param)
+    unknown = sorted(set(ranges) - {name for r in records for name, _, _ in r.params})
+    if unknown:
+        raise SystemExit2(f"no selected record has the parameter {', '.join(unknown)}")
+    config = engine.VerifyConfig(digits=digits, param_ranges=ranges)
+    if not any(engine.bindings(r, config) for r in records):
+        raise SystemExit2("the selection leaves nothing to check")
+    return config
 
 
 def cmd_list(args) -> int:
@@ -115,15 +124,11 @@ def cmd_list(args) -> int:
     width = max((len(r.id) for r in records), default=2) + 2
     for r in records:
         flags = " [as printed]" if r.as_printed else ""
-        params = _params_text(r)
+        params = format_params(r.params)
         params = f"  {params}" if params else ""
         print(f"{r.id:<{width}}{r.kind:<10}{r.paper_ref}{params}{flags}")
     print(f"{len(records)} records")
     return 0
-
-
-def _fmt_seconds(seconds: float) -> str:
-    return f"{seconds:.3f}"
 
 
 def _report_text(report: engine.VerificationReport) -> str:
@@ -176,7 +181,7 @@ def _report_csv(report: engine.VerificationReport) -> str:
                 "" if r.digits_requested is None else r.digits_requested,
                 "" if r.digits_achieved is None else r.digits_achieved,
                 "" if r.terms_used is None else r.terms_used,
-                _fmt_seconds(r.seconds),
+                f"{r.seconds:.3f}",
             ]
         )
     return buf.getvalue()
@@ -186,7 +191,7 @@ def cmd_verify(args) -> int:
     if args.digits is not None and args.digits < 1:
         raise SystemExit2("--digits must be at least 1")
     records = _select(_load_records(args), args)
-    config = engine.VerifyConfig(digits=args.digits, param_ranges=_parse_param_ranges(args.param))
+    config = _config(records, args, args.digits)
     report = engine.verify_all(records, config)
     body = {"text": _report_text, "json": _report_json, "csv": _report_csv}[args.report](report)
     if args.out:
@@ -215,42 +220,21 @@ def cmd_eval(args) -> int:
     if not records:
         raise SystemExit2(f"no record with id {args.id_glob!r}")
     record = records[0]
-    config = engine.VerifyConfig(param_ranges=_parse_param_ranges(args.param))
     digits = args.digits
-    for binding in engine._bindings(record, config):
+    for binding in engine.bindings(record, _config([record], args)):
         where = " at " + ",".join(f"{k}={v}" for k, v in sorted(binding.items())) if binding else ""
         print(f"{record.id}{where}  ({record.kind})")
-        if isinstance(record.lhs, SeriesSpec):
-            summed = engine.sum_series(record.lhs, binding, record.tail, digits)
-            rhs = engine.eval_numeric(record.rhs, binding, digits)
-            diff = engine._core.context(digits + 10).subtract(summed.value, rhs).copy_abs()
-            print(f"  lhs = {engine._core.round_to(summed.value, digits)}  ({summed.terms_used} terms, {summed.strategy} tail)")
-            print(f"  rhs = {rhs}")
-            print(f"  |lhs - rhs| = {diff:.3E}")
-        elif isinstance(record.lhs, FiniteSpec):
-            ok, lhs, rhs = engine.finite_check(record, next(iter(binding.values())))
-            print(f"  lhs = {lhs}")
-            print(f"  rhs = {rhs}")
-            print(f"  exact match: {ok}")
-        elif record.kind in ("algebraic", "radical"):
-            outcome = engine.algebraic_check(record, binding)
-            if outcome is None:
-                ok, sq_l, sq_r = engine.radical_check(record, binding)
-                print(f"  lhs^2 = {sq_l}")
-                print(f"  rhs^2 = {sq_r}")
-                print(f"  exact match (squares and signs): {ok}")
-            else:
-                ok, lhs, rhs = outcome
-                print(f"  lhs = {lhs}")
-                print(f"  rhs = {rhs}")
-                print(f"  exact match: {ok}")
+        sides = engine.evaluate_sides(record, binding, digits)
+        if sides.exact is None:
+            terms = "" if sides.terms is None else f"  ({sides.terms} terms, {sides.strategy} tail)"
+            print(f"  lhs = {round_to(sides.lhs, digits)}{terms}")
+            print(f"  rhs = {round_to(sides.rhs, digits)}")
+            print(f"  |lhs - rhs| = {sides.diff:.3E}")
         else:
-            lhs = engine.eval_numeric(record.lhs, binding, digits)
-            rhs = engine.eval_numeric(record.rhs, binding, digits)
-            diff = engine._core.context(digits + 10).subtract(lhs, rhs).copy_abs()
-            print(f"  lhs = {lhs}")
-            print(f"  rhs = {rhs}")
-            print(f"  |lhs - rhs| = {diff:.3E}")
+            square = "^2" if sides.squared else ""
+            print(f"  lhs{square} = {sides.lhs}")
+            print(f"  rhs{square} = {sides.rhs}")
+            print(f"  exact match{' (squares and signs)' if sides.squared else ''}: {sides.exact}")
     return 0
 
 

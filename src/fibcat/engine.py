@@ -32,6 +32,7 @@ from .expr import (
     NumericSeqCache,
     Quad,
     Var,
+    children,
     eval_exact_qsqrt5,
     eval_exact_rational,
     eval_numeric,
@@ -90,6 +91,20 @@ class VerificationReport:
 
     def failures(self):
         return [r for r in self.results if r.status != "pass"]
+
+
+@dataclass(frozen=True)
+class Sides:
+    """Both sides of one binding: Decimals with |lhs - rhs| in `diff`, or
+    exact values (squares when `squared`) with their verdict in `exact`."""
+
+    lhs: object
+    rhs: object
+    diff: Decimal | None = None
+    exact: bool | None = None
+    squared: bool = False
+    terms: int | None = None
+    strategy: str | None = None
 
 
 @dataclass
@@ -277,18 +292,11 @@ def _target_digits(record: IdentityRecord, config: VerifyConfig):
 
 
 def _has_quadrature(e: Expr) -> bool:
-    if isinstance(e, (Quad, Clausen)):
-        return True
-    for attr in ("arg", "base", "exponent", "left", "right", "body", "lower", "upper"):
-        child = getattr(e, attr, None)
-        if isinstance(child, Expr) and _has_quadrature(child):
-            return True
-    if hasattr(e, "args"):
-        return any(_has_quadrature(a) for a in e.args)
-    return False
+    return isinstance(e, (Quad, Clausen)) or any(map(_has_quadrature, children(e)))
 
 
-def _bindings(record: IdentityRecord, config: VerifyConfig):
+def bindings(record: IdentityRecord, config: VerifyConfig) -> list:
+    """The record's parameter bindings, each range clipped to `config`."""
     if not record.params:
         return [{}]
     axes = []
@@ -305,31 +313,75 @@ def _diff_digits(diff: Decimal) -> int:
     return -diff.adjusted() - 1
 
 
+def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = None) -> Sides:
+    """Both sides of `record` at one binding, numeric kinds to `digits` digits
+    (a series' quadrature rhs to at least DIGITS_INTEGRAL + COMPARE_GUARD)."""
+    kind = record.kind
+    if kind == "finite":
+        ok, lhs, rhs = finite_check(record, binding[record.params[0][0]])
+        return Sides(lhs, rhs, exact=ok)
+    if kind in ("algebraic", "radical"):
+        checked = algebraic_check(record, binding) if kind == "algebraic" else None
+        squared = checked is None
+        ok, lhs, rhs = radical_check(record, binding) if squared else checked
+        return Sides(lhs, rhs, exact=ok, squared=squared)
+    if kind not in ("series", "integral", "constant"):
+        raise UnsupportedRecordError(f"{record.id}: unknown kind {kind!r}")
+    if isinstance(record.lhs, SeriesSpec):
+        summed = sum_series(record.lhs, binding, record.tail, digits)
+        lhs, terms, strategy = summed.value, summed.terms_used, summed.strategy
+        if _has_quadrature(record.rhs):
+            digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
+    else:
+        lhs, terms, strategy = eval_numeric(record.lhs, binding, digits), None, None
+    rhs = eval_numeric(record.rhs, binding, digits)
+    diff = _core.context(digits + 5).subtract(lhs, rhs).copy_abs()
+    return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy)
+
+
+def _streamed_sides(record: IdentityRecord):
+    """Sides for rising n of a finite record whose partial sums extend one
+    term per n: the summand involves only the inner index, the lower bound is
+    fixed and the upper bound is the outer variable.  None for other records."""
+    if record.kind != "finite":
+        return None
+    spec = record.lhs
+    outer = record.params[0][0]
+    if not (free_vars(spec.summand) <= {spec.index} and spec.upper == Var(outer) and not free_vars(spec.lower)):
+        return None
+    kenv = {}
+    running = Fraction(0)
+    base = upto = None
+
+    def sides(binding):
+        nonlocal running, base, upto
+        n = binding[outer]
+        if base is None:
+            base = _exact_int(spec.lower, {}, "lower bound")
+            upto = base - 1
+        while upto < n:
+            upto += 1
+            kenv[spec.index] = upto
+            running += _exact_fraction(spec.summand, kenv, "summand")
+        rhs = _exact_fraction(record.rhs, {outer: n}, "rhs")
+        return Sides(running, rhs, exact=running == rhs, terms=n - base + 1)
+
+    return sides
+
+
 def verify_identity(record: IdentityRecord, config: VerifyConfig | None = None):
     """Check one record over its parameter range; one result per binding."""
     config = config or VerifyConfig()
+    digits = _target_digits(record, config)
+    streamed = _streamed_sides(record)
     out = []
-    if record.kind == "finite":
-        out.extend(_verify_finite(record, config))
-        return out
-    for binding in _bindings(record, config):
+    for binding in bindings(record, config):
         started = time.perf_counter()
         try:
-            out.append(_verify_one(record, binding, config, started))
+            out.append(_verify_one(record, binding, digits, started, streamed))
         except Exception as exc:  # downstream errors become rows, never crashes
             out.append(
-                VerificationResult(
-                    record_id=record.id,
-                    binding=tuple(sorted(binding.items())),
-                    kind=record.kind,
-                    status="error",
-                    abs_diff=None,
-                    digits_requested=_target_digits(record, config),
-                    digits_achieved=None,
-                    terms_used=None,
-                    seconds=time.perf_counter() - started,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
+                _result(record, binding, "error", requested=digits, started=started, detail=f"{type(exc).__name__}: {exc}")
             )
     return out
 
@@ -349,53 +401,29 @@ def _result(record, binding, status, *, diff=None, requested=None, achieved=None
     )
 
 
-def _verify_one(record, binding, config, started):
-    kind = record.kind
-    if kind in ("series", "integral") and isinstance(record.lhs, SeriesSpec):
-        digits = _target_digits(record, config)
-        eval_digits = digits + COMPARE_GUARD
-        summed = sum_series(record.lhs, binding, record.tail, eval_digits)
-        rhs_digits = max(eval_digits, DIGITS_INTEGRAL + COMPARE_GUARD) if _has_quadrature(record.rhs) else eval_digits
-        rhs = eval_numeric(record.rhs, binding, rhs_digits)
-        ctx = _core.context(rhs_digits + 5)
-        diff = ctx.subtract(summed.value, rhs).copy_abs()
-        ok = diff < Decimal(1).scaleb(-digits)
+def _verify_one(record, binding, digits, started, streamed):
+    if streamed is not None:
+        sides = streamed(binding)
+    else:
+        sides = evaluate_sides(record, binding, None if digits is None else digits + COMPARE_GUARD)
+    if sides.exact is None:
+        ok = sides.diff < Decimal(1).scaleb(-digits)
         return _result(
             record, binding, "pass" if ok else "fail",
-            diff=diff, requested=digits, achieved=min(_diff_digits(diff), eval_digits),
-            terms=summed.terms_used, started=started,
+            diff=sides.diff, requested=digits, achieved=min(_diff_digits(sides.diff), digits + COMPARE_GUARD),
+            terms=sides.terms, started=started,
         )
-    if kind in ("integral", "constant"):
-        digits = _target_digits(record, config)
-        eval_digits = digits + COMPARE_GUARD
-        lhs = eval_numeric(record.lhs, binding, eval_digits)
-        rhs = eval_numeric(record.rhs, binding, eval_digits)
-        ctx = _core.context(eval_digits + 5)
-        diff = ctx.subtract(lhs, rhs).copy_abs()
-        ok = diff < Decimal(1).scaleb(-digits)
-        return _result(
-            record, binding, "pass" if ok else "fail",
-            diff=diff, requested=digits, achieved=min(_diff_digits(diff), eval_digits),
-            started=started,
-        )
-    if kind == "algebraic":
-        checked = algebraic_check(record, binding)
-        if checked is None:
-            checked = radical_check(record, binding)
-            kind_note = "routed to radical check"
-        else:
-            kind_note = ""
-        ok, lhs, rhs = checked
-        diff = Decimal(0) if ok else _numeric_gap(record, binding)
-        return _result(
-            record, binding, "pass" if ok else "fail",
-            diff=diff, achieved=None, started=started, detail=kind_note,
-        )
-    if kind == "radical":
-        ok, _, _ = radical_check(record, binding)
-        diff = Decimal(0) if ok else _numeric_gap(record, binding)
-        return _result(record, binding, "pass" if ok else "fail", diff=diff, started=started)
-    raise UnsupportedRecordError(f"{record.id}: unknown kind {kind!r}")
+    if sides.exact:
+        diff = Decimal(0)
+    elif record.kind == "finite":
+        diff = _fraction_gap(sides.lhs, sides.rhs)
+    else:
+        diff = _numeric_gap(record, binding)
+    detail = "routed to radical check" if record.kind == "algebraic" and sides.squared else ""
+    return _result(
+        record, binding, "pass" if sides.exact else "fail",
+        diff=diff, terms=sides.terms, started=started, detail=detail,
+    )
 
 
 def _numeric_gap(record, binding) -> Decimal:
@@ -403,62 +431,6 @@ def _numeric_gap(record, binding) -> Decimal:
     return ctx.subtract(
         eval_numeric(record.lhs, binding, 20), eval_numeric(record.rhs, binding, 20)
     ).copy_abs()
-
-
-def _verify_finite(record, config):
-    spec = record.lhs
-    outer = record.params[0][0]
-    out = []
-    lo, hi = record.params[0][1], record.params[0][2]
-    olo, ohi = config.param_ranges.get(outer, (lo, hi))
-    lo, hi = max(lo, olo), min(hi, ohi)
-    # fast path: when the summand only involves the inner index, the lower
-    # bound is fixed and the upper bound is the outer variable itself, the
-    # partial sums extend one term per n
-    streaming = (
-        free_vars(spec.summand) <= {spec.index}
-        and spec.upper == Var(outer)
-        and not free_vars(spec.lower)
-    )
-    if streaming and lo <= hi:
-        base = _exact_int(spec.lower, {}, "lower bound")
-        running = Fraction(0)
-        kenv = {}
-        upto = base - 1
-        for n in range(lo, hi + 1):
-            started = time.perf_counter()
-            try:
-                while upto < n:
-                    upto += 1
-                    kenv[spec.index] = upto
-                    running += _exact_fraction(spec.summand, kenv, "summand")
-                rhs = _exact_fraction(record.rhs, {outer: n}, "rhs")
-                ok = running == rhs
-                diff = Decimal(0) if ok else _fraction_gap(running, rhs)
-                out.append(
-                    _result(
-                        record, {outer: n}, "pass" if ok else "fail",
-                        diff=diff, terms=n - base + 1, started=started,
-                    )
-                )
-            except Exception as exc:
-                out.append(
-                    _result(record, {outer: n}, "error", started=started, detail=f"{type(exc).__name__}: {exc}")
-                )
-        return out
-    for n in range(lo, hi + 1):
-        started = time.perf_counter()
-        try:
-            ok, lhs, rhs = finite_check(record, n)
-            diff = Decimal(0) if ok else _fraction_gap(lhs, rhs)
-            out.append(
-                _result(record, {outer: n}, "pass" if ok else "fail", diff=diff, started=started)
-            )
-        except Exception as exc:
-            out.append(
-                _result(record, {outer: n}, "error", started=started, detail=f"{type(exc).__name__}: {exc}")
-            )
-    return out
 
 
 def _fraction_gap(lhs: Fraction, rhs: Fraction) -> Decimal:

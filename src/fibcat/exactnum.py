@@ -1,6 +1,6 @@
 """Exact integer, rational and Q(sqrt5) arithmetic plus the sequence kernels.
 
-BigRational is the stdlib Fraction: it already guarantees lowest terms and a
+Rationals are the stdlib Fraction: it already guarantees lowest terms and a
 positive denominator, which is exactly the representation contract the rest
 of the package relies on for structural equality.
 """
@@ -12,9 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-
-BigRational = Fraction
-
 
 @lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
@@ -113,14 +110,10 @@ class QuadRat:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt5"
 
 
-ZERO = QuadRat.of(0)
 ONE = QuadRat.of(1)
 SQRT5 = QuadRat.of(0, 1)
 ALPHA = QuadRat(Fraction(1, 2), Fraction(1, 2))

@@ -13,7 +13,7 @@ expands them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -104,29 +104,39 @@ class Clausen(Expr):
 Env = dict  # variable name -> int
 
 
+# the subexpression fields of each node type; None marks SeqCall, whose
+# subexpressions are the tuple `args`
+_CHILD_FIELDS = {
+    IntLit: (), RatLit: (), Const: (), Var: (),
+    Neg: ("arg",), Fn: ("arg",), Clausen: ("arg",),
+    BinOp: ("left", "right"), Pow: ("base", "exponent"),
+    Quad: ("body", "lower", "upper"), SeqCall: None,
+}
+
+
+def children(e: Expr) -> tuple:
+    """The direct subexpressions of a node, in field order."""
+    try:
+        fields = _CHILD_FIELDS[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression: {e!r}") from None
+    return e.args if fields is None else tuple([getattr(e, f) for f in fields])
+
+
+def map_children(e: Expr, fn) -> Expr:
+    """The node rebuilt with `fn` applied to each direct subexpression."""
+    fields = _CHILD_FIELDS[type(e)]
+    if fields is None:
+        return SeqCall(e.name, tuple(map(fn, e.args)))
+    return replace(e, **{f: fn(getattr(e, f)) for f in fields}) if fields else e
+
+
 def free_vars(e: Expr) -> frozenset:
     if isinstance(e, Var):
         return frozenset((e.name,))
-    if isinstance(e, (IntLit, RatLit, Const)):
-        return frozenset()
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, Fn):
-        return free_vars(e.arg)
-    if isinstance(e, Clausen):
-        return free_vars(e.arg)
-    if isinstance(e, BinOp):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Pow):
-        return free_vars(e.base) | free_vars(e.exponent)
-    if isinstance(e, SeqCall):
-        out = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, Quad):
+    if isinstance(e, Quad):  # the body's QUAD_VAR is bound
         return (free_vars(e.body) - {QUAD_VAR}) | free_vars(e.lower) | free_vars(e.upper)
-    raise TypeError(f"not an expression: {e!r}")
+    return frozenset().union(*map(free_vars, children(e)))
 
 
 def substitute(e: Expr, name: str, value) -> Expr:
@@ -135,29 +145,9 @@ def substitute(e: Expr, name: str, value) -> Expr:
         value = IntLit(value)
     if isinstance(e, Var):
         return value if e.name == name else e
-    if isinstance(e, (IntLit, RatLit, Const)):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, name, value))
-    if isinstance(e, Fn):
-        return Fn(e.name, substitute(e.arg, name, value))
-    if isinstance(e, Clausen):
-        return Clausen(substitute(e.arg, name, value))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, name, value), substitute(e.right, name, value))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, name, value), substitute(e.exponent, name, value))
-    if isinstance(e, SeqCall):
-        return SeqCall(e.name, tuple(substitute(a, name, value) for a in e.args))
-    if isinstance(e, Quad):
-        if name == QUAD_VAR:
-            raise SubstitutionError(f"{name!r} is bound by a quadrature node")
-        return Quad(
-            substitute(e.body, name, value),
-            substitute(e.lower, name, value),
-            substitute(e.upper, name, value),
-        )
-    raise TypeError(f"not an expression: {e!r}")
+    if isinstance(e, Quad) and name == QUAD_VAR:
+        raise SubstitutionError(f"{name!r} is bound by a quadrature node")
+    return map_children(e, lambda child: substitute(child, name, value))
 
 
 # ---------------------------------------------------------------- exact paths
@@ -353,16 +343,21 @@ class NumericSeqCache:
     def binom(self, a: int, b: int) -> Decimal:
         if b < 0 or b > a:
             return Decimal(0)
-        key = (a, b)
-        got = self._binom.get(key)
+        cache = self._binom
+        got = cache.get((a, b))
         if got is not None:
             return got
-        if a <= 400:
-            val = self.ctx.plus(Decimal(exactnum.binomial(a, b)))
-        else:
-            prev = self.binom(a - 2, b - 1)  # one diagonal-and-right step
-            val = self.ctx.divide(self.ctx.multiply(prev, a * (a - 1)), b * (a - b))
-        self._binom[key] = val
+        # walk down the diagonal (a, b) -> (a-2, b-1) to a cached entry, an
+        # edge or a small entry computed exactly, then step back up
+        path = []
+        while a > 400 and 0 < b < a and (a, b) not in cache:
+            path.append((a, b))
+            a, b = a - 2, b - 1
+        val = cache.get((a, b))
+        if val is None:
+            val = cache[(a, b)] = self.ctx.plus(Decimal(exactnum.binomial(a, b)))
+        for a, b in reversed(path):
+            val = cache[(a, b)] = self.ctx.divide(self.ctx.multiply(val, a * (a - 1)), b * (a - b))
         return val
 
     def power(self, base: Fraction, exponent: int) -> Decimal:

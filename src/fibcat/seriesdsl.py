@@ -559,6 +559,11 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def format_params(params) -> str:
+    """`name=lo..hi`, or `name=v` for a single value, per parameter."""
+    return " ".join(f"{name}={lo}..{hi}" if lo != hi else f"{name}={lo}" for name, lo, hi in params)
+
+
 def serialize_record(r: IdentityRecord) -> str:
     lines = ["[identity]"]
     lines.append(f"id = {_quote(r.id)}")
@@ -576,10 +581,7 @@ def serialize_record(r: IdentityRecord) -> str:
     if r.tail is not None:
         lines.append(f"tail = {_quote(str(r.tail))}")
     lines.append(f"rhs = {_quote(format_expr(r.rhs))}")
-    params = " ".join(
-        f"{name}={lo}..{hi}" if lo != hi else f"{name}={lo}" for name, lo, hi in r.params
-    )
-    lines.append(f"params = {_quote(params)}")
+    lines.append(f"params = {_quote(format_params(r.params))}")
     lines.append(f"as_printed = {'true' if r.as_printed else 'false'}")
     lines.append(f"note = {_quote(r.note)}")
     if r.digits is not None:

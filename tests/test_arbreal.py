@@ -232,18 +232,12 @@ def test_quadrature_contract_examples():
 
 
 def test_quad_tanh_sinh_on_expression_integrand():
+    from fibcat.expr import eval_numeric
     from fibcat.seriesdsl import parse_expression
 
-    integrand = ar.Integrand(
-        parse_expression("x^2*sin(x)"), parse_expression("0"), parse_expression("pi/2")
-    )
-    got = ar.quad_tanh_sinh(integrand, 30)
+    got = eval_numeric(parse_expression("quad(x^2*sin(x), 0, pi/2)"), {}, 30)
     ctx = core.context(45)
     assert close(got, ctx.subtract(ar.const_pi(45), 2), "1E-29")
-    with pytest.raises(DomainError):
-        ar.quad_tanh_sinh(
-            ar.Integrand(parse_expression("x*y"), parse_expression("0"), parse_expression("1")), 10
-        )
 
 
 def test_quadrature_polynomials_match_antiderivative():

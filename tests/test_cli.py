@@ -102,6 +102,51 @@ def test_eval_with_param_binding(capsys):
     assert "|lhs - rhs| = " in out
 
 
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (["s7.id1", "--param", "n=3"], "  exact match: True"),
+        (["s1.binet.F", "--param", "r=2"], "  exact match: True"),
+        (["s2.lem3.sqrt.alpha"], "  exact match (squares and signs): True"),
+        (["s1.Cn.rep1", "--param", "n=2"], "  |lhs - rhs| = "),
+        (["s1.G3.compact"], "  |lhs - rhs| = "),
+    ],
+    ids=["finite", "algebraic", "radical", "integral", "constant"],
+)
+def test_eval_each_kind(capsys, argv, last_line):
+    code, out, _ = run(capsys, "eval", "--id", *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith(argv[0])
+    assert lines[-1].startswith(last_line)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--id", "nope*"], "nothing to check"),
+        (["verify", "--id", "s1.binet.F", "--param", "r=5..1"], "nothing to check"),
+        (["verify", "--id", "s5.Y.euler", "--param", "zz=1..2"], "parameter zz"),
+        (["eval", "--id", "s1.binet.F", "--param", "r=5..1"], "nothing to check"),
+        (["eval", "--id", "s5.Y.euler", "--param", "zz=1"], "parameter zz"),
+    ],
+)
+def test_vacuous_run_exits_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_param_declared_by_one_selected_record_is_accepted(capsys):
+    # s6.X.z1 has no parameters; the two lemmas declare r
+    code, out, _ = run(capsys, "verify", "--id", "s6.[Xl]*", "--param", "r=1", "--report", "csv")
+    assert code == 0
+    assert [row[:2] for row in csv.reader(io.StringIO(out))][1:] == [
+        ["s6.X.z1", ""], ["s6.lem6.minus", "r=1"], ["s6.lem6.plus", "r=1"],
+    ]
+
+
 def test_eval_unknown_id_exits_two(capsys):
     code, _, err = run(capsys, "eval", "--id", "missing")
     assert code == 2

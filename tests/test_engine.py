@@ -189,3 +189,26 @@ def test_perturbed_rhs_fails(records):
         hurt = dataclasses.replace(record, rhs=BinOp("+", record.rhs, bump))
         res = engine.verify_identity(hurt)
         assert all(r.status == "fail" for r in res), rid
+
+
+def test_cold_binom_far_out_matches_the_stepwise_warm_up():
+    from fibcat.expr import NumericSeqCache
+
+    cold = NumericSeqCache(core.working_context(30))
+    warm = NumericSeqCache(core.working_context(30))
+    for m in range(0, 10001):
+        warm.binom(2 * m, m)
+    assert cold.binom(20000, 10000) == warm.binom(20000, 10000)
+    assert str(cold.binom(20000, 10000)) == str(warm.binom(20000, 10000))
+    # a diagonal that meets the edge b = 0 above the exact cutoff
+    assert cold.binom(1000, 3) == Decimal(166167000)
+    assert cold.binom(500, 0) == cold.binom(500, 500) == 1
+
+
+def test_evaluate_sides_numeric_and_exact(records):
+    sides = engine.evaluate_sides(records["s2.G.z15"], {}, 30)
+    assert sides.exact is None and sides.strategy == "geometric" and sides.terms > 0
+    assert sides.diff < Decimal("1E-29")
+    sides = engine.evaluate_sides(records["s7.id1"], {"n": 3}, None)
+    assert (sides.exact, sides.lhs, sides.rhs) == (True, Fraction(118, 15), Fraction(118, 15))
+    assert engine.evaluate_sides(records["s2.lem3.sqrt.alpha"], {}).squared

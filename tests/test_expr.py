@@ -14,13 +14,16 @@ from fibcat.expr import (
     IntLit,
     Neg,
     Var,
+    children,
     eval_exact_qsqrt5,
     eval_exact_rational,
     eval_numeric,
     eval_one_radical,
     free_vars,
+    map_children,
     substitute,
 )
+from fibcat.seriesdsl import FiniteSpec, SeriesSpec, builtin_registry
 from fibcat.seriesdsl import parse_expression as parse
 
 CTX = core.context(80)
@@ -78,6 +81,44 @@ def test_free_vars_and_substitute():
     assert free_vars(parse("quad(x^n, 0, z)")) == {"n", "z"}
     with pytest.raises(SubstitutionError):
         substitute(parse("quad(x^2, 0, 1)"), "x", 3)
+
+
+def test_children_and_map_children():
+    e = parse("F(2*n+s) + quad(x^n, 0, z)")
+    seq, quad = children(e)
+    assert children(seq) == seq.args
+    assert [str(c) for c in children(quad)] == ["x^n", "0", "z"]
+    assert children(parse("n")) == ()
+    assert map_children(e, lambda c: c) == e
+    assert str(map_children(parse("binom(n, s)"), lambda c: parse("k"))) == "binom(k, k)"
+    with pytest.raises(TypeError):
+        children(3)
+
+
+def _registry_expressions():
+    for record in builtin_registry():
+        declared = {name for name, _, _ in record.params}
+        lhs = record.lhs
+        if isinstance(lhs, SeriesSpec):
+            sides = [lhs.term]
+            declared.add(lhs.index)
+        elif isinstance(lhs, FiniteSpec):
+            sides = [lhs.lower, lhs.upper, lhs.summand]
+            declared.add(lhs.index)
+        else:
+            sides = [lhs]
+        for e in sides + [record.rhs]:
+            yield record.id, e, declared
+
+
+def test_substitute_over_the_shipped_registry():
+    checked = 0
+    for rid, e, declared in _registry_expressions():
+        for name in declared:
+            assert name not in free_vars(substitute(e, name, 3)), (rid, name)
+            checked += 1
+        assert substitute(e, "absent", 3) == e, rid
+    assert checked > 100
 
 
 def test_exact_and_numeric_agree():

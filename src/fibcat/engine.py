@@ -105,6 +105,7 @@ class Sides:
     squared: bool = False
     terms: int | None = None
     strategy: str | None = None
+    tail_bound: Decimal | None = None  # the series' tail bound or Richardson gap
 
 
 @dataclass
@@ -213,16 +214,15 @@ def _sum_algebraic(spec, env, tail, digits, seq_cache) -> SumResult:
 # ---------------------------------------------------------------- exact paths
 
 
-def finite_check(record: IdentityRecord, n: int):
-    """Exact check of a finite-sum record at outer value n.
+def finite_check(record: IdentityRecord, binding: dict):
+    """Exact check of a finite-sum record at one binding of its parameters.
 
     Returns (ok, lhs, rhs) as Fractions.
     """
     spec = record.lhs
     if not isinstance(spec, FiniteSpec):
         raise UnsupportedRecordError(f"{record.id}: not a finite record")
-    outer = record.params[0][0]
-    env = {outer: n}
+    env = dict(binding)
     lo = _exact_int(spec.lower, env, "lower bound")
     hi = _exact_int(spec.upper, env, "upper bound")
     total = Fraction(0)
@@ -318,7 +318,7 @@ def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = N
     (a series' quadrature rhs to at least DIGITS_INTEGRAL + COMPARE_GUARD)."""
     kind = record.kind
     if kind == "finite":
-        ok, lhs, rhs = finite_check(record, binding[record.params[0][0]])
+        ok, lhs, rhs = finite_check(record, binding)
         return Sides(lhs, rhs, exact=ok)
     if kind in ("algebraic", "radical"):
         checked = algebraic_check(record, binding) if kind == "algebraic" else None
@@ -329,21 +329,22 @@ def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = N
         raise UnsupportedRecordError(f"{record.id}: unknown kind {kind!r}")
     if isinstance(record.lhs, SeriesSpec):
         summed = sum_series(record.lhs, binding, record.tail, digits)
-        lhs, terms, strategy = summed.value, summed.terms_used, summed.strategy
+        lhs, terms, strategy, tail_bound = summed.value, summed.terms_used, summed.strategy, summed.tail_bound
         if _has_quadrature(record.rhs):
             digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
     else:
-        lhs, terms, strategy = eval_numeric(record.lhs, binding, digits), None, None
+        lhs, terms, strategy, tail_bound = eval_numeric(record.lhs, binding, digits), None, None, None
     rhs = eval_numeric(record.rhs, binding, digits)
     diff = _core.context(digits + 5).subtract(lhs, rhs).copy_abs()
-    return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy)
+    return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy, tail_bound=tail_bound)
 
 
 def _streamed_sides(record: IdentityRecord):
     """Sides for rising n of a finite record whose partial sums extend one
-    term per n: the summand involves only the inner index, the lower bound is
-    fixed and the upper bound is the outer variable.  None for other records."""
-    if record.kind != "finite":
+    term per n: the record's one parameter is the upper bound, the summand
+    involves only the inner index and the lower bound is fixed.  None for
+    other records (with a second parameter the bindings would not rise)."""
+    if record.kind != "finite" or len(record.params) != 1:
         return None
     spec = record.lhs
     outer = record.params[0][0]
@@ -407,11 +408,18 @@ def _verify_one(record, binding, digits, started, streamed):
     else:
         sides = evaluate_sides(record, binding, None if digits is None else digits + COMPARE_GUARD)
     if sides.exact is None:
-        ok = sides.diff < Decimal(1).scaleb(-digits)
+        tol = Decimal(1).scaleb(-digits)
+        achieved = min(_diff_digits(sides.diff), digits + COMPARE_GUARD)
+        if sides.tail_bound is not None:
+            if sides.tail_bound >= tol:
+                raise ConvergenceError(
+                    f"{sides.strategy} tail estimate {sides.tail_bound:.2E} is not below {tol:.0E}",
+                    best=sides.lhs, gap=sides.tail_bound,
+                )
+            achieved = min(achieved, _diff_digits(sides.tail_bound))
         return _result(
-            record, binding, "pass" if ok else "fail",
-            diff=sides.diff, requested=digits, achieved=min(_diff_digits(sides.diff), digits + COMPARE_GUARD),
-            terms=sides.terms, started=started,
+            record, binding, "pass" if sides.diff < tol else "fail",
+            diff=sides.diff, requested=digits, achieved=achieved, terms=sides.terms, started=started,
         )
     if sides.exact:
         diff = Decimal(0)

@@ -1,10 +1,11 @@
 """Expression trees for closed forms and series terms.
 
-Three evaluators walk the same tree: arbitrary-precision numeric, exact
-rational (Fraction or None when the value is not rational), and exact
-Q(sqrt5) (QuadRat or None).  A fourth, restricted evaluator puts an
-expression into the one-radical form u*sqrt(v) with u, v in Q(sqrt5),
-which is what the radical lemma checks need.
+Two exact evaluators walk the tree: exact rational (Fraction or None when
+the value is not rational) and exact Q(sqrt5) (QuadRat or None).  A third,
+restricted one puts an expression into the one-radical form u*sqrt(v) with
+u, v in Q(sqrt5), which is what the radical lemma checks need.  The
+arbitrary-precision numeric evaluator compiles a tree once into closures
+(integer index arithmetic on Python ints) and runs those per term.
 
 alpha and beta are primitive constants rather than spelled-out surds so
 the exact Q(sqrt5) evaluator can recognise them; the numeric evaluator
@@ -13,6 +14,7 @@ expands them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -360,25 +362,35 @@ class NumericSeqCache:
             val = cache[(a, b)] = self.ctx.divide(self.ctx.multiply(val, a * (a - 1)), b * (a - b))
         return val
 
-    def power(self, base: Fraction, exponent: int) -> Decimal:
-        key = (base, exponent)
-        got = self._pow.get(key)
+    def powers(self, base: Fraction):
+        """k -> base**k at working precision, one int-keyed table per base.
+
+        A power one to eight steps above a cached one is that power times
+        base**step; any other is computed directly.
+        """
+        got = self._pow.get(base)
         if got is not None:
             return got
         ctx = self.ctx
-        base_dec = self._pow.get(base)
-        if base_dec is None:
-            base_dec = ctx.divide(Decimal(base.numerator), Decimal(base.denominator))
-            self._pow[base] = base_dec
-        for step in range(1, 9):
-            prev = self._pow.get((base, exponent - step))
-            if prev is not None:
-                val = ctx.multiply(prev, ctx.power(base_dec, step))
-                break
-        else:
-            val = ctx.power(base_dec, exponent)
-        self._pow[key] = val
-        return val
+        base_dec = ctx.divide(Decimal(base.numerator), Decimal(base.denominator))
+        table: dict = {}
+
+        def power(k: int) -> Decimal:
+            got = table.get(k)
+            if got is not None:
+                return got
+            for step in range(1, 9):
+                prev = table.get(k - step)
+                if prev is not None:
+                    val = ctx.multiply(prev, ctx.power(base_dec, step))
+                    break
+            else:
+                val = ctx.power(base_dec, k)
+            table[k] = val
+            return val
+
+        self._pow[base] = power
+        return power
 
 
 def _const_decimal(name: str, digits: int) -> Decimal:
@@ -402,11 +414,19 @@ def _const_decimal(name: str, digits: int) -> Decimal:
 
 
 class NumericEvaluator:
-    """Tree walker bound to one working precision.
+    """Compiles trees into closures bound to one working precision.
 
-    Reused across the terms of a series so the context, the constant
-    lookups and the sequence cache persist; `eval` returns values at the
-    working precision (target digits plus guard), callers round.
+    `eval` compiles a tree on first sight and reuses the closures, so the
+    terms of a series share the context, the constants, the sequence cache
+    and the compiled code; values come back at the working precision
+    (target digits plus guard), callers round.
+
+    Integer subtrees (+ - * and negation over int literals and bound names:
+    exponents, sequence arguments, polynomial factors) run on Python ints
+    and become one Decimal; other exponents and sequence arguments keep the
+    exact-rational semantics of eval_exact_rational.  Errors are raised when
+    a closure runs, at the failing term; only a malformed tree (an unknown
+    constant, function, sequence or operator) is refused when compiled.
     """
 
     def __init__(self, digits: int, seq_cache: NumericSeqCache | None = None):
@@ -414,101 +434,207 @@ class NumericEvaluator:
         self.w = digits + _core.guard_digits(digits)
         self.ctx = _core.context(self.w)
         self.seq = seq_cache
+        self._compiled: dict = {}  # id(e) -> (e, closure); holding e keeps its id
 
-    def eval(self, e: Expr, env: Env, locals_: dict | None = None) -> Decimal:
-        return self._ev(e, env, locals_ or {})
+    def eval(self, e: Expr, env: Env) -> Decimal:
+        got = self._compiled.get(id(e))
+        if got is None:
+            got = self._compiled[id(e)] = (e, self.compile(e))
+        return got[1](env)
 
-    def _ev(self, node: Expr, env: Env, locals_: dict) -> Decimal:
-        ctx = self.ctx
+    def compile(self, e: Expr):
+        """The closure env -> Decimal that evaluates `e`."""
+        code = self._num(e, False)
+        return lambda env: code(env, None)
+
+    def _num(self, e: Expr, quad: bool):
+        """Closure (env, x) -> Decimal, where x is the value of QUAD_VAR
+        inside a quadrature body (`quad`) and None outside."""
+        ctx, w = self.ctx, self.w
+        if is_integer_expr(e, quad):
+            code = _int_code(e)
+            if isinstance(code, int):
+                c = ctx.plus(Decimal(code))
+                return lambda env, x: c
+            plus = ctx.plus
+            return lambda env, x: plus(Decimal(code(env)))
+        if isinstance(e, RatLit):
+            c = ctx.divide(Decimal(e.value.numerator), Decimal(e.value.denominator))
+            return lambda env, x: c
+        if isinstance(e, Const):
+            c = _const_decimal(e.name, w)
+            return lambda env, x: c
+        if isinstance(e, Var):  # QUAD_VAR in a quadrature body; a binding of the name wins
+            name, plus = e.name, ctx.plus
+            return lambda env, x: plus(Decimal(env[name])) if name in env else x
+        if isinstance(e, Neg):
+            a, minus = self._num(e.arg, quad), ctx.minus
+            return lambda env, x: minus(a(env, x))
+        if isinstance(e, Fn):
+            if e.name not in FUNCTION_NAMES:
+                raise ValueError(f"unknown function {e.name!r}")
+            a, name = self._num(e.arg, quad), e.name
+
+            def fn(env, x):
+                v = a(env, x)
+                try:
+                    return getattr(_core, name)(v, w)
+                except DomainError as exc:
+                    raise DomainError(f"{exc} in {e}") from exc
+
+            return fn
+        if isinstance(e, BinOp):
+            l, r = self._num(e.left, quad), self._num(e.right, quad)
+            if e.op == "/":
+                divide = ctx.divide
+
+                def div(env, x):
+                    a, b = l(env, x), r(env, x)
+                    if b == 0:
+                        raise ZeroDivisionError(f"division by zero in {e}")
+                    return divide(a, b)
+
+                return div
+            if e.op not in _INT_OPS:
+                raise ValueError(f"unknown operator {e.op!r}")
+            op = getattr(ctx, _DECIMAL_OPS[e.op])
+            return lambda env, x: op(l(env, x), r(env, x))
+        if isinstance(e, Pow):
+            return self._pow(e, quad)
+        if isinstance(e, SeqCall):
+            if e.name not in SEQUENCE_ARITY:
+                raise ValueError(f"unknown sequence {e.name!r}")
+            args = [_seq_arg(a, e) for a in e.args]
+            if self.seq is not None and e.name == "C":
+                (n,), catalan = args, self.seq.catalan
+                return lambda env, x: catalan(n(env))
+            if self.seq is not None and e.name == "binom":
+                (a, b), binom = args, self.seq.binom
+                return lambda env, x: binom(a(env), b(env))
+            name, plus = e.name, ctx.plus
+            return lambda env, x: plus(Decimal(_sequence_int(name, [a(env) for a in args])))
+        if isinstance(e, Quad):
+            lo, hi = self._num(e.lower, quad), self._num(e.upper, quad)
+            body, digits = self._num(e.body, True), self.digits
+
+            def integral(env, x):
+                a, b = lo(env, x), hi(env, x)
+                return _quad.tanh_sinh(lambda xv: body(env, xv), a, b, digits)
+
+            return integral
+        if isinstance(e, Clausen):
+            a = self._num(e.arg, quad)
+            return lambda env, x: _quad.clausen2(a(env, x), w)
+        raise TypeError(f"not an expression: {e!r}")
+
+    def _pow(self, e: Pow, quad: bool):
+        # the exponent comes first and sees the binding only, as in
+        # eval_exact_rational; a literal base outside a quadrature body takes
+        # the sequence cache's power table
+        base = self._num(e.base, quad)
+        lit = literal_fraction(e.base) if self.seq is not None and not quad else None
+        table = None if lit is None else self.seq.powers(lit)
         w = self.w
-        if isinstance(node, IntLit):
-            return ctx.plus(Decimal(node.value))
-        if isinstance(node, RatLit):
-            return ctx.divide(Decimal(node.value.numerator), Decimal(node.value.denominator))
-        if isinstance(node, Const):
-            return _const_decimal(node.name, w)
-        if isinstance(node, Var):
-            if node.name in env:
-                return ctx.plus(Decimal(env[node.name]))
-            if node.name in locals_:
-                return locals_[node.name]
-            raise UnboundVariableError(node.name, node)
-        if isinstance(node, Neg):
-            return ctx.minus(self._ev(node.arg, env, locals_))
-        if isinstance(node, Fn):
-            v = self._ev(node.arg, env, locals_)
-            try:
-                if node.name == "sqrt":
-                    return _core.sqrt(v, w)
-                if node.name == "ln":
-                    return _core.ln(v, w)
-                if node.name == "sin":
-                    return _core.sin(v, w)
-                if node.name == "cos":
-                    return _core.cos(v, w)
-                if node.name == "arcsin":
-                    return _core.arcsin(v, w)
-                if node.name == "arctan":
-                    return _core.arctan(v, w)
-            except DomainError as exc:
-                raise DomainError(f"{exc} in {node}") from exc
-            raise ValueError(f"unknown function {node.name!r}")
-        if isinstance(node, BinOp):
-            l = self._ev(node.left, env, locals_)
-            r = self._ev(node.right, env, locals_)
-            if node.op == "+":
-                return ctx.add(l, r)
-            if node.op == "-":
-                return ctx.subtract(l, r)
-            if node.op == "*":
-                return ctx.multiply(l, r)
-            if node.op == "/":
-                if r == 0:
-                    raise ZeroDivisionError(f"division by zero in {node}")
-                return ctx.divide(l, r)
-            raise ValueError(f"unknown operator {node.op!r}")
-        if isinstance(node, Pow):
-            ex = eval_exact_rational(node.exponent, env)
+        if is_integer_expr(e.exponent, False):
+            k = _int_fn(e.exponent)
+            if table is not None:
+                return lambda env, x: table(k(env))
+
+            def int_power(env, x):
+                n = k(env)
+                return _core.pow_int(base(env, x), n, w)
+
+            return int_power
+        exponent = _rational_fn(e.exponent)
+
+        def power(env, x):
+            ex = exponent(env)
             if ex is None:
-                raise DomainError(f"exponent is not an exact rational in {node}")
+                raise DomainError(f"exponent is not an exact rational in {e}")
             if ex.denominator == 1:
-                k = int(ex)
-                if self.seq is not None and not locals_:
-                    base_const = literal_fraction(node.base)
-                    if base_const is not None:
-                        return self.seq.power(base_const, k)
-                return _core.pow_int(self._ev(node.base, env, locals_), k, w)
-            base = self._ev(node.base, env, locals_)
+                if table is not None:
+                    return table(int(ex))
+                return _core.pow_int(base(env, x), int(ex), w)
+            v = base(env, x)
             try:
-                return _core.pow_rational(base, ex, w)
+                return _core.pow_rational(v, ex, w)
             except DomainError as exc:
-                raise DomainError(f"{exc} in {node}") from exc
-        if isinstance(node, SeqCall):
-            args = []
-            for a in node.args:
-                v = eval_exact_rational(a, env)
-                if v is None or v.denominator != 1:
-                    raise DomainError(f"sequence argument is not an integer in {node}")
-                args.append(int(v))
-            if self.seq is not None:
-                if node.name == "C":
-                    return self.seq.catalan(args[0])
-                if node.name == "binom":
-                    return self.seq.binom(args[0], args[1])
-            return ctx.plus(Decimal(_sequence_int(node.name, args)))
-        if isinstance(node, Quad):
-            lo = self._ev(node.lower, env, locals_)
-            hi = self._ev(node.upper, env, locals_)
+                raise DomainError(f"{exc} in {e}") from exc
 
-            def f(xv: Decimal) -> Decimal:
-                inner = dict(locals_)
-                inner[QUAD_VAR] = xv
-                return self._ev(node.body, env, inner)
+        return power
 
-            return _quad.tanh_sinh(f, lo, hi, self.digits)
-        if isinstance(node, Clausen):
-            return _quad.clausen2(self._ev(node.arg, env, locals_), w)
-        raise TypeError(f"not an expression: {node!r}")
+
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_DECIMAL_OPS = {"+": "add", "-": "subtract", "*": "multiply"}
+
+
+def is_integer_expr(e: Expr, quad: bool = False) -> bool:
+    """Whether `e` is an integer subtree: + - * and negation over int
+    literals and names bound to ints (QUAD_VAR in a quadrature body, `quad`,
+    is not)."""
+    if isinstance(e, IntLit):
+        return True
+    if isinstance(e, Var):
+        return not (quad and e.name == QUAD_VAR)
+    if isinstance(e, Neg):
+        return is_integer_expr(e.arg, quad)
+    if isinstance(e, BinOp) and e.op in _INT_OPS:
+        return is_integer_expr(e.left, quad) and is_integer_expr(e.right, quad)
+    return False
+
+
+def _int_code(e: Expr):
+    """An integer subtree as an int when it has no names, else env -> int."""
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, Var):
+        name = e.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariableError(name, e) from None
+
+        return var
+    if isinstance(e, Neg):
+        a = _int_code(e.arg)
+        return -a if isinstance(a, int) else lambda env: -a(env)
+    l, r, op = _int_code(e.left), _int_code(e.right), _INT_OPS[e.op]
+    if isinstance(l, int):
+        return op(l, r) if isinstance(r, int) else lambda env: op(l, r(env))
+    if isinstance(r, int):
+        return lambda env: op(l(env), r)
+    return lambda env: op(l(env), r(env))
+
+
+def _int_fn(e: Expr):
+    code = _int_code(e)
+    return (lambda env: code) if isinstance(code, int) else code
+
+
+def _rational_fn(e: Expr):
+    """env -> eval_exact_rational(e, env), a constant when `e` is a literal
+    such as the exponent (5/2)."""
+    v = literal_fraction(e)
+    if v is not None:
+        return lambda env: v
+    return lambda env: eval_exact_rational(e, env)
+
+
+def _seq_arg(a: Expr, node: SeqCall):
+    """env -> int for one sequence argument."""
+    if is_integer_expr(a, False):
+        return _int_fn(a)
+    rational = _rational_fn(a)
+
+    def arg(env):
+        v = rational(env)
+        if v is None or v.denominator != 1:
+            raise DomainError(f"sequence argument is not an integer in {node}")
+        return int(v)
+
+    return arg
 
 
 def eval_numeric(e: Expr, env: Env, digits: int, seq_cache: NumericSeqCache | None = None) -> Decimal:

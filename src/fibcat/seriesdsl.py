@@ -44,6 +44,7 @@ from .expr import (
     SeqCall,
     Var,
     free_vars,
+    is_integer_expr,
     literal_fraction,
 )
 
@@ -204,18 +205,8 @@ class _Parser:
         raise ParseError(f"unknown function {ident!r}", name.line, name.column)
 
 
-def _is_integer_expr(e: Expr) -> bool:
-    if isinstance(e, (IntLit, Var)):
-        return True
-    if isinstance(e, Neg):
-        return _is_integer_expr(e.arg)
-    if isinstance(e, BinOp) and e.op in ("+", "-", "*"):
-        return _is_integer_expr(e.left) and _is_integer_expr(e.right)
-    return False
-
-
 def _normalize_exponent(e: Expr, caret: _Token) -> Expr:
-    if _is_integer_expr(e):
+    if is_integer_expr(e):
         return e
     f = literal_fraction(e)
     if f is not None:

@@ -9,7 +9,7 @@ from fibcat import engine
 from fibcat.arbreal import core
 from fibcat.errors import ConvergenceError, TailBoundViolation
 from fibcat.expr import BinOp, RatLit
-from fibcat.seriesdsl import GeometricTail, builtin_registry, parse_expression, parse_tail
+from fibcat.seriesdsl import GeometricTail, builtin_registry, parse_expression, parse_registry, parse_tail
 
 CTX = core.context(80)
 
@@ -81,11 +81,11 @@ def test_geometric_tail_soundness_all_shipped(records):
 
 
 def test_finite_check_contract_values(records):
-    ok, lhs, rhs = engine.finite_check(records["s7.id1"], 2)
+    ok, lhs, rhs = engine.finite_check(records["s7.id1"], {"n": 2})
     assert ok and lhs == rhs == Fraction(14, 3)
-    ok, lhs, rhs = engine.finite_check(records["s7.id2"], 1)
+    ok, lhs, rhs = engine.finite_check(records["s7.id2"], {"n": 1})
     assert ok and lhs == rhs == Fraction(4, 3)
-    ok, lhs, rhs = engine.finite_check(records["s7.parker"], 2)
+    ok, lhs, rhs = engine.finite_check(records["s7.parker"], {"n": 2})
     assert ok and lhs == rhs == Fraction(5, 3)
 
 
@@ -212,3 +212,64 @@ def test_evaluate_sides_numeric_and_exact(records):
     sides = engine.evaluate_sides(records["s7.id1"], {"n": 3}, None)
     assert (sides.exact, sides.lhs, sides.rhs) == (True, Fraction(118, 15), Fraction(118, 15))
     assert engine.evaluate_sides(records["s2.lem3.sqrt.alpha"], {}).squared
+
+
+def _record(text):
+    parsed = parse_registry("[identity]\n" + text)
+    assert not parsed.problems
+    return parsed.records[0]
+
+
+@pytest.mark.parametrize("params", ["n=0..2 s=1..2", "s=1..2 n=0..2"])
+def test_finite_record_with_two_parameters(params):
+    record = _record(
+        f'id = "t.two" kind = "finite" paper = "p" index = "k" lower = "0" upper = "n"\n'
+        f'term = "s" rhs = "s*(n+1)" params = "{params}"'
+    )
+    rows = engine.verify_identity(record)
+    assert sorted(r.binding for r in rows) == sorted(
+        (("n", n), ("s", s)) for n in range(3) for s in (1, 2)
+    )
+    assert [r.status for r in rows] == ["pass"] * 6, [r.detail for r in rows]
+    ok, lhs, rhs = engine.finite_check(record, {"n": 2, "s": 2})
+    assert ok and lhs == rhs == 6
+
+
+def _slow_record(tail):
+    # 1/(n+1)^2 has a 1/n tail; the gap left by the Richardson rows depends on the ladder
+    return _record(
+        'id = "t.slow" kind = "series" paper = "p" index = "n" start = 0\n'
+        f'term = "1/(n+1)^2" tail = "{tail}" rhs = "pi^2/6"'
+    )
+
+
+def test_richardson_gap_above_the_target_is_a_convergence_error():
+    record = _slow_record("algebraic ladder=-1 order=1")
+    assert Decimal("9E-4") < engine.evaluate_sides(record, {}, 20).tail_bound < Decimal("1E-3")
+    (row,) = engine.verify_identity(record)
+    assert row.status == "error" and row.detail.startswith("ConvergenceError: algebraic tail estimate")
+
+
+def test_digits_achieved_is_capped_by_the_richardson_gap():
+    record = _slow_record("algebraic ladder=-1,-2,-3 order=3")
+    gap = engine.evaluate_sides(record, {}, 20).tail_bound
+    assert Decimal("1E-11") < gap < Decimal("1E-10")
+    (row,) = engine.verify_identity(record)
+    assert row.status == "pass" and row.abs_diff < Decimal("1E-12")
+    assert row.digits_achieved == 10
+
+
+# sums taken with the tree-walking evaluator the compiler replaced; the
+# compiled closures must give them digit for digit
+def test_compiled_sums_match_the_tree_walker(records):
+    record = records["s7.thm14"]
+    res = engine.sum_series(record.lhs, {"r": 2}, record.tail, 20)
+    assert (str(res.value), res.terms_used) == ("0.086953857420690623459230667577682", 65536)
+    record = records["s2.G.z15"]
+    res = engine.sum_series(record.lhs, {}, record.tail, 60)
+    assert res.terms_used == 585
+    assert str(res.value) == (
+        "1.381966011250105151795413165634361882279690820194237137864550977274789427851"
+    )
+    rhs = engine.eval_numeric(records["s7.thm10"].rhs, {"r": 2}, 40)
+    assert str(rhs) == "0.008206011438920170546912423218080279997240"

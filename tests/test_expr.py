@@ -11,8 +11,12 @@ from fibcat.errors import DomainError, SubstitutionError, UnboundVariableError
 from fibcat.exactnum import QuadRat
 from fibcat.expr import (
     BinOp,
+    Fn,
     IntLit,
     Neg,
+    NumericEvaluator,
+    NumericSeqCache,
+    Pow,
     Var,
     children,
     eval_exact_qsqrt5,
@@ -175,6 +179,39 @@ def test_numeric_domain_errors_point_at_subexpression():
     assert "sqrt(1 - n)" in str(info.value)
     with pytest.raises(UnboundVariableError):
         eval_numeric(parse("C(n)/5^n"), {}, 20)
+
+
+def _evaluator(digits):
+    return NumericEvaluator(digits, NumericSeqCache(core.working_context(digits)))
+
+
+def test_compiled_errors_are_raised_at_the_failing_term():
+    evaluator = _evaluator(20)
+    e = parse("1/(n-2) + C(n/2)")
+    assert evaluator.eval(e, {"n": 0}) == Decimal("0.5")  # -1/2 + C(0)
+    with pytest.raises(ZeroDivisionError, match="division by zero in 1/\\(n - 2\\)"):
+        evaluator.eval(e, {"n": 2})
+    with pytest.raises(DomainError, match="sequence argument is not an integer in C\\(n/2\\)"):
+        evaluator.eval(e, {"n": 3})
+    assert evaluator.eval(e, {"n": 4}) == Decimal("2.5")  # 1/2 + C(2)
+    with pytest.raises(UnboundVariableError):
+        evaluator.eval(e, {"m": 4})
+    # the parser refuses such an exponent; a hand-built tree reaches the check
+    with pytest.raises(DomainError, match="exponent is not an exact rational"):
+        evaluator.eval(Pow(IntLit(2), Fn("sqrt", Var("n"))), {"n": 4})
+
+
+def test_one_evaluator_compiles_each_tree():
+    shared, alone_a, alone_b = _evaluator(30), _evaluator(30), _evaluator(30)
+    a, b = parse("C(n)/4^n"), parse("binom(2*n, n)*(1/3)^(n+1)*(n+1)")
+    for n in (0, 1, 2, 7, 8):
+        env = {"n": n}
+        assert str(shared.eval(a, env)) == str(alone_a.eval(a, env))
+        assert str(shared.eval(b, env)) == str(alone_b.eval(b, env))
+    assert str(core.round_to(shared.eval(b, {"n": 1}), 30)) == str(eval_numeric(b, {"n": 1}, 30))
+    f = _evaluator(25).compile(parse("quad(x^n*sin(x), 0, pi/2) + n"))
+    want = eval_numeric(parse("quad(x^2*sin(x), 0, pi/2) + 2"), {}, 25)
+    assert str(core.round_to(f({"n": 2}), 25)) == str(want)
 
 
 _leaves = st.one_of(

@@ -221,21 +221,31 @@ def cmd_eval(args) -> int:
         raise SystemExit2(f"no record with id {args.id_glob!r}")
     record = records[0]
     digits = args.digits
-    for binding in engine.bindings(record, _config([record], args)):
+    config = _config([record], args, digits)
+    target = engine.target_digits(record, config)
+    code = 0
+    for binding in engine.bindings(record, config):
         where = " at " + ",".join(f"{k}={v}" for k, v in sorted(binding.items())) if binding else ""
         print(f"{record.id}{where}  ({record.kind})")
         sides = engine.evaluate_sides(record, binding, digits)
         if sides.exact is None:
-            terms = "" if sides.terms is None else f"  ({sides.terms} terms, {sides.strategy} tail)"
+            terms = ""
+            if sides.terms is not None:
+                terms = f"  ({sides.terms} terms, {sides.strategy} tail estimate {sides.tail_bound:.2E})"
             print(f"  lhs = {round_to(sides.lhs, digits)}{terms}")
             print(f"  rhs = {round_to(sides.rhs, digits)}")
             print(f"  |lhs - rhs| = {sides.diff:.3E}")
+            try:
+                engine.check_tail(sides, target)
+            except engine.ConvergenceError as exc:
+                print(f"  ConvergenceError: {exc}")
+                code = 3
         else:
             square = "^2" if sides.squared else ""
             print(f"  lhs{square} = {sides.lhs}")
             print(f"  rhs{square} = {sides.rhs}")
             print(f"  exact match{' (squares and signs)' if sides.squared else ''}: {sides.exact}")
-    return 0
+    return code
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,10 @@ Two summation regimes:
   violated bound is a hard TailBoundViolation, never a silent wrong answer.
 * algebraic -- partial sums at geometrically spaced even term counts,
   Richardson-extrapolated against the record's declared exponent ladder
-  (even counts keep alternating boundary series sign-coherent).
+  (even counts keep alternating boundary series sign-coherent).  A
+  hypergeometric term is summed by its ratio, t(n+1) = t(n)*P(n)/Q(n) with
+  the integers P, Q from expr.term_ratio; the evaluator computes the first
+  term, any term after a zero t, P or Q, and every term of other series.
 
 Exact kinds (finite, algebraic, radical) never compare floats: they reduce
 to Fraction or QuadRat equality, with radical records squared into Q(sqrt5)
@@ -38,6 +41,7 @@ from .expr import (
     eval_numeric,
     eval_one_radical,
     free_vars,
+    term_ratio,
 )
 from .seriesdsl import AlgebraicTail, FiniteSpec, GeometricTail, IdentityRecord, SeriesSpec
 
@@ -130,19 +134,18 @@ def sum_series(
     env: dict,
     tail,
     digits: int,
-    seq_cache: NumericSeqCache | None = None,
     force_terms: int | None = None,
 ) -> SumResult:
     """Sum a series to `digits` with the given tail strategy."""
     if isinstance(tail, GeometricTail):
-        return _sum_geometric(spec, env, tail, digits, seq_cache, force_terms)
+        return _sum_geometric(spec, env, tail, digits, force_terms)
     if isinstance(tail, AlgebraicTail):
-        return _sum_algebraic(spec, env, tail, digits, seq_cache)
+        return _sum_algebraic(spec, env, tail, digits)
     raise TypeError(f"unknown tail strategy {tail!r}")
 
 
-def _sum_geometric(spec, env, tail, digits, seq_cache, force_terms) -> SumResult:
-    evaluator = NumericEvaluator(digits, seq_cache or NumericSeqCache(_core.working_context(digits)))
+def _sum_geometric(spec, env, tail, digits, force_terms) -> SumResult:
+    evaluator = NumericEvaluator(digits, NumericSeqCache(_core.working_context(digits)))
     ctx = evaluator.ctx
     rho = ctx.divide(Decimal(tail.ratio.numerator), Decimal(tail.ratio.denominator))
     factor = ctx.divide(rho, ctx.subtract(1, rho))
@@ -172,23 +175,31 @@ def _sum_geometric(spec, env, tail, digits, seq_cache, force_terms) -> SumResult
         n += 1
 
 
-def _sum_algebraic(spec, env, tail, digits, seq_cache) -> SumResult:
-    evaluator = NumericEvaluator(digits, seq_cache or NumericSeqCache(_core.working_context(digits)))
+def _sum_algebraic(spec, env, tail, digits) -> SumResult:
+    evaluator = NumericEvaluator(digits, NumericSeqCache(_core.working_context(digits)))
     ctx = evaluator.ctx
     anchors = [ANCHOR_BASE << j for j in range(tail.order + 1)]
     if anchors[-1] > ALGEBRAIC_TERM_CAP:
         raise ConvergenceError(
             f"algebraic anchors exceed the {ALGEBRAIC_TERM_CAP}-terms-per-partial-sum cap"
         )
+    ratio = term_ratio(spec.term, spec.index, env)
     env = dict(env)
     partials = []
     total = Decimal(0)
     n = spec.start
     count = 0
+    t = p = q = 0  # t(n) and P(n), Q(n); a zero hands the next term to the evaluator
     for anchor in anchors:
         while count < anchor:
-            env[spec.index] = n
-            total = ctx.add(total, evaluator.eval(spec.term, env))
+            if t and p and q:
+                t = ctx.divide(ctx.multiply(t, p), q)
+            else:
+                env[spec.index] = n
+                t = evaluator.eval(spec.term, env)
+            total = ctx.add(total, t)
+            if ratio is not None:
+                p, q = ratio(n)
             n += 1
             count += 1
         partials.append(total)
@@ -277,7 +288,9 @@ def radical_check(record: IdentityRecord, binding: dict, digits: int = RADICAL_S
 # -------------------------------------------------------------- verification
 
 
-def _target_digits(record: IdentityRecord, config: VerifyConfig):
+def target_digits(record: IdentityRecord, config: VerifyConfig):
+    """The digits a numeric row must reach to pass (None for exact kinds):
+    `config.digits` moves the fast classes, the slow ones keep their own."""
     if record.kind == "series":
         if isinstance(record.tail, AlgebraicTail):
             return record.digits or DIGITS_ALGEBRAIC
@@ -373,7 +386,7 @@ def _streamed_sides(record: IdentityRecord):
 def verify_identity(record: IdentityRecord, config: VerifyConfig | None = None):
     """Check one record over its parameter range; one result per binding."""
     config = config or VerifyConfig()
-    digits = _target_digits(record, config)
+    digits = target_digits(record, config)
     streamed = _streamed_sides(record)
     out = []
     for binding in bindings(record, config):
@@ -402,23 +415,29 @@ def _result(record, binding, status, *, diff=None, requested=None, achieved=None
     )
 
 
+def check_tail(sides: Sides, target: int) -> None:
+    """Raise ConvergenceError when a series' tail bound or Richardson gap is
+    not below 10^-target, the row's verification target."""
+    tol = Decimal(1).scaleb(-target)
+    if sides.tail_bound is not None and sides.tail_bound >= tol:
+        raise ConvergenceError(
+            f"{sides.strategy} tail estimate {sides.tail_bound:.2E} is not below {tol:.0E}",
+            best=sides.lhs, gap=sides.tail_bound,
+        )
+
+
 def _verify_one(record, binding, digits, started, streamed):
     if streamed is not None:
         sides = streamed(binding)
     else:
         sides = evaluate_sides(record, binding, None if digits is None else digits + COMPARE_GUARD)
     if sides.exact is None:
-        tol = Decimal(1).scaleb(-digits)
+        check_tail(sides, digits)
         achieved = min(_diff_digits(sides.diff), digits + COMPARE_GUARD)
         if sides.tail_bound is not None:
-            if sides.tail_bound >= tol:
-                raise ConvergenceError(
-                    f"{sides.strategy} tail estimate {sides.tail_bound:.2E} is not below {tol:.0E}",
-                    best=sides.lhs, gap=sides.tail_bound,
-                )
             achieved = min(achieved, _diff_digits(sides.tail_bound))
         return _result(
-            record, binding, "pass" if sides.diff < tol else "fail",
+            record, binding, "pass" if sides.diff < Decimal(1).scaleb(-digits) else "fail",
             diff=sides.diff, requested=digits, achieved=achieved, terms=sides.terms, started=started,
         )
     if sides.exact:

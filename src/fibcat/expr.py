@@ -6,6 +6,9 @@ restricted one puts an expression into the one-radical form u*sqrt(v) with
 u, v in Q(sqrt5), which is what the radical lemma checks need.  The
 arbitrary-precision numeric evaluator compiles a tree once into closures
 (integer index arithmetic on Python ints) and runs those per term.
+`term_ratio` reads t(n+1)/t(n) of a hypergeometric series term off the
+tree as a quotient of integer products, so a summation loop can step from
+term to term without evaluating each one.
 
 alpha and beta are primitive constants rather than spelled-out surds so
 the exact Q(sqrt5) evaluator can recognise them; the numeric evaluator
@@ -15,6 +18,7 @@ expands them.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -23,7 +27,7 @@ from . import exactnum
 from .arbreal import constants as _const
 from .arbreal import core as _core
 from .arbreal import quadrature as _quad
-from .errors import DomainError, SubstitutionError, UnboundVariableError
+from .errors import DomainError, FibcatError, SubstitutionError, UnboundVariableError
 from .exactnum import ONE, QuadRat, qr_pow
 
 CONSTANT_NAMES = ("pi", "sqrt5", "alpha", "beta", "lnalpha", "catalanG", "zeta3", "omega")
@@ -659,3 +663,129 @@ def literal_fraction(e: Expr):
             return None
         return l / r
     return None
+
+
+# ---------------------------------------------------------------- term ratio
+
+# a term whose ratio needs more linear factors (or a larger power of a
+# literal base) than this is left to the evaluator, which takes such powers
+# by squaring instead of carrying them as integer products
+RATIO_MAX_FACTORS = 64
+
+
+def term_ratio(term: Expr, index: str, env: Env):
+    """n -> (P, Q), Python ints with t(n+1)/t(n) = P/Q, for a term t that is
+    hypergeometric in `index` (the other names bound by `env`); None when it
+    is not, or when the ratio cannot be read off the tree.
+
+    R(n) is derived once from the factors, each of which gives linear
+    factors s*n + o of P and of Q and a rational constant: a subtree free of
+    `index` gives 1, a linear integer subtree X gives X(n+1)/X(n), X^k
+    repeats X's factors k times, a literal base to a linear exponent gives
+    base^s, binom(a, b) with slopes sa >= sb >= 0 gives its rising-factorial
+    pieces and C(m) is binom(2m, m)/(m+1).  Slopes are read from the tree,
+    never sampled; a factor of slope 0 is a constant.  Identical factors of
+    P and Q cancel, and P = Q = 0 where a cancelled factor vanishes, so P/Q
+    is the ratio wherever t(n), P and Q are nonzero; a zero leaves t(n+1) to
+    the evaluator.
+    """
+    try:
+        num, den, c = _ratio(term, index, env)
+    except (ValueError, KeyError, ZeroDivisionError, FibcatError):  # not derivable
+        return None
+    num, den = Counter(num), Counter(den)
+    common = num & den
+    num, den = list((num - common).elements()), list((den - common).elements())
+    zeros = {-o // s for s, o in common if o % s == 0}  # where a cancelled factor vanishes
+    cp, cq = c.numerator, c.denominator
+
+    def ratio(n: int):
+        if n in zeros:
+            return 0, 0
+        p, q = cp, cq
+        for s, o in num:
+            p *= s * n + o
+        for s, o in den:
+            q *= s * n + o
+        return p, q
+
+    return ratio
+
+
+def _ratio(e: Expr, index: str, env: Env):
+    """(P factors, Q factors, constant) of e(n+1)/e(n); raises when `e` is
+    not hypergeometric in `index` by the rules of term_ratio."""
+    if index not in free_vars(e):
+        return [], [], Fraction(1)
+    if isinstance(e, Neg):
+        return _ratio(e.arg, index, env)
+    if isinstance(e, BinOp) and e.op in "*/":
+        ln, ld, lc = _ratio(e.left, index, env)
+        rn, rd, rc = _ratio(e.right, index, env)
+        if e.op == "*":
+            return ln + rn, ld + rd, lc * rc
+        return ln + rd, ld + rn, lc / rc
+    if is_integer_expr(e):
+        s, o = _linear(e, index, env)
+        return ([(s, o + s)], [(s, o)], Fraction(1)) if s else ([], [], Fraction(1))
+    if isinstance(e, Pow) and index in free_vars(e.exponent):
+        base = literal_fraction(e.base)
+        if base is None:
+            raise ValueError(f"not a literal base: {e}")
+        s = _linear(e.exponent, index, env)[0]
+        _check_size(abs(s))
+        return [], [], base ** s
+    if isinstance(e, Pow):
+        k = eval_exact_rational(e.exponent, env)
+        if k is None or k.denominator != 1:
+            raise ValueError(f"not an integer exponent: {e}")
+        num, den, c = _ratio(e.base, index, env)
+        _check_size(abs(k) * (len(num) + len(den)))
+        if k < 0:
+            num, den, c, k = den, num, 1 / c, -k
+        return num * int(k), den * int(k), c ** int(k)
+    if isinstance(e, SeqCall) and e.name == "binom":
+        return _binom_ratio(*(_linear(a, index, env) for a in e.args))
+    if isinstance(e, SeqCall) and e.name == "C":
+        s, o = _linear(e.args[0], index, env)
+        num, den, c = _binom_ratio((2 * s, 2 * o), (s, o))
+        return (num + [(s, o + 1)], den + [(s, o + 1 + s)], c) if s else (num, den, c)
+    raise ValueError(f"not hypergeometric: {e}")
+
+
+def _linear(e: Expr, index: str, env: Env):
+    """(s, o) with e = s*index + o, read from the tree of an integer subtree."""
+    if isinstance(e, IntLit):
+        return 0, e.value
+    if isinstance(e, Var):
+        return (1, 0) if e.name == index else (0, int(env[e.name]))
+    if isinstance(e, Neg):
+        s, o = _linear(e.arg, index, env)
+        return -s, -o
+    if isinstance(e, BinOp) and e.op in _INT_OPS:
+        (ls, lo), (rs, ro) = _linear(e.left, index, env), _linear(e.right, index, env)
+        if e.op == "*":
+            if ls and rs:
+                raise ValueError(f"not linear: {e}")
+            return ls * ro + rs * lo, lo * ro
+        sign = 1 if e.op == "+" else -1
+        return ls + sign * rs, lo + sign * ro
+    raise ValueError(f"not an integer subtree: {e}")
+
+
+def _binom_ratio(a, b):
+    """binom(a(n+1), b(n+1))/binom(a(n), b(n)) for a = sa*n + oa, b = sb*n + ob:
+    (a+1)...(a+sa) / ((b+1)...(b+sb) * (a-b+1)...(a-b+sa-sb))."""
+    (sa, oa), (sb, ob) = a, b
+    if not sa >= sb >= 0:
+        raise ValueError("binom slopes must satisfy sa >= sb >= 0")
+    _check_size(2 * sa)
+    num = [(sa, oa + i) for i in range(1, sa + 1)]
+    den = [(sb, ob + i) for i in range(1, sb + 1)]
+    den += [(sa - sb, oa - ob + i) for i in range(1, sa - sb + 1)]
+    return num, den, Fraction(1)
+
+
+def _check_size(factors: int) -> None:
+    if factors > RATIO_MAX_FACTORS:
+        raise ValueError(f"a term ratio of {factors} factors is past the limit {RATIO_MAX_FACTORS}")

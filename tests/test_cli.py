@@ -147,6 +147,21 @@ def test_param_declared_by_one_selected_record_is_accepted(capsys):
     ]
 
 
+def test_eval_reports_the_richardson_gap_against_verifys_target(capsys, tmp_path):
+    # 1/(n+1)^2 with one Richardson row leaves a gap near 1e-3, far above the 10-digit target
+    reg = tmp_path / "slow.reg"
+    reg.write_text(
+        '[identity]\nid = "t.slow" kind = "series" paper = "p" index = "n" start = 0\n'
+        'term = "1/(n+1)^2" tail = "algebraic ladder=-1 order=1" rhs = "pi^2/6"\n'
+    )
+    code, out, _ = run(capsys, "eval", "--registry", str(reg), "--id", "t.slow", "--digits", "10")
+    assert code == 3
+    assert "(1024 terms, algebraic tail estimate 9.75E-4)" in out
+    assert out.splitlines()[-1] == "  ConvergenceError: algebraic tail estimate 9.75E-4 is not below 1E-10"
+    code, out, _ = run(capsys, "verify", "--registry", str(reg), "--id", "t.slow")
+    assert code == 3 and "ConvergenceError: algebraic tail estimate 9.75E-4 is not below 1E-10" in out
+
+
 def test_eval_unknown_id_exits_two(capsys):
     code, _, err = run(capsys, "eval", "--id", "missing")
     assert code == 2

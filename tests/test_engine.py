@@ -273,3 +273,34 @@ def test_compiled_sums_match_the_tree_walker(records):
     )
     rhs = engine.eval_numeric(records["s7.thm10"].rhs, {"r": 2}, 40)
     assert str(rhs) == "0.008206011438920170546912423218080279997240"
+
+
+def _series_record(term, tail):
+    return _record(
+        f'id = "t.term" kind = "series" paper = "p" index = "n" start = 0\n'
+        f'term = "{term}" tail = "{tail}" rhs = "1"'
+    )
+
+
+def test_ratio_sum_through_a_zero_matches_the_direct_sum(monkeypatch):
+    # t(3) = 0: P(2) = 0 hands t(3) and then t(4) to the evaluator
+    record = _series_record("(n-3)/(n+1)^3", "algebraic ladder=-1,-2 order=2")
+    by_ratio = engine.sum_series(record.lhs, {}, record.tail, 20)
+    monkeypatch.setattr(engine, "term_ratio", lambda term, index, env: None)
+    direct = engine.sum_series(record.lhs, {}, record.tail, 20)
+    w = 20 + core.guard_digits(20)
+    assert CTX.subtract(by_ratio.value, direct.value).copy_abs() < Decimal(1).scaleb(-(w - 5))
+    assert by_ratio.terms_used == direct.terms_used == 2048
+
+
+@pytest.mark.parametrize(
+    "term, shown",
+    [
+        ("1/((n-5)*(n+1)^2)", "1/((n - 5)*(n + 1)^2)"),
+        ("(n-3)/(n-3)", "(n - 3)/(n - 3)"),  # the cancelled factor still hands n = 3 over
+    ],
+)
+def test_a_pole_after_the_first_term_is_still_an_error_row(term, shown):
+    record = _series_record(term, "algebraic ladder=-2 order=1")
+    (row,) = engine.verify_identity(record)
+    assert (row.status, row.detail) == ("error", f"ZeroDivisionError: division by zero in {shown}")

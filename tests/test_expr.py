@@ -1,3 +1,4 @@
+import itertools
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,8 +27,9 @@ from fibcat.expr import (
     free_vars,
     map_children,
     substitute,
+    term_ratio,
 )
-from fibcat.seriesdsl import FiniteSpec, SeriesSpec, builtin_registry
+from fibcat.seriesdsl import AlgebraicTail, FiniteSpec, SeriesSpec, builtin_registry, parse_expression
 from fibcat.seriesdsl import parse_expression as parse
 
 CTX = core.context(80)
@@ -239,3 +241,60 @@ def test_substitute_then_eval_equals_extended_env(e, n_val, s_val):
     direct = eval_exact_rational(substituted, {})
     via_env = eval_exact_rational(e, {"n": n_val, "s": s_val})
     assert direct == via_env
+
+
+def _algebraic_tail_rows():
+    for record in builtin_registry():
+        if isinstance(record.lhs, SeriesSpec) and isinstance(record.tail, AlgebraicTail):
+            axes = [[(name, v) for v in range(lo, hi + 1)] for name, lo, hi in record.params]
+            for binding in map(dict, itertools.product(*axes)):
+                yield record, binding
+
+
+def test_term_ratio_is_the_exact_ratio_on_every_algebraic_tail_row():
+    rows = list(_algebraic_tail_rows())
+    assert len(rows) == 51
+    for record, binding in rows:
+        spec = record.lhs
+        ratio = term_ratio(spec.term, spec.index, binding)
+        assert ratio is not None, record.id
+        for n in [*range(spec.start, spec.start + 6), 1000]:
+            t0, t1 = (eval_exact_rational(spec.term, {**binding, spec.index: m}) for m in (n, n + 1))
+            p, q = ratio(n)
+            assert t0 != 0 and Fraction(p, q) == t1 / t0, (record.id, binding, n)
+
+
+@pytest.mark.parametrize(
+    "term, ratios",
+    [
+        ("C(n)", {0: (1, 1), 1: (2, 1), 4: (42, 14)}),
+        ("(-1)^(n-1)*n/4^n", {1: (-2, 4), 2: (-3, 8)}),
+        ("(n-3)/(n+1)^3", {2: (0, 1), 4: (2 * 125, 216)}),
+        ("binom(2*n+r, n)/2^(2*n)", {0: (5, 4), 3: (330, 84 * 4)}),
+    ],
+)
+def test_term_ratio_values(term, ratios):
+    ratio = term_ratio(parse_expression(term), "n", {"r": 3})
+    for n, (p, q) in ratios.items():
+        got = ratio(n)
+        assert Fraction(*got) == Fraction(p, q), (term, n, got)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        "F(n)/4^n",  # Fibonacci numbers are not hypergeometric
+        "n*n*n - 3*n*n + 2*n",  # reads 0, 0, 0 at n = 0, 1, 2 but is not linear
+        "sqrt(n)",
+        "2^(n*n)",
+        "n^n",
+        "binom(n, 2*n)",  # slopes sa < sb
+        "C(-n)",
+        "(n+s)/2",  # s is unbound
+        "(n+1)^100000",  # past RATIO_MAX_FACTORS: left to the evaluator
+        "binom(1000*n, n)",
+        "2^(1000*n)",
+    ],
+)
+def test_term_ratio_refuses_what_it_cannot_derive(term):
+    assert term_ratio(parse_expression(term), "n", {}) is None

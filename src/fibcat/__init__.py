@@ -16,6 +16,7 @@ from .engine import (
     finite_check,
     radical_check,
     sum_series,
+    verdict,
     verify_all,
     verify_identity,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "serialize_record",
     "substitute",
     "sum_series",
+    "verdict",
     "verify_all",
     "verify_identity",
 ]

@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify records")
     common(p_verify)
     p_verify.add_argument("--digits", type=int, metavar="D",
-                          help="target digits for geometric-class records")
+                          help="target digits for series and constant records")
     p_verify.add_argument("--param", action="append", default=[], metavar="NAME=A..B",
                           help="restrict a parameter range (repeatable)")
     p_verify.add_argument("--report", choices=("text", "json", "csv"), default="text")
@@ -160,6 +160,8 @@ def _result_json(r: engine.VerificationResult) -> dict:
         "terms": r.terms_used,
         "seconds": round(r.seconds, 6),
         "detail": r.detail,
+        "strategy": r.strategy,
+        "tail_bound": None if r.tail_bound is None else str(r.tail_bound),
     }
 
 
@@ -223,11 +225,12 @@ def cmd_eval(args) -> int:
     digits = args.digits
     config = _config([record], args, digits)
     target = engine.target_digits(record, config)
-    code = 0
+    working = None if target is None else max(digits, target + engine.COMPARE_GUARD)
+    codes = {0}
     for binding in engine.bindings(record, config):
         where = " at " + ",".join(f"{k}={v}" for k, v in sorted(binding.items())) if binding else ""
         print(f"{record.id}{where}  ({record.kind})")
-        sides = engine.evaluate_sides(record, binding, digits)
+        sides = engine.evaluate_sides(record, binding, working)
         if sides.exact is None:
             terms = ""
             if sides.terms is not None:
@@ -235,17 +238,21 @@ def cmd_eval(args) -> int:
             print(f"  lhs = {round_to(sides.lhs, digits)}{terms}")
             print(f"  rhs = {round_to(sides.rhs, digits)}")
             print(f"  |lhs - rhs| = {sides.diff:.3E}")
-            try:
-                engine.check_tail(sides, target)
-            except engine.ConvergenceError as exc:
-                print(f"  ConvergenceError: {exc}")
-                code = 3
         else:
             square = "^2" if sides.squared else ""
             print(f"  lhs{square} = {sides.lhs}")
             print(f"  rhs{square} = {sides.rhs}")
             print(f"  exact match{' (squares and signs)' if sides.squared else ''}: {sides.exact}")
-    return code
+        try:
+            status, _ = engine.verdict(sides, target)
+        except engine.ConvergenceError as exc:
+            print(f"  ConvergenceError: {exc}")
+            codes.add(3)
+            continue
+        if sides.exact is None:
+            print(f"  verdict: {status}")
+        codes.add(1 if status == "fail" else 0)
+    return max(codes)
 
 
 def main(argv=None) -> int:

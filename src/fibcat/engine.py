@@ -5,12 +5,14 @@ Two summation regimes:
 * geometric -- sum until |t_n| * rho/(1-rho) drops under the target,
   validating the declared ratio bound against every computed term pair; a
   violated bound is a hard TailBoundViolation, never a silent wrong answer.
-* algebraic -- partial sums at geometrically spaced even term counts,
-  Richardson-extrapolated against the record's declared exponent ladder
-  (even counts keep alternating boundary series sign-coherent).  A
-  hypergeometric term is summed by its ratio, t(n+1) = t(n)*P(n)/Q(n) with
-  the integers P, Q from expr.term_ratio; the evaluator computes the first
-  term, any term after a zero t, P or Q, and every term of other series.
+* algebraic -- the term must be hypergeometric: its first N terms (400,
+  or more when a factor of the ratio has a far root) are stepped by the
+  ratio t(n+1) = t(n)*P(n)/Q(n) from expr.term_ratio, the evaluator taking
+  the first term and any term after a zero t, P or Q.  The tail t(N)*f(N)
+  comes from the asymptotic expansion f(N) = sum_k c_k N^-k of
+  T(N)/t(N), solved exactly from f(N) = 1 + R(N) f(N+1).  Its gap,
+  |S(N) - S(N/2)| plus the last expansion term and the rounding, is an
+  estimate, not a proved bound.  The record's ladder= and order= are unused.
 
 Exact kinds (finite, algebraic, radical) never compare floats: they reduce
 to Fraction or QuadRat equality, with radical records squared into Q(sqrt5)
@@ -20,7 +22,9 @@ first and their signs checked numerically at 20 digits.
 from __future__ import annotations
 
 import itertools
+import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -47,7 +51,8 @@ from .seriesdsl import AlgebraicTail, FiniteSpec, GeometricTail, IdentityRecord,
 
 GEOMETRIC_TERM_CAP = 10**6
 ALGEBRAIC_TERM_CAP = 10**5
-ANCHOR_BASE = 512  # even: keeps alternating boundary partial sums sign-coherent
+TAIL_TERMS = 400  # terms summed before an algebraic tail's expansion takes over
+EXPANSION_ORDER_CAP = 40  # highest power of 1/N in that expansion
 
 DIGITS_GEOMETRIC = 50
 DIGITS_ALGEBRAIC = 10
@@ -77,6 +82,8 @@ class VerificationResult:
     terms_used: int | None
     seconds: float
     detail: str = ""
+    strategy: str | None = None  # how a series lhs was summed
+    tail_bound: Decimal | None = None  # its tail bound or gap estimate
 
     def binding_text(self) -> str:
         return ",".join(f"{k}={v}" for k, v in self.binding)
@@ -109,17 +116,16 @@ class Sides:
     squared: bool = False
     terms: int | None = None
     strategy: str | None = None
-    tail_bound: Decimal | None = None  # the series' tail bound or Richardson gap
+    tail_bound: Decimal | None = None  # the series' tail bound or algebraic-tail gap estimate
 
 
 @dataclass
 class VerifyConfig:
     """Knobs for a verification run.
 
-    `digits` overrides the target for fast-class records (geometric series
-    and constants); algebraic-decay and integral records keep their own
-    per-record targets, which is what direct desk-scale summation can
-    honestly certify.
+    `digits` overrides the target for series (geometric and algebraic
+    tails) and constants; integral records keep their own per-record
+    targets, since their quadrature runs at a fixed 40 digits.
     """
 
     digits: int | None = None
@@ -140,7 +146,7 @@ def sum_series(
     if isinstance(tail, GeometricTail):
         return _sum_geometric(spec, env, tail, digits, force_terms)
     if isinstance(tail, AlgebraicTail):
-        return _sum_algebraic(spec, env, tail, digits)
+        return _sum_algebraic(spec, env, digits, force_terms)
     raise TypeError(f"unknown tail strategy {tail!r}")
 
 
@@ -175,51 +181,110 @@ def _sum_geometric(spec, env, tail, digits, force_terms) -> SumResult:
         n += 1
 
 
-def _sum_algebraic(spec, env, tail, digits) -> SumResult:
+def _sum_algebraic(spec, env, digits, force_terms) -> SumResult:
+    ratio = term_ratio(spec.term, spec.index, env)
+    if ratio is None:
+        raise UnsupportedRecordError(f"an algebraic tail needs a hypergeometric term: {spec.term}")
+    # the expansion point N lies 8x past every root of a factor of the ratio
+    roots = [abs(Fraction(o, s)) for s, o in ratio.num + ratio.den] + [abs(z) for z in ratio.zeros]
+    n_tail = max(
+        max(spec.start, 0) + TAIL_TERMS, spec.start + (force_terms or 0), math.ceil(8 * max(roots, default=0))
+    )
+    terms = n_tail - spec.start
+    if terms > ALGEBRAIC_TERM_CAP:
+        raise ConvergenceError(f"algebraic tail needs {terms} terms, past the {ALGEBRAIC_TERM_CAP}-term cap")
+    half = max(n_tail // 2, spec.start)
     evaluator = NumericEvaluator(digits, NumericSeqCache(_core.working_context(digits)))
     ctx = evaluator.ctx
-    anchors = [ANCHOR_BASE << j for j in range(tail.order + 1)]
-    if anchors[-1] > ALGEBRAIC_TERM_CAP:
-        raise ConvergenceError(
-            f"algebraic anchors exceed the {ALGEBRAIC_TERM_CAP}-terms-per-partial-sum cap"
-        )
-    ratio = term_ratio(spec.term, spec.index, env)
     env = dict(env)
-    partials = []
-    total = Decimal(0)
-    n = spec.start
-    count = 0
+    total = size = Decimal(0)  # the partial sum and the sum of |t(n)|
     t = p = q = 0  # t(n) and P(n), Q(n); a zero hands the next term to the evaluator
-    for anchor in anchors:
-        while count < anchor:
-            if t and p and q:
-                t = ctx.divide(ctx.multiply(t, p), q)
-            else:
-                env[spec.index] = n
-                t = evaluator.eval(spec.term, env)
-            total = ctx.add(total, t)
-            if ratio is not None:
-                p, q = ratio(n)
-            n += 1
-            count += 1
-        partials.append(total)
-
-    rows = [partials]
-    for exponent in tail.ladder:
-        prev = rows[-1]
-        if len(prev) < 2:
+    for n in range(spec.start, n_tail + 1):
+        if t and p and q:
+            t = ctx.divide(ctx.multiply(t, p), q)
+        else:
+            env[spec.index] = n
+            t = evaluator.eval(spec.term, env)
+        if n == half:
+            half_total, half_t = total, t
+        if n == n_tail:
             break
-        f = _core.pow_rational(Decimal(2), -exponent, evaluator.w)
-        fm1 = ctx.subtract(f, 1)
-        rows.append(
-            [
-                ctx.add(prev[j + 1], ctx.divide(ctx.subtract(prev[j + 1], prev[j]), fm1))
-                for j in range(len(prev) - 1)
-            ]
+        total = ctx.add(total, t)
+        size = ctx.add(size, t.copy_abs())
+        p, q = ratio(n)
+
+    # S(N) = sum_{n<N} t(n) + t(N) * f(N), f(N) = sum_k c_k N^-k up to two
+    # terms in a row below 10^-w (some c_k vanish).  The gap estimate is
+    # |S(N) - S(N/2)| (the same c_k at N/2) + the last term + rounding: a
+    # stepped t(n) carries up to 3 roundings of 5*10^-w per step taken
+    eps = Decimal(1).scaleb(-evaluator.w)
+    f_tail = f_half = Decimal(0)
+    last = [Decimal(1), Decimal(1)]
+    for k, c in tail_coefficients(ratio):
+        term = _power_term(c, n_tail, k, ctx)
+        f_tail = ctx.add(f_tail, term)
+        f_half = ctx.add(f_half, _power_term(c, half, k, ctx))
+        last = [last[1], ctx.multiply(term, t).copy_abs()]
+        if max(last) < eps:
+            break
+    value = ctx.add(total, ctx.multiply(t, f_tail))
+    rough = ctx.add(half_total, ctx.multiply(half_t, f_half))
+    rounding = ctx.multiply(eps, 15 * terms * size)
+    gap = ctx.add(ctx.add(ctx.subtract(value, rough).copy_abs(), max(last)), rounding)
+    return SumResult(value, terms, gap, "algebraic")
+
+
+def _power_term(c: Fraction, n: int, k: int, ctx) -> Decimal:
+    """c * n^-k, rounded once."""
+    return ctx.divide(Decimal(c.numerator * n ** max(-k, 0)), Decimal(c.denominator * n ** max(k, 0)))
+
+
+def tail_coefficients(ratio):
+    """(k, c_k) for k = -1 or 0 upwards to EXPANSION_ORDER_CAP, with
+    T(N)/t(N) ~ sum_k c_k N^-k for the tail T(N) = sum_{m>=N} t(m) of a term
+    with the given TermRatio R.
+
+    f = T/t satisfies f(N) = 1 + R(N) f(N+1), that is Q f(N) - P f(N+1) = Q
+    with P, Q polynomials in N; expanding f(N+1) = sum_k c_k N^-k (1+1/N)^-k
+    and matching powers of 1/N gives a triangular system over Fraction.
+    With R(N) = L (1 - s/N + O(N^-2)) only L = 1 with s > 1 (then
+    c_-1 = 1/(s-1)), |L| < 1, and L = -1 with s > 0 converge; the first
+    step raises UnsupportedRecordError for any other ratio.
+    """
+    lead = len(ratio.num) - len(ratio.den)
+    limit = ratio.const * math.prod(a for a, _ in ratio.num) / math.prod(a for a, _ in ratio.den) if lead == 0 else 0
+    s = sum(Fraction(o, a) for a, o in ratio.den) - sum(Fraction(o, a) for a, o in ratio.num)
+    if lead > 0 or abs(limit) > 1 or (limit == 1 and s <= 1) or (limit == -1 and s <= 0):
+        raise UnsupportedRecordError(
+            f"the series does not converge like an algebraic tail: t(n+1)/t(n) = {limit}*(1 - {s}/n + O(1/n^2))"
         )
-    value = rows[-1][-1]
-    gap = ctx.subtract(rows[-1][-1], rows[-2][-1]).copy_abs() if len(rows) > 1 else Decimal(1)
-    return SumResult(value, anchors[-1], gap, "algebraic")
+    q = _polynomial(ratio.den, ratio.const.denominator)  # highest power first
+    p = [0] * -lead + _polynomial(ratio.num, ratio.const.numerator)
+    shift = int(limit == 1)  # L = 1: f ~ N/(s-1), and c_m comes from the order m+1 equation
+    c = {}
+    g = defaultdict(int)  # f(N+1) = sum_j g[j] N^-j over the c_k found so far
+    for m in range(-shift, EXPANSION_ORDER_CAP + 1):
+        e = m + shift
+        g[e] = sum(ck * _binom_neg(k, e - k) for k, ck in c.items())
+        known = sum(q[i] * c.get(e - i, 0) - p[i] * g[e - i] for i in range(len(q)))
+        pivot = q[1] - p[1] + m * p[0] if shift else q[0] - p[0]
+        c[m] = Fraction((q[e] if e < len(q) else 0) - known) / pivot
+        for j in range(m, e + 1):
+            g[j] += c[m] * _binom_neg(m, j - m)
+        yield m, c[m]
+
+
+def _polynomial(factors, c: int) -> list:
+    """Coefficients of c * prod(s*N + o), highest power first."""
+    out = [c]
+    for s, o in factors:
+        out = [a * s + b * o for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+def _binom_neg(k: int, r: int) -> int:
+    """binom(-k, r), the coefficient of x^r in (1+x)^-k."""
+    return math.comb(-k, r) if k <= 0 else (-1) ** r * math.comb(k + r - 1, r)
 
 
 # ---------------------------------------------------------------- exact paths
@@ -290,11 +355,10 @@ def radical_check(record: IdentityRecord, binding: dict, digits: int = RADICAL_S
 
 def target_digits(record: IdentityRecord, config: VerifyConfig):
     """The digits a numeric row must reach to pass (None for exact kinds):
-    `config.digits` moves the fast classes, the slow ones keep their own."""
+    `config.digits` moves series and constants, integrals keep their own."""
     if record.kind == "series":
-        if isinstance(record.tail, AlgebraicTail):
-            return record.digits or DIGITS_ALGEBRAIC
-        return config.digits or record.digits or DIGITS_GEOMETRIC
+        default = DIGITS_ALGEBRAIC if isinstance(record.tail, AlgebraicTail) else DIGITS_GEOMETRIC
+        return config.digits or record.digits or default
     if record.kind == "integral":
         if isinstance(record.lhs, SeriesSpec):
             return record.digits or DIGITS_ALGEBRAIC
@@ -400,7 +464,9 @@ def verify_identity(record: IdentityRecord, config: VerifyConfig | None = None):
     return out
 
 
-def _result(record, binding, status, *, diff=None, requested=None, achieved=None, terms=None, started, detail=""):
+def _result(
+    record, binding, status, *, diff=None, requested=None, achieved=None, sides=None, started, detail=""
+):
     return VerificationResult(
         record_id=record.id,
         binding=tuple(sorted(binding.items())),
@@ -409,21 +475,30 @@ def _result(record, binding, status, *, diff=None, requested=None, achieved=None
         abs_diff=diff,
         digits_requested=requested,
         digits_achieved=achieved,
-        terms_used=terms,
+        terms_used=sides and sides.terms,
         seconds=time.perf_counter() - started,
         detail=detail,
+        strategy=sides and sides.strategy,
+        tail_bound=sides and sides.tail_bound,
     )
 
 
-def check_tail(sides: Sides, target: int) -> None:
-    """Raise ConvergenceError when a series' tail bound or Richardson gap is
-    not below 10^-target, the row's verification target."""
+def verdict(sides: Sides, target: int | None):
+    """(status, digits_achieved) of one binding's sides: exact sides by their
+    exact verdict; numeric ones by |lhs - rhs| < 10^-target, after raising
+    ConvergenceError when a series' tail bound or gap is not below it."""
+    if sides.exact is not None:
+        return ("pass" if sides.exact else "fail"), None
     tol = Decimal(1).scaleb(-target)
-    if sides.tail_bound is not None and sides.tail_bound >= tol:
-        raise ConvergenceError(
-            f"{sides.strategy} tail estimate {sides.tail_bound:.2E} is not below {tol:.0E}",
-            best=sides.lhs, gap=sides.tail_bound,
-        )
+    achieved = min(_diff_digits(sides.diff), target + COMPARE_GUARD)
+    if sides.tail_bound is not None:
+        if sides.tail_bound >= tol:
+            raise ConvergenceError(
+                f"{sides.strategy} tail estimate {sides.tail_bound:.2E} is not below {tol:.0E}",
+                best=sides.lhs, gap=sides.tail_bound,
+            )
+        achieved = min(achieved, _diff_digits(sides.tail_bound))
+    return ("pass" if sides.diff < tol else "fail"), achieved
 
 
 def _verify_one(record, binding, digits, started, streamed):
@@ -431,16 +506,10 @@ def _verify_one(record, binding, digits, started, streamed):
         sides = streamed(binding)
     else:
         sides = evaluate_sides(record, binding, None if digits is None else digits + COMPARE_GUARD)
+    status, achieved = verdict(sides, digits)
     if sides.exact is None:
-        check_tail(sides, digits)
-        achieved = min(_diff_digits(sides.diff), digits + COMPARE_GUARD)
-        if sides.tail_bound is not None:
-            achieved = min(achieved, _diff_digits(sides.tail_bound))
-        return _result(
-            record, binding, "pass" if sides.diff < Decimal(1).scaleb(-digits) else "fail",
-            diff=sides.diff, requested=digits, achieved=achieved, terms=sides.terms, started=started,
-        )
-    if sides.exact:
+        diff = sides.diff
+    elif sides.exact:
         diff = Decimal(0)
     elif record.kind == "finite":
         diff = _fraction_gap(sides.lhs, sides.rhs)
@@ -448,8 +517,8 @@ def _verify_one(record, binding, digits, started, streamed):
         diff = _numeric_gap(record, binding)
     detail = "routed to radical check" if record.kind == "algebraic" and sides.squared else ""
     return _result(
-        record, binding, "pass" if sides.exact else "fail",
-        diff=diff, terms=sides.terms, started=started, detail=detail,
+        record, binding, status, diff=diff, requested=digits, achieved=achieved, sides=sides,
+        started=started, detail=detail,
     )
 
 

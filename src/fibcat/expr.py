@@ -8,7 +8,8 @@ arbitrary-precision numeric evaluator compiles a tree once into closures
 (integer index arithmetic on Python ints) and runs those per term.
 `term_ratio` reads t(n+1)/t(n) of a hypergeometric series term off the
 tree as a quotient of integer products, so a summation loop can step from
-term to term without evaluating each one.
+term to term without evaluating each one; its linear factors are kept, so
+the summation can also expand the series' tail from them.
 
 alpha and beta are primitive constants rather than spelled-out surds so
 the exact Q(sqrt5) evaluator can recognise them; the numeric evaluator
@@ -673,10 +674,35 @@ def literal_fraction(e: Expr):
 RATIO_MAX_FACTORS = 64
 
 
+class TermRatio:
+    """t(n+1)/t(n) = const * prod(s*n + o for num) / prod(s*n + o for den),
+    with the factors that P and Q shared cancelled; `zeros` holds the n
+    where a cancelled factor vanishes.  Calling it with n gives (P, Q),
+    Python ints with P/Q the ratio wherever t(n), P and Q are nonzero, and
+    P = Q = 0 at the `zeros`.  (A plain class, not a dataclass: it keeps the
+    import of fibcat, which every run pays, short.)"""
+
+    __slots__ = ("num", "den", "const", "zeros")
+
+    def __init__(self, num: tuple, den: tuple, const: Fraction, zeros: frozenset):
+        self.num, self.den = num, den  # ((s, o), ...): linear factors s*n + o of P, of Q
+        self.const, self.zeros = const, zeros
+
+    def __call__(self, n: int):
+        if n in self.zeros:
+            return 0, 0
+        p, q = self.const.numerator, self.const.denominator
+        for s, o in self.num:
+            p *= s * n + o
+        for s, o in self.den:
+            q *= s * n + o
+        return p, q
+
+
 def term_ratio(term: Expr, index: str, env: Env):
-    """n -> (P, Q), Python ints with t(n+1)/t(n) = P/Q, for a term t that is
-    hypergeometric in `index` (the other names bound by `env`); None when it
-    is not, or when the ratio cannot be read off the tree.
+    """The TermRatio of a term t that is hypergeometric in `index` (the
+    other names bound by `env`); None when it is not, or when the ratio
+    cannot be read off the tree.
 
     R(n) is derived once from the factors, each of which gives linear
     factors s*n + o of P and of Q and a rational constant: a subtree free of
@@ -684,10 +710,9 @@ def term_ratio(term: Expr, index: str, env: Env):
     repeats X's factors k times, a literal base to a linear exponent gives
     base^s, binom(a, b) with slopes sa >= sb >= 0 gives its rising-factorial
     pieces and C(m) is binom(2m, m)/(m+1).  Slopes are read from the tree,
-    never sampled; a factor of slope 0 is a constant.  Identical factors of
-    P and Q cancel, and P = Q = 0 where a cancelled factor vanishes, so P/Q
-    is the ratio wherever t(n), P and Q are nonzero; a zero leaves t(n+1) to
-    the evaluator.
+    never sampled; a factor of slope 0 is a constant, so every factor kept
+    has s != 0.  Identical factors of P and Q cancel; a zero of t(n), P or
+    Q leaves t(n+1) to the evaluator.
     """
     try:
         num, den, c = _ratio(term, index, env)
@@ -695,21 +720,8 @@ def term_ratio(term: Expr, index: str, env: Env):
         return None
     num, den = Counter(num), Counter(den)
     common = num & den
-    num, den = list((num - common).elements()), list((den - common).elements())
-    zeros = {-o // s for s, o in common if o % s == 0}  # where a cancelled factor vanishes
-    cp, cq = c.numerator, c.denominator
-
-    def ratio(n: int):
-        if n in zeros:
-            return 0, 0
-        p, q = cp, cq
-        for s, o in num:
-            p *= s * n + o
-        for s, o in den:
-            q *= s * n + o
-        return p, q
-
-    return ratio
+    zeros = frozenset(-o // s for s, o in common if o % s == 0)
+    return TermRatio(tuple((num - common).elements()), tuple((den - common).elements()), c, zeros)
 
 
 def _ratio(e: Expr, index: str, env: Env):

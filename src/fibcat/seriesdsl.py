@@ -237,8 +237,8 @@ class GeometricTail:
 
 @dataclass(frozen=True)
 class AlgebraicTail:
-    ladder: tuple
-    order: int  # number of anchor doublings for Richardson extrapolation
+    ladder: tuple  # ladder and order are parsed so that existing registries
+    order: int  # stay valid; the summation (engine._sum_algebraic) reads neither
 
     def __str__(self) -> str:
         rungs = ",".join(str(r) for r in self.ladder)

@@ -54,6 +54,7 @@ def test_verify_json_round_trips(capsys, tmp_path):
     assert len(rows) == 14
     assert {row["status"] for row in rows} == {"pass"}
     assert rows[0]["id"] == "s1.binet.F"
+    assert rows[0]["strategy"] is None and rows[0]["tail_bound"] is None
 
 
 def test_verify_csv_header_contract(capsys):
@@ -103,22 +104,35 @@ def test_eval_with_param_binding(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, last_line",
+    "argv, last_lines",
     [
-        (["s7.id1", "--param", "n=3"], "  exact match: True"),
-        (["s1.binet.F", "--param", "r=2"], "  exact match: True"),
-        (["s2.lem3.sqrt.alpha"], "  exact match (squares and signs): True"),
-        (["s1.Cn.rep1", "--param", "n=2"], "  |lhs - rhs| = "),
-        (["s1.G3.compact"], "  |lhs - rhs| = "),
+        (["s7.id1", "--param", "n=3"], ["  exact match: True"]),
+        (["s1.binet.F", "--param", "r=2"], ["  exact match: True"]),
+        (["s2.lem3.sqrt.alpha"], ["  exact match (squares and signs): True"]),
+        (["s1.Cn.rep1", "--param", "n=2"], ["  |lhs - rhs| = ", "  verdict: pass"]),
+        (["s1.G3.compact"], ["  |lhs - rhs| = ", "  verdict: pass"]),
     ],
     ids=["finite", "algebraic", "radical", "integral", "constant"],
 )
-def test_eval_each_kind(capsys, argv, last_line):
+def test_eval_each_kind(capsys, argv, last_lines):
     code, out, _ = run(capsys, "eval", "--id", *argv)
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith(argv[0])
-    assert lines[-1].startswith(last_line)
+    assert len(lines) > len(last_lines)
+    for line, start in zip(lines[-len(last_lines):], last_lines):
+        assert line.startswith(start)
+
+
+@pytest.mark.parametrize(
+    "record, digits, code, verdict",
+    [("s2.G2t.pi3.printed", "20", 1, "fail"), ("s2.G.z15", "10", 0, "pass")],
+)
+def test_eval_gives_the_verdict_of_verify(capsys, record, digits, code, verdict):
+    got, out, _ = run(capsys, "eval", "--id", record, "--digits", digits)
+    assert got == code
+    assert out.splitlines()[-1] == f"  verdict: {verdict}"
+    assert run(capsys, "verify", "--id", record, "--digits", digits)[0] == code
 
 
 @pytest.mark.parametrize(
@@ -147,19 +161,29 @@ def test_param_declared_by_one_selected_record_is_accepted(capsys):
     ]
 
 
-def test_eval_reports_the_richardson_gap_against_verifys_target(capsys, tmp_path):
-    # 1/(n+1)^2 with one Richardson row leaves a gap near 1e-3, far above the 10-digit target
-    reg = tmp_path / "slow.reg"
+def test_eval_reports_the_tail_gap_against_verifys_target(capsys, tmp_path):
+    # 1/(n+1)^2 to 100 digits: the expansion's gap estimate stays near 1e-81
+    reg = tmp_path / "deep.reg"
     reg.write_text(
-        '[identity]\nid = "t.slow" kind = "series" paper = "p" index = "n" start = 0\n'
-        'term = "1/(n+1)^2" tail = "algebraic ladder=-1 order=1" rhs = "pi^2/6"\n'
+        '[identity]\nid = "t.deep" kind = "series" paper = "p" index = "n" start = 0\n'
+        'term = "1/(n+1)^2" tail = "algebraic ladder=-1 order=1" rhs = "pi^2/6" digits = 100\n'
     )
-    code, out, _ = run(capsys, "eval", "--registry", str(reg), "--id", "t.slow", "--digits", "10")
+    code, out, _ = run(capsys, "eval", "--registry", str(reg), "--id", "t.deep", "--digits", "100")
     assert code == 3
-    assert "(1024 terms, algebraic tail estimate 9.75E-4)" in out
-    assert out.splitlines()[-1] == "  ConvergenceError: algebraic tail estimate 9.75E-4 is not below 1E-10"
-    code, out, _ = run(capsys, "verify", "--registry", str(reg), "--id", "t.slow")
-    assert code == 3 and "ConvergenceError: algebraic tail estimate 9.75E-4 is not below 1E-10" in out
+    assert "(400 terms, algebraic tail estimate " in out
+    last = out.splitlines()[-1]
+    assert last.startswith("  ConvergenceError: algebraic tail estimate ") and last.endswith(" is not below 1E-100")
+    code, out, _ = run(capsys, "verify", "--registry", str(reg), "--id", "t.deep")
+    assert code == 3 and last.strip() in out
+
+
+def test_digits_moves_algebraic_series(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "s2.Gt.pi2", "--digits", "40", "--report", "json")
+    (row,) = json.loads(out)
+    assert code == 0 and row["status"] == "pass" and row["digits_achieved"] >= 40
+    assert row["strategy"] == "algebraic" and float(row["tail_bound"]) < 1e-40
+    code, out, _ = run(capsys, "verify", "--id", "s7.thm12.rm1.printed", "--digits", "30")
+    assert code == 1 and "FAIL" in out
 
 
 def test_eval_unknown_id_exits_two(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from fibcat import engine
 from fibcat.arbreal import core
 from fibcat.errors import ConvergenceError, TailBoundViolation
 from fibcat.expr import BinOp, RatLit
-from fibcat.seriesdsl import GeometricTail, builtin_registry, parse_expression, parse_registry, parse_tail
+from fibcat.seriesdsl import AlgebraicTail, GeometricTail, builtin_registry, parse_expression, parse_registry, parse_tail
 
 CTX = core.context(80)
 
@@ -235,28 +236,29 @@ def test_finite_record_with_two_parameters(params):
     assert ok and lhs == rhs == 6
 
 
-def _slow_record(tail):
-    # 1/(n+1)^2 has a 1/n tail; the gap left by the Richardson rows depends on the ladder
+def _deep_record(digits):
+    # 1/(n+1)^2 to `digits` digits: the expansion's gap estimate bottoms out near 1e-81
     return _record(
-        'id = "t.slow" kind = "series" paper = "p" index = "n" start = 0\n'
-        f'term = "1/(n+1)^2" tail = "{tail}" rhs = "pi^2/6"'
+        'id = "t.deep" kind = "series" paper = "p" index = "n" start = 0\n'
+        f'term = "1/(n+1)^2" tail = "algebraic ladder=-1 order=1" rhs = "pi^2/6" digits = {digits}'
     )
 
 
-def test_richardson_gap_above_the_target_is_a_convergence_error():
-    record = _slow_record("algebraic ladder=-1 order=1")
-    assert Decimal("9E-4") < engine.evaluate_sides(record, {}, 20).tail_bound < Decimal("1E-3")
+def test_tail_gap_above_the_target_is_a_convergence_error():
+    record = _deep_record(100)
+    assert Decimal("1E-100") < engine.evaluate_sides(record, {}, 110).tail_bound < Decimal("1E-60")
     (row,) = engine.verify_identity(record)
     assert row.status == "error" and row.detail.startswith("ConvergenceError: algebraic tail estimate")
+    assert row.detail.endswith("is not below 1E-100")
 
 
-def test_digits_achieved_is_capped_by_the_richardson_gap():
-    record = _slow_record("algebraic ladder=-1,-2,-3 order=3")
-    gap = engine.evaluate_sides(record, {}, 20).tail_bound
-    assert Decimal("1E-11") < gap < Decimal("1E-10")
+def test_digits_achieved_is_capped_by_the_tail_gap():
+    record = _deep_record(80)
+    gap = engine.evaluate_sides(record, {}, 90).tail_bound
+    assert Decimal("1E-82") < gap < Decimal("1E-80")
     (row,) = engine.verify_identity(record)
-    assert row.status == "pass" and row.abs_diff < Decimal("1E-12")
-    assert row.digits_achieved == 10
+    assert row.status == "pass" and row.abs_diff < Decimal("1E-85")
+    assert row.digits_achieved == 81  # the gap's digits, below the diff's and target + guard
 
 
 # sums taken with the tree-walking evaluator the compiler replaced; the
@@ -264,7 +266,12 @@ def test_digits_achieved_is_capped_by_the_richardson_gap():
 def test_compiled_sums_match_the_tree_walker(records):
     record = records["s7.thm14"]
     res = engine.sum_series(record.lhs, {"r": 2}, record.tail, 20)
-    assert (str(res.value), res.terms_used) == ("0.086953857420690623459230667577682", 65536)
+    # the tree walker's 65,536-term Richardson value, good to about 21 digits
+    walked = Decimal("0.086953857420690623459230667577682")
+    rhs = engine.eval_numeric(record.rhs, {"r": 2}, 40)
+    assert res.terms_used == 400
+    assert CTX.subtract(res.value, walked).copy_abs() < Decimal("1E-21")
+    assert CTX.subtract(res.value, rhs).copy_abs() < Decimal("1E-30")
     record = records["s2.G.z15"]
     res = engine.sum_series(record.lhs, {}, record.tail, 60)
     assert res.terms_used == 585
@@ -275,22 +282,21 @@ def test_compiled_sums_match_the_tree_walker(records):
     assert str(rhs) == "0.008206011438920170546912423218080279997240"
 
 
-def _series_record(term, tail):
+def _series_record(term, tail="algebraic ladder=-2 order=1", start=0):
     return _record(
-        f'id = "t.term" kind = "series" paper = "p" index = "n" start = 0\n'
+        f'id = "t.term" kind = "series" paper = "p" index = "n" start = {start}\n'
         f'term = "{term}" tail = "{tail}" rhs = "1"'
     )
 
 
-def test_ratio_sum_through_a_zero_matches_the_direct_sum(monkeypatch):
-    # t(3) = 0: P(2) = 0 hands t(3) and then t(4) to the evaluator
+def test_ratio_sum_through_a_zero_matches_the_direct_sum():
+    # t(3) = 0: P(2) = 0 hands t(3) and then t(4) to the evaluator;
+    # (n-3)/(n+1)^3 = 1/(n+1)^2 - 4/(n+1)^3 sums to zeta(2) - 4 zeta(3)
     record = _series_record("(n-3)/(n+1)^3", "algebraic ladder=-1,-2 order=2")
-    by_ratio = engine.sum_series(record.lhs, {}, record.tail, 20)
-    monkeypatch.setattr(engine, "term_ratio", lambda term, index, env: None)
-    direct = engine.sum_series(record.lhs, {}, record.tail, 20)
-    w = 20 + core.guard_digits(20)
-    assert CTX.subtract(by_ratio.value, direct.value).copy_abs() < Decimal(1).scaleb(-(w - 5))
-    assert by_ratio.terms_used == direct.terms_used == 2048
+    res = engine.sum_series(record.lhs, {}, record.tail, 20)
+    want = engine.eval_numeric(parse_expression("pi^2/6 - 4*zeta3"), {}, 40)
+    assert CTX.subtract(res.value, want).copy_abs() < Decimal("1E-28")
+    assert res.terms_used == 400
 
 
 @pytest.mark.parametrize(
@@ -304,3 +310,110 @@ def test_a_pole_after_the_first_term_is_still_an_error_row(term, shown):
     record = _series_record(term, "algebraic ladder=-2 order=1")
     (row,) = engine.verify_identity(record)
     assert (row.status, row.detail) == ("error", f"ZeroDivisionError: division by zero in {shown}")
+
+
+# ------------------------------------------------------- asymptotic algebraic tail
+
+
+@pytest.mark.parametrize(
+    "term, closed_form",
+    [("1/(n+1)^2", "pi^2/6"), ("(-1)^n/(n+1)", "ln(2)"), ("1/((n+1)*(n+2))", "1")],
+)
+def test_algebraic_tail_closed_forms_at_40_digits(term, closed_form):
+    record = _series_record(term)
+    res = engine.sum_series(record.lhs, {}, record.tail, 40)
+    want = engine.eval_numeric(parse_expression(closed_form), {}, 60)
+    assert CTX.subtract(res.value, want).copy_abs() < Decimal("1E-40"), str(res.value)
+    assert res.tail_bound < Decimal("1E-40") and res.terms_used == 400
+
+
+def test_algebraic_tail_far_offset_sums_past_its_factors():
+    # 1/(n+1000)^2 from n = 1: its ratio's factors n+1000 and n+1001 move the
+    # expansion point out to 8 * 1001
+    record = _series_record("1/(n+1000)^2", start=1)
+    res = engine.sum_series(record.lhs, {}, record.tail, 40)
+    ctx = core.context(70)
+    head = Decimal(0)
+    for k in range(1, 1001):
+        head = ctx.add(head, ctx.divide(1, k * k))
+    want = ctx.subtract(engine.eval_numeric(parse_expression("pi^2/6"), {}, 60), head)
+    assert res.terms_used == 8008 - 1
+    assert CTX.subtract(res.value, want).copy_abs() < Decimal("1E-40")
+
+
+def _coefficients(term, count):
+    ratio = engine.term_ratio(parse_expression(term), "n", {})
+    return dict(itertools.islice(engine.tail_coefficients(ratio), count))
+
+
+def test_tail_coefficients_lead_terms():
+    # R = 1 - s/n + ...: c_-1 = 1/(s-1)
+    assert _coefficients("1/(n+1)^2", 1) == {-1: 1}  # s = 2
+    assert _coefficients("C(n)/4^n", 1) == {-1: 2}  # s = 3/2
+    assert _coefficients("1/(n+1)^4", 1) == {-1: Fraction(1, 3)}
+    # R -> -1: c_0 = 1/2; R -> 1/4: c_0 = 1/(1 - 1/4)
+    assert _coefficients("(-1)^n/(n+1)", 1) == {0: Fraction(1, 2)}
+    assert _coefficients("1/((n+1)*4^n)", 1) == {0: Fraction(4, 3)}
+    # f(N) = T(N)/t(N) = N + 2 exactly for 1/((n+1)(n+2))
+    assert _coefficients("1/((n+1)*(n+2))", 4) == {-1: 1, 0: 2, 1: 0, 2: 0}
+
+
+@pytest.mark.parametrize(
+    "term",
+    ["1/(n+1)", "(-1)^n", "(-1)^n*(n+1)", "2^n/(n+1)^2", "1/(n*n+1)"],
+)
+def test_series_without_a_summable_tail_are_unsupported_rows(term):
+    (row,) = engine.verify_identity(_series_record(term))
+    assert row.status == "error" and row.detail.startswith("UnsupportedRecordError"), row.detail
+
+
+def test_algebraic_tail_past_the_term_cap_is_a_convergence_error():
+    record = _series_record("1/(n+1000000)^2")
+    with pytest.raises(ConvergenceError, match="term cap"):
+        engine.sum_series(record.lhs, {}, record.tail, 20)
+
+
+def test_algebraic_tail_soundness_all_shipped(records):
+    # summing twice as many terms before the expansion must move the sum by
+    # less than the reported gap, for every shipped algebraic-tail binding
+    checked = 0
+    for record in records.values():
+        if not isinstance(record.tail, AlgebraicTail):
+            continue
+        for binding in engine.bindings(record, engine.VerifyConfig()):
+            first = engine.sum_series(record.lhs, binding, record.tail, 20)
+            double = engine.sum_series(
+                record.lhs, binding, record.tail, 20, force_terms=2 * first.terms_used
+            )
+            moved = CTX.subtract(first.value, double.value).copy_abs()
+            assert moved <= first.tail_bound < Decimal("1E-20"), (record.id, binding)
+            checked += 1
+    assert checked == 51
+
+
+def test_digits_moves_algebraic_series_but_not_integrals(records):
+    config = engine.VerifyConfig(digits=40)
+    assert engine.target_digits(records["s2.Gt.pi2"], config) == 40
+    assert engine.target_digits(records["s7.thm13"], config) == engine.DIGITS_ALGEBRAIC
+    assert engine.target_digits(records["s7.wallis.odd"], config) == engine.DIGITS_INTEGRAL
+
+
+def test_rows_carry_strategy_and_tail_bound(records):
+    (row,) = engine.verify_identity(records["s2.Gt.pi2"])
+    assert row.strategy == "algebraic" and Decimal(0) < row.tail_bound < Decimal("1E-10")
+    (row,) = engine.verify_identity(records["s2.G.z15"])
+    assert row.strategy == "geometric" and row.tail_bound < Decimal("1E-50")
+    row = engine.verify_identity(records["s7.id1"], engine.VerifyConfig(param_ranges={"n": (2, 2)}))[0]
+    assert row.strategy is None and row.tail_bound is None
+
+
+def test_verdict_of_exact_and_numeric_sides():
+    assert engine.verdict(engine.Sides(1, 1, exact=True), None) == ("pass", None)
+    assert engine.verdict(engine.Sides(1, 2, exact=False), None) == ("fail", None)
+    one = Decimal(1)
+    assert engine.verdict(engine.Sides(one, one, diff=Decimal("1E-15")), 10) == ("pass", 14)
+    assert engine.verdict(engine.Sides(one, one, diff=Decimal("1E-5")), 10) == ("fail", 4)
+    gapped = engine.Sides(one, one, diff=Decimal(0), strategy="algebraic", tail_bound=Decimal("1E-12"))
+    assert engine.verdict(gapped, 10) == ("pass", 11)
+    with pytest.raises(ConvergenceError, match="algebraic tail estimate 1.00E-12 is not below 1E-12"):
+        engine.verdict(gapped, 12)

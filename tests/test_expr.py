@@ -280,6 +280,15 @@ def test_term_ratio_values(term, ratios):
         assert Fraction(*got) == Fraction(p, q), (term, n, got)
 
 
+def test_term_ratio_exposes_its_cancelled_factors():
+    # C(n+1)/(4 C(n)) = (2n+1)(2n+2)(n+1) / (4 (n+1)(n+1)(n+2)): one n+1 cancels
+    ratio = term_ratio(parse_expression("C(n)/4^n"), "n", {})
+    assert sorted(ratio.num) == [(2, 1), (2, 2)] and sorted(ratio.den) == [(1, 1), (1, 2)]
+    assert ratio.const == Fraction(1, 4) and ratio.zeros == {-1}
+    ratio = term_ratio(parse_expression("(n-3)/(n-3)"), "n", {})
+    assert (ratio.num, ratio.den, ratio.const, ratio.zeros) == ((), (), 1, {2, 3})
+
+
 @pytest.mark.parametrize(
     "term",
     [

@@ -6,7 +6,7 @@ Usage:
 
 The run covers every record including the as-printed misprint variants, so
 the expected outcome is: all corrected records pass, exactly the as-printed
-records fail.  Takes about 11 s (Python 3.11, one core of a 2-vCPU x86-64
+records fail.  Takes about 8 s (Python 3.11, one core of a 2-vCPU x86-64
 host).
 """
 

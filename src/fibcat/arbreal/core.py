@@ -4,15 +4,18 @@ Values are decimal.Decimal numbers (coefficient times a power of ten), and
 every function takes the target precision in decimal digits explicitly.
 Internally each function works at target + guard digits and rounds the
 result back to the target, so per-operation error stays below 10^(1-p)
-relative.  The four ring operations and comparisons come from the stdlib
-decimal module; roots, logarithms, trigonometry and pi are implemented here.
+relative.  Ring operations, comparisons and sqrt (correctly rounded by
+libmpdec) come from the decimal module through one shared Context per
+precision.  sin, cos and ln are fixed-point series over Python integers on
+x's exact integer ratio; sin/cos retry with more bits when the reduction
+modulo 2 pi cancels leading bits (Ziv).  nth roots, arctan and pi are here.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from decimal import ROUND_HALF_EVEN, Context, Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from ..errors import DomainError
@@ -20,7 +23,9 @@ from ..errors import DomainError
 _EMAX = 10**9
 
 _cache_lock = threading.Lock()
-_const_cache: dict[tuple[str, int], Decimal] = {}
+_const_cache: dict[tuple[str, int], Decimal | int] = {}
+_contexts: dict[int, Context] = {}
+_LOG2_10 = 3.3219280948873626
 
 
 def guard_digits(digits: int) -> int:
@@ -29,8 +34,12 @@ def guard_digits(digits: int) -> int:
 
 
 def context(digits: int) -> Context:
-    """A fresh context with the given precision and wide exponent range."""
-    return Context(prec=digits, Emax=_EMAX, Emin=-_EMAX)
+    """The context of this precision, with a wide exponent range.  Shared by
+    every caller, one per precision: do not mutate it (precision, traps)."""
+    ctx = _contexts.get(digits)
+    if ctx is None:
+        ctx = _contexts.setdefault(digits, Context(prec=digits, Emax=_EMAX, Emin=-_EMAX))
+    return ctx
 
 
 def working_context(digits: int) -> Context:
@@ -85,13 +94,10 @@ def _scaled_int_root(x: Decimal, n: int, w: int) -> Decimal:
 
 
 def sqrt(x: Decimal, digits: int) -> Decimal:
-    """Square root via exact integer Newton (math.isqrt) on a scaled mantissa."""
+    """Square root, correctly rounded to `digits` by libmpdec."""
     if x < 0:
         raise DomainError(f"sqrt of negative value {x}")
-    if x == 0:
-        return Decimal(0)
-    w = digits + guard_digits(digits)
-    return round_to(_scaled_int_root(x, 2, w), digits)
+    return context(digits).sqrt(x)
 
 
 def nth_root(x: Decimal, n: int, digits: int) -> Decimal:
@@ -106,64 +112,61 @@ def nth_root(x: Decimal, n: int, digits: int) -> Decimal:
     return round_to(_scaled_int_root(x, n, w), digits)
 
 
-def _atanh_series(t: Decimal, ctx: Context, eps: Decimal) -> Decimal:
-    # sum t^(2k+1)/(2k+1), |t| < 1
-    t2 = ctx.multiply(t, t)
-    term = t
-    total = t
-    k = 1
+def _bits(digits: int) -> int:
+    """Binary digits that carry `digits` decimal digits."""
+    return int(digits * _LOG2_10) + 1
+
+
+def _fixed(name: str, bits: int) -> int:
+    """floor(c * 2^bits) within a few units, c = pi or ln2, cached 64 bits at a time."""
+    top = -(-bits // 64) * 64
+
+    def compute():
+        if name == "ln2":
+            return 2 * _atanh_fixed((1 << top) // 3, top)
+        p, q = const_pi(int(top / _LOG2_10) + 3).as_integer_ratio()
+        return (p << top) // q
+
+    return _cached(name + "_fixed", top, compute) >> (top - bits)
+
+
+def _atanh_fixed(t: int, bits: int) -> int:
+    """atanh(t / 2^bits) * 2^bits for 0 <= t <= 2^bits / 3, by its series."""
+    t2 = t * t >> bits
+    term = total = t
+    j = 3
     while True:
-        term = ctx.multiply(term, t2)
-        inc = ctx.divide(term, 2 * k + 1)
-        total = ctx.add(total, inc)
-        if inc.copy_abs() < eps:
+        term = term * t2 >> bits
+        inc = term // j
+        if not inc:
             return total
-        k += 1
-
-
-def _ln2(w: int) -> Decimal:
-    def compute():
-        ctx = context(w + 5)
-        eps = Decimal(1).scaleb(-(w + 3))
-        return ctx.multiply(2, _atanh_series(ctx.divide(1, 3), ctx, eps))
-
-    return _cached("ln2", w, compute)
-
-
-def _ln10(w: int) -> Decimal:
-    def compute():
-        ctx = context(w + 5)
-        eps = Decimal(1).scaleb(-(w + 3))
-        # ln 10 = ln(10/8) + 3 ln 2, and ln(5/4) = 2 atanh(1/9)
-        ln54 = ctx.multiply(2, _atanh_series(ctx.divide(1, 9), ctx, eps))
-        return ctx.add(ln54, ctx.multiply(3, _ln2(w)))
-
-    return _cached("ln10", w, compute)
+        total += inc
+        j += 2
 
 
 def ln(x: Decimal, digits: int) -> Decimal:
-    """Natural logarithm by power-of-two reduction plus the atanh series."""
+    """Natural logarithm: x = m 2^k with m in [1/sqrt2, sqrt2), then
+    ln m = 2 atanh((m - 1)/(m + 1)) in fixed point, plus k ln 2."""
     if x <= 0:
         raise DomainError(f"ln of non-positive value {x}")
-    w = digits + guard_digits(digits)
-    ctx = context(w + 5)
-    eps = Decimal(1).scaleb(-(w + 3))
-    e = x.adjusted()
-    m = ctx.multiply(x, Decimal(1).scaleb(-e, ctx))
-    k = 0
-    while m > Decimal("1.5"):
-        m = ctx.divide(m, 2)
-        k += 1
-    while m < Decimal("0.75"):
-        m = ctx.multiply(m, 2)
-        k -= 1
-    t = ctx.divide(ctx.subtract(m, 1), ctx.add(m, 1))
-    val = ctx.multiply(2, _atanh_series(t, ctx, eps))
-    if k:
-        val = ctx.add(val, ctx.multiply(k, _ln2(w)))
-    if e:
-        val = ctx.add(val, ctx.multiply(e, _ln10(w)))
-    return round_to(val, digits)
+    a, b = x.as_integer_ratio()
+    k = a.bit_length() - b.bit_length()  # x / 2^k lies in (1/2, 2)
+    a, b = (a, b << k) if k >= 0 else (a << -k, b)
+    m = a / b  # a float is enough to pick the fold; exact squares cost O(n^1.6)
+    if m >= 1.4142135623730951:
+        b, k = b << 1, k + 1
+    elif m < 0.7071067811865476:
+        a, k = a << 1, k - 1
+    d = a - b  # m - 1 = d / b, exact
+    if not d and not k:
+        return Decimal(0)
+    # target + guard + 10 digits absolute, more for the leading zeros of
+    # m - 1 (relative accuracy near x = 1) and for the error of k ln 2
+    zeros = max(0, b.bit_length() - abs(d).bit_length()) if d else 0
+    bits = _bits(digits + guard_digits(digits) + 10) + zeros + abs(k).bit_length() + 8
+    t = _atanh_fixed((abs(d) << bits) // (a + b), bits)
+    v = (2 * t if d > 0 else -2 * t) + k * _fixed("ln2", bits)
+    return context(digits).divide(Decimal(v), Decimal(1 << bits))
 
 
 def _arctan_taylor(x: Decimal, ctx: Context, eps: Decimal) -> Decimal:
@@ -212,44 +215,52 @@ def const_pi_check(digits: int) -> Decimal:
     return _cached("pi_check", digits, compute)
 
 
-def _sin_taylor(x: Decimal, ctx: Context, eps: Decimal) -> Decimal:
-    mx2 = ctx.minus(ctx.multiply(x, x))
-    term = x
-    total = x
-    k = 1
+def _sin_fixed(x: Decimal, digits: int, quarter: int) -> Decimal:
+    """sin(x + quarter * pi/2): reduce modulo 2 pi against an integer pi,
+    fold into [-pi/2, pi/2] and sum the Taylor series in fixed point."""
+    p, q = x.as_integer_ratio()
+    if not p and not quarter:
+        return Decimal(0)
+    w = digits + guard_digits(digits)
+    need = _bits(w)
+    # w + 10 digits absolute, plus x's digits above the point (the error of
+    # n * 2 pi) and, for sin, below it (relative accuracy at tiny x)
+    mag = x.adjusted()
+    if not quarter and 2 * mag < -(w + 10):  # sin x = x (1 - x^2/6 + ...)
+        return context(digits).plus(x)
+    bits = _bits(w + 10 + max(mag, 0) + (max(-mag, 0) if not quarter else 0)) + 16
     while True:
-        term = ctx.divide(ctx.multiply(term, mx2), (2 * k) * (2 * k + 1))
-        total = ctx.add(total, term)
-        if term.copy_abs() < eps:
-            return total
-        k += 1
-
-
-def _reduced_sin(x: Decimal, w: int) -> Decimal:
-    ctx = context(w + 10)
-    eps = Decimal(1).scaleb(-(w + 5))
-    pi = const_pi(w + 10)
-    tau = ctx.multiply(2, pi)
-    n = ctx.divide(x, tau).to_integral_value(rounding=ROUND_HALF_EVEN)
-    r = ctx.subtract(x, ctx.multiply(n, tau))
-    half = ctx.divide(pi, 2)
-    if r > half:
-        r = ctx.subtract(pi, r)
-    elif r < -half:
-        r = ctx.subtract(ctx.minus(pi), r)
-    return _sin_taylor(r, ctx, eps)
+        pi = _fixed("pi", bits)
+        r = (p << bits) // q + quarter * (pi >> 1)
+        n = (r + pi) // (2 * pi)  # nearest multiple of 2 pi
+        r -= 2 * n * pi
+        if abs(r) > pi >> 1:  # fold: sin(r) = sin(+-pi - r)
+            r = (pi if r > 0 else -pi) - r
+        # Ziv: r carries at most 2|n| + 3 units of error; retry with more bits
+        # until it keeps `need` significant bits past them
+        short = need + abs(n).bit_length() + 3 - abs(r).bit_length()
+        if short <= 0:
+            break
+        bits += short + 16
+    neg, r = r < 0, abs(r)
+    r2 = r * r >> bits
+    term = total = r
+    k = 2
+    while term:
+        term = (term * r2 >> bits) // (k * (k + 1))
+        total -= term
+        term = (term * r2 >> bits) // ((k + 2) * (k + 3))
+        total += term
+        k += 4
+    return context(digits).divide(Decimal(-total if neg else total), Decimal(1 << bits))
 
 
 def sin(x: Decimal, digits: int) -> Decimal:
-    w = digits + guard_digits(digits)
-    return round_to(_reduced_sin(x, w), digits)
+    return _sin_fixed(x, digits, 0)
 
 
 def cos(x: Decimal, digits: int) -> Decimal:
-    w = digits + guard_digits(digits)
-    ctx = context(w + 10)
-    half_pi = ctx.divide(const_pi(w + 10), 2)
-    return round_to(_reduced_sin(ctx.subtract(half_pi, x), w), digits)
+    return _sin_fixed(x, digits, 1)
 
 
 def arctan(x: Decimal, digits: int) -> Decimal:

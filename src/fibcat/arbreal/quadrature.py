@@ -43,12 +43,11 @@ def _make_nodes(w: int, level: int):
         et = ctx.exp(t)
         sinh_t = ctx.divide(ctx.subtract(et, ctx.divide(1, et)), 2)
         cosh_t = ctx.divide(ctx.add(et, ctx.divide(1, et)), 2)
-        u = ctx.multiply(pi_half, sinh_t)
-        eu = ctx.exp(ctx.multiply(-2, u))
-        # 1 - tanh u = 2 e^{-2u} / (1 + e^{-2u}), exact to working precision
+        eu = ctx.exp(ctx.multiply(-2, ctx.multiply(pi_half, sinh_t)))
+        # 1 - tanh u = 2 e^{-2u} / (1 + e^{-2u}), exact to working precision,
+        # and 1 / cosh(u)^2 = 1 - tanh(u)^2 = offset (2 - offset)
         offset = ctx.divide(ctx.multiply(2, eu), ctx.add(1, eu))
-        cosh_u = ctx.divide(ctx.add(ctx.exp(u), ctx.exp(ctx.minus(u))), 2)
-        weight = ctx.divide(ctx.multiply(pi_half, cosh_t), ctx.multiply(cosh_u, cosh_u))
+        weight = ctx.multiply(ctx.multiply(pi_half, cosh_t), ctx.multiply(offset, ctx.subtract(2, offset)))
         if weight < cutoff:
             break
         nodes.append((offset, weight))

@@ -1,10 +1,13 @@
+import math
 from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibcat import arbreal as ar
-from fibcat.arbreal import core
+from fibcat.arbreal import core, quadrature
 from fibcat.errors import ConvergenceError, DomainError
 
 CTX = core.context(80)
@@ -19,11 +22,15 @@ def test_sqrt_exact_square():
 
 
 def test_sqrt_against_library_newton_oracle():
-    # the stdlib decimal sqrt at higher precision is the independent oracle
-    mine = ar.sqrt(Decimal(5), 40)
-    ref = Context(prec=50).sqrt(Decimal(5))
-    assert close(mine, ref, "1E-39")
-    assert str(mine).startswith("2.2360679774997896")
+    # math.isqrt on the scaled integer is the independent oracle:
+    # r = floor(sqrt(x) 10^s), and a correctly rounded 40-digit root lies
+    # within half a unit of its last digit of r / 10^s
+    for x, s in (("5", 49), ("0.0375", 50), ("123456.75", 46), ("7E-91", 90)):
+        mine = ar.sqrt(Decimal(x), 40)
+        r = math.isqrt(int(Fraction(x) * 10 ** (2 * s)))
+        unit = Fraction(10) ** (mine.adjusted() - 39)
+        assert abs(Fraction(mine) - Fraction(r, 10**s)) <= unit / 2 + Fraction(1, 10**s)
+    assert str(ar.sqrt(Decimal(5), 40)).startswith("2.2360679774997896")
 
 
 def test_nth_root_is_iterated_sqrt():
@@ -95,6 +102,81 @@ def test_ln_against_library():
         assert close(mine, ref, "1E-38")
     with pytest.raises(DomainError):
         ar.ln(Decimal(0), 10)
+
+
+def within_units(got: Decimal, want: Decimal, digits: int) -> bool:
+    """|got - want| is at most one unit in the digits-th significant digit of want."""
+    unit = Decimal(1).scaleb(want.adjusted() - digits + 1)
+    return CTX.subtract(got, want).copy_abs() <= unit
+
+
+@pytest.mark.parametrize(
+    "f, x, want",
+    [
+        (ar.sin, "1e60", "0.8303897652193426646640617854213287566412"),
+        (ar.cos, "1e60", "-0.5571829482485667089729164205913989926891"),
+        (ar.sin, "1e30", "-0.0901169019121380580303864289529873302744"),
+        (
+            ar.sin,
+            "3.14159265358979323846264338327950288419716939937510582097494459",
+            "2.307816406286208998628034825342117067982E-63",
+        ),
+        (
+            ar.cos,
+            "1.570796326794896619231321691639751442098584699687552910487472296",
+            "1.539082031431044993140174126710585339911E-64",
+        ),
+    ],
+)
+def test_sin_cos_at_large_arguments_and_near_zeros(f, x, want):
+    # references from a 300-digit evaluation; x near a multiple of pi/2
+    # cancels every leading bit of the reduced argument
+    assert within_units(f(Decimal(x), 30), Decimal(want), 30)
+
+
+def test_sin_of_tiny_argument_keeps_relative_accuracy():
+    # tanh-sinh endpoint offsets reach below 1e-100; clausen2 takes ln of sin
+    assert ar.sin(Decimal("1e-100"), 40) == Decimal("1e-100")
+
+
+@pytest.mark.parametrize("x", ["1e-3", "-3e-6", "1.5e-12", "7e-21", "2e-35"])
+@pytest.mark.parametrize("d", [10, 40, 60])
+def test_sin_of_small_arguments_against_exact_taylor(x, d):
+    # 14 Taylor terms in exact rationals leave less than x^29/29! < 1e-117
+    f = Fraction(x)
+    want = sum(Fraction((-1) ** k) * f ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(14))
+    want = Context(prec=100).divide(Decimal(want.numerator), Decimal(want.denominator))
+    assert within_units(ar.sin(Decimal(x), d), want, d)
+
+
+_kernel_args = st.builds(
+    lambda m, e, neg: Decimal(-m if neg else m).scaleb(e),
+    st.integers(10**11, 10**12 - 1),
+    st.integers(-131, 28),
+    st.booleans(),
+)  # |x| from 1e-120 to 1e40
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_args, st.integers(5, 60))
+def test_kernels_match_themselves_at_thirty_more_digits(x, d):
+    for f, arg in ((ar.sin, x), (ar.cos, x), (ar.ln, x.copy_abs())):
+        assert within_units(f(arg, d), f(arg, d + 30), d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_args, st.integers(5, 60))
+def test_ln_matches_the_library_logarithm(x, d):
+    x = x.copy_abs()
+    assert within_units(ar.ln(x, d), Context(prec=d + 20).ln(x), d)
+
+
+@pytest.mark.parametrize("x", ["1.000000000000000000000000000000000000000000000000000000000001",
+                               "0.999999999999999999999999999999999999999999999999999999999999"])
+@pytest.mark.parametrize("d", [10, 40])
+def test_ln_near_one_keeps_relative_accuracy(x, d):
+    x = Decimal(x)
+    assert within_units(ar.ln(x, d), Context(prec=d + 20).ln(x), d)
 
 
 def test_sin_of_pi_over_six_is_half():
@@ -245,6 +327,34 @@ def test_quadrature_polynomials_match_antiderivative():
     for k in range(9):
         v = ar.tanh_sinh(lambda x, k=k: ar.pow_int(x, k, 40), Decimal(0), Decimal(1), 30)
         assert close(v, ctx.divide(1, k + 1), "1E-30")
+
+
+def test_two_exp_node_weights_match_the_four_exp_formula():
+    # weight = (pi/2) cosh t / cosh(u)^2 with u = (pi/2) sinh t, computed
+    # here from four exponentials; _make_nodes uses 1/cosh(u)^2 = offset (2 - offset)
+    w = 54
+    ctx = core.context(2 * w + 30)
+    pi_half = ctx.divide(ar.const_pi(2 * w + 30), 2)
+    cutoff = Decimal(1).scaleb(-(2 * w + 10))
+
+    def cosh_sinh(v):
+        ev, emv = ctx.exp(v), ctx.exp(ctx.minus(v))
+        return ctx.divide(ctx.add(ev, emv), 2), ctx.divide(ctx.subtract(ev, emv), 2)
+
+    for level in range(4):
+        h = ctx.divide(1, 1 << level)
+        want = []
+        for k in range(0, 10**9) if level == 0 else range(1, 10**9, 2):
+            cosh_t, sinh_t = cosh_sinh(ctx.multiply(k, h))
+            cosh_u, _ = cosh_sinh(ctx.multiply(pi_half, sinh_t))
+            weight = ctx.divide(ctx.multiply(pi_half, cosh_t), ctx.multiply(cosh_u, cosh_u))
+            if weight < cutoff:
+                break
+            want.append(weight)
+        got = [weight for _, weight in quadrature._make_nodes(w, level)]
+        assert len(got) == len(want)
+        for g, v in zip(got, want):
+            assert ctx.subtract(g, v).copy_abs() < Decimal(1).scaleb(-(2 * w + 20))
 
 
 def test_quadrature_divergent_integrand_raises():

@@ -3,9 +3,13 @@
 
 Usage:
     python scripts/crosscheck_constants.py [digits]
+
+Exits 1 when the two routes of a constant differ by 10^-(digits-1) or
+more, 0 when every gap is below that.
 """
 
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -14,11 +18,12 @@ from fibcat import arbreal as ar  # noqa: E402
 from fibcat.arbreal import core  # noqa: E402
 
 
-def main() -> int:
-    digits = int(sys.argv[1]) if len(sys.argv) > 1 else 50
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    digits = int(argv[0]) if argv else 50
     ctx = core.context(digits + 10)
     rows = [
-        ("pi", "machin arctans", ar.const_pi, "gauss arctans", ar.const_pi_check),
+        ("pi", "machin arccots", ar.const_pi, "gauss arccots", ar.const_pi_check),
         ("G", "binomial series", ar.const_catalan_g, "clausen integral", ar.catalan_g_check),
         ("zeta(3)", "binomial series", ar.const_zeta3, "sum + integral tail", ar.zeta3_check),
         ("ln(alpha)", "atanh series", ar.ln_alpha, "stdlib decimal ln", ar.ln_alpha_check),
@@ -31,8 +36,9 @@ def main() -> int:
         print(f"{name:10s} {how_a:18s} {a}")
         print(f"{'':10s} {how_b:18s} {b}")
         print(f"{'':10s} {'gap':18s} {gap}")
-    print(f"worst gap at {digits} digits: {worst}")
-    return 0
+    bound = Decimal(1).scaleb(1 - digits)
+    print(f"worst gap at {digits} digits: {worst} ({'below' if worst < bound else 'NOT below'} {bound})")
+    return 0 if worst < bound else 1
 
 
 if __name__ == "__main__":

@@ -1,23 +1,25 @@
 """Named constants, each computable by two independent in-module routes.
 
-pi       : Machin arctan combination, checked against a Gauss combination.
-G        : geometrically convergent central-binomial series, checked
-           against the Clausen integral Cl2(pi/2).
-zeta(3)  : central-binomial alternating series, checked against direct
-           summation with an Euler-Maclaurin integral tail.
-ln(alpha): atanh series through this module's ln, checked against the
-           stdlib decimal logarithm.
+pi       : Machin arccot combination (core), checked against a Gauss one.
+G        : central-binomial series plus (pi/8) ln(2 + sqrt3) on integers,
+           checked against the Clausen integral Cl2(pi/2).
+zeta(3)  : alternating central-binomial series on integers, checked against
+           direct summation with an Euler-Maclaurin integral tail.
+ln(alpha): atanh series through core's ln, checked against the stdlib
+           decimal logarithm.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
 from ..exactnum import binomial
 from . import core
-from .core import _cached, const_pi, context, guard_digits, round_to
+from .core import _atan_fixed, _bits, _cached, _fixed, _from_fixed, const_pi, context, guard_digits, round_to
+
 
 def sqrt5_decimal(digits: int) -> Decimal:
     return _cached("sqrt5", digits, lambda: core.sqrt(Decimal(5), digits))
@@ -69,28 +71,22 @@ def ln_alpha_check(digits: int) -> Decimal:
 def const_catalan_g(digits: int) -> Decimal:
     """Catalan's constant from
     G = (3/8) sum_{n>=0} 1/(binom(2n,n) (2n+1)^2) + (pi/8) ln(2 + sqrt3),
-    whose series gains a fixed log10(4) digits per term.
+    whose series gains a fixed log10(4) digits per term, with
+    ln(2 + sqrt3) = 2 atanh(1/sqrt3); all of it on ints at 2^-b.
     """
 
     def compute():
-        w = digits + guard_digits(digits)
-        ctx = context(w + 5)
-        eps = Decimal(1).scaleb(-(w + 3))
-        total = Decimal(0)
+        bits = _bits(digits + guard_digits(digits))
+        b = bits + bits.bit_length() + 8  # below the floors of every term
+        u = 1 << b  # 2^b / binom(2n, n)
+        total = 0
         n = 0
-        while True:
-            term = ctx.divide(1, Decimal(binomial(2 * n, n) * (2 * n + 1) ** 2))
-            total = ctx.add(total, term)
-            if term < eps:
-                break
+        while u:
+            total += u // (2 * n + 1) ** 2
+            u = u * (n + 1) // (2 * (2 * n + 1))
             n += 1
-        sqrt3 = core.sqrt(Decimal(3), w + 5)
-        log_part = core.ln(ctx.add(2, sqrt3), w + 5)
-        val = ctx.add(
-            ctx.multiply(ctx.divide(3, 8), total),
-            ctx.multiply(ctx.divide(const_pi(w + 5), 8), log_part),
-        )
-        return round_to(val, digits)
+        log_part = 2 * _atan_fixed(b, 1, t=math.isqrt((1 << 2 * b) // 3))
+        return _from_fixed(3 * total + (_fixed("pi", b) * log_part >> b), b + 3, digits)
 
     return _cached("catalanG", digits, compute)
 
@@ -108,23 +104,20 @@ def catalan_g_check(digits: int) -> Decimal:
 
 
 def const_zeta3(digits: int) -> Decimal:
-    """zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 binom(2n,n))."""
+    """zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 binom(2n,n)), on ints at 2^-b."""
 
     def compute():
-        w = digits + guard_digits(digits)
-        ctx = context(w + 5)
-        eps = Decimal(1).scaleb(-(w + 3))
-        total = Decimal(0)
+        bits = _bits(digits + guard_digits(digits))
+        b = bits + bits.bit_length() + 8  # below the floors of every term
+        u = 1 << (b - 1)  # 2^b / binom(2n, n)
+        total = 0
         n = 1
-        while True:
-            term = ctx.divide(1, Decimal(n**3 * binomial(2 * n, n)))
-            if n % 2 == 0:
-                term = ctx.minus(term)
-            total = ctx.add(total, term)
-            if term.copy_abs() < eps:
-                break
+        while u:
+            term = u // n**3
+            total += term if n % 2 else -term
+            u = u * (n + 1) // (2 * (2 * n + 1))
             n += 1
-        return round_to(ctx.multiply(ctx.divide(5, 2), total), digits)
+        return _from_fixed(5 * total, b + 1, digits)
 
     return _cached("zeta3", digits, compute)
 

@@ -6,9 +6,11 @@ Internally each function works at target + guard digits and rounds the
 result back to the target, so per-operation error stays below 10^(1-p)
 relative.  Ring operations, comparisons and sqrt (correctly rounded by
 libmpdec) come from the decimal module through one shared Context per
-precision.  sin, cos and ln are fixed-point series over Python integers on
-x's exact integer ratio; sin/cos retry with more bits when the reduction
-modulo 2 pi cancels leading bits (Ziv).  nth roots, arctan and pi are here.
+precision.  Every series runs in integer fixed point (v stands for
+v / 2^bits) and is rounded once: one arctan/atanh kernel gives pi, ln 2 and
+ln 10 from arccot sums, and ln and arctan on x's exact integer ratio; sin
+and cos retry with more bits when the reduction modulo 2 pi cancels leading
+bits (Ziv).  nth roots are integer roots of the exact ratio.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ..errors import DomainError
 _EMAX = 10**9
 
 _cache_lock = threading.Lock()
-_const_cache: dict[tuple[str, int], Decimal | int] = {}
+_const_cache: dict[tuple[str, int], object] = {}
 _contexts: dict[int, Context] = {}
 _LOG2_10 = 3.3219280948873626
 
@@ -50,8 +52,8 @@ def round_to(x: Decimal, digits: int) -> Decimal:
     return context(digits).plus(x)
 
 
-def _cached(name: str, digits: int, compute) -> Decimal:
-    """Write-once constant cache keyed by (name, digits)."""
+def _cached(name: str, digits: int, compute):
+    """Write-once cache of constants and node tables keyed by (name, digits)."""
     key = (name, digits)
     val = _const_cache.get(key)
     if val is None:
@@ -64,8 +66,6 @@ def _cached(name: str, digits: int, compute) -> Decimal:
 
 def _int_nth_root(a: int, n: int) -> int:
     """floor(a**(1/n)) for a >= 0 by integer Newton iteration."""
-    if a < 0:
-        raise DomainError("integer root of a negative number")
     if n == 1 or a in (0, 1):
         return a
     if n == 2:
@@ -81,18 +81,6 @@ def _int_nth_root(a: int, n: int) -> int:
     return r
 
 
-def _scaled_int_root(x: Decimal, n: int, w: int) -> Decimal:
-    # write x = m * 10^e with integer m, pad so the integer root carries
-    # w significant digits and the scaled exponent is divisible by n
-    _, mantissa, exp = x.as_tuple()
-    m = int("".join(map(str, mantissa)))
-    shift = n * max(0, w - len(mantissa) // n + 2)
-    while (exp - shift) % n:
-        shift += 1
-    r = _int_nth_root(m * 10**shift, n)
-    return Decimal(r).scaleb((exp - shift) // n, context(len(str(r)) + 10))
-
-
 def sqrt(x: Decimal, digits: int) -> Decimal:
     """Square root, correctly rounded to `digits` by libmpdec."""
     if x < 0:
@@ -101,15 +89,22 @@ def sqrt(x: Decimal, digits: int) -> Decimal:
 
 
 def nth_root(x: Decimal, n: int, digits: int) -> Decimal:
-    """Principal n-th root of x >= 0 for positive integer n."""
+    """Principal n-th root of x >= 0 for positive integer n: x = m 10^(n e)
+    with m in [1, 10^n), and the integer root of m's exact ratio p/q scaled
+    by 10^(n s)."""
     if n <= 0:
         raise DomainError(f"nth_root: n must be positive, got {n}")
     if x < 0:
         raise DomainError(f"nth_root of negative value {x}")
     if x == 0:
         return Decimal(0)
-    w = digits + guard_digits(digits)
-    return round_to(_scaled_int_root(x, n, w), digits)
+    e = x.adjusted() // n  # split off, so that 10^|n e| is never built
+    _, coefficient, exponent = x.as_tuple()
+    p, q = Decimal((0, coefficient, exponent - n * e)).as_integer_ratio()
+    # floor(m^(1/n) 10^s) carries w + 4 digits or more; p 10^(n s) / q is exact
+    # once n s covers q = 2^i 5^j, so an exact root keeps its trailing zeros
+    s = digits + guard_digits(digits) + 3
+    return context(digits).scaleb(Decimal(_int_nth_root(p * 10 ** (n * s) // q, n)), e - s)
 
 
 def _bits(digits: int) -> int:
@@ -117,40 +112,63 @@ def _bits(digits: int) -> int:
     return int(digits * _LOG2_10) + 1
 
 
+def _from_fixed(v: int, bits: int, digits: int) -> Decimal:
+    """v / 2^bits rounded once to `digits`."""
+    return context(digits).divide(Decimal(v), Decimal(1 << bits))
+
+
+def _atan_fixed(bits: int, sign: int, t: int = 0, k: int = 0) -> int:
+    """sum_j sign^j x^(2j+1) / (2j+1) times 2^bits: arctan x for sign -1,
+    atanh x for sign +1.  x = t / 2^bits (0 <= t < 2^bits) steps by
+    multiply-and-shift; x = 1/k for an integer k >= 2 steps by division.
+    The sign rides on the step, so terms alternate for arctan."""
+    if k:
+        term, k2 = (1 << bits) // k, sign * k * k
+    else:
+        term, t2 = t, sign * (t * t >> bits)
+    total, j = term, 3
+    while term:
+        term = term // k2 if k else term * t2 >> bits
+        total += term // j
+        j += 2
+    return total
+
+
+# c = sum of coefficient * arccot k (sign -1) or arccoth k (sign +1)
+_ARCCOT = {
+    "pi": (-1, ((16, 5), (-4, 239))),  # Machin
+    "pi_check": (-1, ((48, 18), (32, 57), (-20, 239))),  # Gauss
+    "ln2": (1, ((2, 3),)),
+    "ln10": (1, ((6, 3), (2, 9))),  # 3 ln 2 + ln(5/4)
+}
+
+
 def _fixed(name: str, bits: int) -> int:
-    """floor(c * 2^bits) within a few units, c = pi or ln2, cached 64 bits at a time."""
+    """floor(c * 2^bits) within two units, c named in _ARCCOT, cached 64 bits at a time."""
     top = -(-bits // 64) * 64
 
     def compute():
-        if name == "ln2":
-            return 2 * _atanh_fixed((1 << top) // 3, top)
-        p, q = const_pi(int(top / _LOG2_10) + 3).as_integer_ratio()
-        return (p << top) // q
+        sign, combination = _ARCCOT[name]
+        g = top.bit_length() + 8  # below every floor of every term
+        return sum(c * _atan_fixed(top + g, sign, k=k) for c, k in combination) >> g
 
     return _cached(name + "_fixed", top, compute) >> (top - bits)
 
 
-def _atanh_fixed(t: int, bits: int) -> int:
-    """atanh(t / 2^bits) * 2^bits for 0 <= t <= 2^bits / 3, by its series."""
-    t2 = t * t >> bits
-    term = total = t
-    j = 3
-    while True:
-        term = term * t2 >> bits
-        inc = term // j
-        if not inc:
-            return total
-        total += inc
-        j += 2
-
-
 def ln(x: Decimal, digits: int) -> Decimal:
-    """Natural logarithm: x = m 2^k with m in [1/sqrt2, sqrt2), then
-    ln m = 2 atanh((m - 1)/(m + 1)) in fixed point, plus k ln 2."""
+    """Natural logarithm: x = m 2^k 10^e with m in [1/sqrt2, sqrt2) (e = 0
+    unless x's decimal exponent passes the working digits), then
+    ln m = 2 atanh((m - 1)/(m + 1)) in fixed point, plus k ln 2 + e ln 10."""
     if x <= 0:
         raise DomainError(f"ln of non-positive value {x}")
+    e = x.adjusted()
+    if abs(e) > digits + guard_digits(digits):  # 10^|e| would cost more than the series
+        _, coefficient, exponent = x.as_tuple()
+        x = Decimal((0, coefficient, exponent - e))
+    else:
+        e = 0
     a, b = x.as_integer_ratio()
-    k = a.bit_length() - b.bit_length()  # x / 2^k lies in (1/2, 2)
+    k = a.bit_length() - b.bit_length()  # a/b / 2^k lies in (1/2, 2)
     a, b = (a, b << k) if k >= 0 else (a << -k, b)
     m = a / b  # a float is enough to pick the fold; exact squares cost O(n^1.6)
     if m >= 1.4142135623730951:
@@ -158,76 +176,42 @@ def ln(x: Decimal, digits: int) -> Decimal:
     elif m < 0.7071067811865476:
         a, k = a << 1, k - 1
     d = a - b  # m - 1 = d / b, exact
-    if not d and not k:
-        return Decimal(0)
     # target + guard + 10 digits absolute, more for the leading zeros of
-    # m - 1 (relative accuracy near x = 1) and for the error of k ln 2
+    # m - 1 (relative accuracy near x = 1) and for the error of k ln 2 and e ln 10
     zeros = max(0, b.bit_length() - abs(d).bit_length()) if d else 0
-    bits = _bits(digits + guard_digits(digits) + 10) + zeros + abs(k).bit_length() + 8
-    t = _atanh_fixed((abs(d) << bits) // (a + b), bits)
+    bits = _bits(digits + guard_digits(digits) + 10) + zeros + abs(k).bit_length() + abs(e).bit_length() + 8
+    t = _atan_fixed(bits, 1, t=(abs(d) << bits) // (a + b))
     v = (2 * t if d > 0 else -2 * t) + k * _fixed("ln2", bits)
-    return context(digits).divide(Decimal(v), Decimal(1 << bits))
-
-
-def _arctan_taylor(x: Decimal, ctx: Context, eps: Decimal) -> Decimal:
-    mx2 = ctx.minus(ctx.multiply(x, x))
-    term = x
-    total = x
-    k = 1
-    while True:
-        term = ctx.multiply(term, mx2)
-        inc = ctx.divide(term, 2 * k + 1)
-        total = ctx.add(total, inc)
-        if inc.copy_abs() < eps:
-            return total
-        k += 1
+    if e:
+        v += e * _fixed("ln10", bits)
+    return _from_fixed(v, bits, digits)
 
 
 def const_pi(digits: int) -> Decimal:
-    """pi from the Machin combination 16 arctan(1/5) - 4 arctan(1/239)."""
-
-    def compute():
-        w = digits + guard_digits(digits)
-        ctx = context(w + 5)
-        eps = Decimal(1).scaleb(-(w + 3))
-        a5 = _arctan_taylor(ctx.divide(1, 5), ctx, eps)
-        a239 = _arctan_taylor(ctx.divide(1, 239), ctx, eps)
-        val = ctx.subtract(ctx.multiply(16, a5), ctx.multiply(4, a239))
-        return round_to(val, digits)
-
-    return _cached("pi", digits, compute)
+    """pi from the Machin combination 16 arccot 5 - 4 arccot 239."""
+    bits = _bits(digits + guard_digits(digits))
+    return _cached("pi", digits, lambda: _from_fixed(_fixed("pi", bits), bits, digits))
 
 
 def const_pi_check(digits: int) -> Decimal:
-    """pi from the independent Gauss combination 48 arctan(1/18) + 32 arctan(1/57) - 20 arctan(1/239)."""
-
-    def compute():
-        w = digits + guard_digits(digits)
-        ctx = context(w + 5)
-        eps = Decimal(1).scaleb(-(w + 3))
-        val = ctx.add(
-            ctx.multiply(48, _arctan_taylor(ctx.divide(1, 18), ctx, eps)),
-            ctx.multiply(32, _arctan_taylor(ctx.divide(1, 57), ctx, eps)),
-        )
-        val = ctx.subtract(val, ctx.multiply(20, _arctan_taylor(ctx.divide(1, 239), ctx, eps)))
-        return round_to(val, digits)
-
-    return _cached("pi_check", digits, compute)
+    """pi from the independent Gauss combination 48 arccot 18 + 32 arccot 57 - 20 arccot 239."""
+    bits = _bits(digits + guard_digits(digits))
+    return _cached("pi_check", digits, lambda: _from_fixed(_fixed("pi_check", bits), bits, digits))
 
 
 def _sin_fixed(x: Decimal, digits: int, quarter: int) -> Decimal:
     """sin(x + quarter * pi/2): reduce modulo 2 pi against an integer pi,
     fold into [-pi/2, pi/2] and sum the Taylor series in fixed point."""
-    p, q = x.as_integer_ratio()
-    if not p and not quarter:
+    if not x and not quarter:
         return Decimal(0)
     w = digits + guard_digits(digits)
     need = _bits(w)
-    # w + 10 digits absolute, plus x's digits above the point (the error of
-    # n * 2 pi) and, for sin, below it (relative accuracy at tiny x)
     mag = x.adjusted()
     if not quarter and 2 * mag < -(w + 10):  # sin x = x (1 - x^2/6 + ...)
         return context(digits).plus(x)
+    p, q = x.as_integer_ratio()
+    # w + 10 digits absolute, plus x's digits above the point (the error of
+    # n * 2 pi) and, for sin, below it (relative accuracy at tiny x)
     bits = _bits(w + 10 + max(mag, 0) + (max(-mag, 0) if not quarter else 0)) + 16
     while True:
         pi = _fixed("pi", bits)
@@ -252,7 +236,7 @@ def _sin_fixed(x: Decimal, digits: int, quarter: int) -> Decimal:
         term = (term * r2 >> bits) // ((k + 2) * (k + 3))
         total += term
         k += 4
-    return context(digits).divide(Decimal(-total if neg else total), Decimal(1 << bits))
+    return _from_fixed(-total if neg else total, bits, digits)
 
 
 def sin(x: Decimal, digits: int) -> Decimal:
@@ -264,27 +248,31 @@ def cos(x: Decimal, digits: int) -> Decimal:
 
 
 def arctan(x: Decimal, digits: int) -> Decimal:
+    """arctan on x's exact ratio: |x| > 1 reflects to pi/2 - arctan(1/|x|),
+    arctan t = 2 arctan(t / (1 + sqrt(1 + t^2))) halves t to 0.4 or below,
+    and the series runs in fixed point."""
+    if not x:
+        return context(digits).plus(x)
     w = digits + guard_digits(digits)
-    ctx = context(w + 5)
-    eps = Decimal(1).scaleb(-(w + 3))
-    if x.copy_abs() > 1:
-        half_pi = ctx.divide(const_pi(w + 5), 2)
-        inner = arctan(ctx.divide(1, x.copy_abs()), w)
-        val = ctx.subtract(half_pi, inner)
-        return round_to(val if x > 0 else ctx.minus(val), digits)
-    # halve the argument until the Taylor series converges fast:
-    # arctan(x) = 2 arctan(x / (1 + sqrt(1 + x^2)))
-    t = x
-    halvings = 0
-    threshold = Decimal("0.4")
-    while t.copy_abs() > threshold:
-        root = sqrt(ctx.add(1, ctx.multiply(t, t)), w + 5)
-        t = ctx.divide(t, ctx.add(1, root))
+    mag = x.adjusted()
+    if 2 * mag < -(w + 10):  # arctan x = x (1 - x^2/3 + ...), rounded toward zero
+        ctx = context(digits)
+        return ctx.subtract(x, ctx.scaleb(x, 2 * mag - 1))
+    p, q = x.as_integer_ratio()
+    flip = abs(p) > q
+    a, b = (q, abs(p)) if flip else (abs(p), q)
+    # w + 10 digits absolute (arctan x >= pi/4 after a reflection), more for
+    # the leading zeros of a small x (relative accuracy)
+    bits = _bits(w + 10) + 8 + (0 if flip else b.bit_length() - a.bit_length())
+    one, halvings = 1 << bits, 0
+    t = (a << bits) // b
+    while 5 * t > 2 * one:
+        t = (t << bits) // (one + math.isqrt((one << bits) + t * t))
         halvings += 1
-    val = _arctan_taylor(t, ctx, eps)
-    if halvings:
-        val = ctx.multiply(val, 2**halvings)
-    return round_to(val, digits)
+    v = _atan_fixed(bits, -1, t=t) << halvings
+    if flip:
+        v = (_fixed("pi", bits) >> 1) - v
+    return _from_fixed(v if p > 0 else -v, bits, digits)
 
 
 def arcsin(x: Decimal, digits: int) -> Decimal:

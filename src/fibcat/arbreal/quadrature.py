@@ -9,18 +9,13 @@ which keeps x accurate right next to a singular endpoint.
 
 from __future__ import annotations
 
-import threading
 from decimal import ROUND_FLOOR, Decimal
 
 from ..errors import ConvergenceError
 from . import core
-from .core import const_pi, context, guard_digits, round_to
+from .core import _cached, const_pi, context, guard_digits, round_to
 
 LEVEL_CAP = 12
-
-
-_node_lock = threading.Lock()
-_node_cache: dict[tuple[int, int], tuple] = {}
 
 
 def _make_nodes(w: int, level: int):
@@ -54,18 +49,7 @@ def _make_nodes(w: int, level: int):
     return tuple(nodes)
 
 
-def _nodes(w: int, level: int):
-    key = (w, level)
-    table = _node_cache.get(key)
-    if table is None:
-        table = _make_nodes(w, level)
-        with _node_lock:
-            _node_cache.setdefault(key, table)
-            table = _node_cache[key]
-    return table
-
-
-def tanh_sinh(f, a: Decimal, b: Decimal, digits: int, level_cap: int = LEVEL_CAP) -> Decimal:
+def tanh_sinh(f, a: Decimal, b: Decimal, digits: int) -> Decimal:
     """Integrate f over [a, b], doubling the node level until two successive
     levels agree to 10^-digits.  Returns the last level's value."""
     w = digits + guard_digits(digits)
@@ -75,13 +59,13 @@ def tanh_sinh(f, a: Decimal, b: Decimal, digits: int, level_cap: int = LEVEL_CAP
     if a == b:
         return Decimal(0)
     if a > b:
-        return ctx.minus(tanh_sinh(f, b, a, digits, level_cap))
+        return ctx.minus(tanh_sinh(f, b, a, digits))
     half = ctx.divide(ctx.subtract(b, a), 2)
     eps = Decimal(1).scaleb(-digits)
 
     def node_sum(level: int) -> Decimal:
         total = Decimal(0)
-        table = _nodes(w, level)
+        table = _cached(f"tanh_sinh_nodes{level}", w, lambda: _make_nodes(w, level))
         for k, (offset, weight) in enumerate(table):
             off = ctx.multiply(half, offset)
             x_hi = ctx.subtract(b, off)
@@ -103,7 +87,7 @@ def tanh_sinh(f, a: Decimal, b: Decimal, digits: int, level_cap: int = LEVEL_CAP
     h = Decimal(1)
     estimate = ctx.multiply(ctx.multiply(h, running), half)
     previous = None
-    for level in range(1, level_cap + 1):
+    for level in range(1, LEVEL_CAP + 1):
         running = ctx.add(running, node_sum(level))
         h = ctx.divide(h, 2)
         previous = estimate
@@ -112,7 +96,7 @@ def tanh_sinh(f, a: Decimal, b: Decimal, digits: int, level_cap: int = LEVEL_CAP
             return estimate
     gap = ctx.subtract(estimate, previous).copy_abs() if previous is not None else None
     raise ConvergenceError(
-        f"tanh-sinh did not reach 10^-{digits} within {level_cap} levels",
+        f"tanh-sinh did not reach 10^-{digits} within {LEVEL_CAP} levels",
         best=estimate,
         gap=gap,
     )

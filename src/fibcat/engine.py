@@ -12,7 +12,7 @@ Two summation regimes:
   comes from the asymptotic expansion f(N) = sum_k c_k N^-k of
   T(N)/t(N), solved exactly from f(N) = 1 + R(N) f(N+1).  Its gap,
   |S(N) - S(N/2)| plus the last expansion term and the rounding, is an
-  estimate, not a proved bound.  The record's ladder= and order= are unused.
+  estimate, not a proved bound.
 
 Exact kinds (finite, algebraic, radical) never compare floats: they reduce
 to Fraction or QuadRat equality, with radical records squared into Q(sqrt5)
@@ -333,7 +333,7 @@ def algebraic_check(record: IdentityRecord, binding: dict):
     return lhs == rhs, lhs, rhs
 
 
-def radical_check(record: IdentityRecord, binding: dict, digits: int = RADICAL_SIGN_DIGITS):
+def radical_check(record: IdentityRecord, binding: dict):
     """Square both sides into Q(sqrt5) exactly, then match signs numerically."""
     left = eval_one_radical(record.lhs, binding)
     right = eval_one_radical(record.rhs, binding)
@@ -345,8 +345,8 @@ def radical_check(record: IdentityRecord, binding: dict, digits: int = RADICAL_S
     square_r = qr_pow(right[0], 2) * right[1]
     if square_l != square_r:
         return False, square_l, square_r
-    lv = eval_numeric(record.lhs, binding, digits)
-    rv = eval_numeric(record.rhs, binding, digits)
+    lv = eval_numeric(record.lhs, binding, RADICAL_SIGN_DIGITS)
+    rv = eval_numeric(record.rhs, binding, RADICAL_SIGN_DIGITS)
     return (lv > 0) == (rv > 0) and (lv < 0) == (rv < 0), square_l, square_r
 
 

@@ -642,10 +642,9 @@ def _seq_arg(a: Expr, node: SeqCall):
     return arg
 
 
-def eval_numeric(e: Expr, env: Env, digits: int, seq_cache: NumericSeqCache | None = None) -> Decimal:
+def eval_numeric(e: Expr, env: Env, digits: int) -> Decimal:
     """Evaluate to `digits` correct decimal digits (guard digits inside)."""
-    evaluator = NumericEvaluator(digits, seq_cache)
-    return _core.round_to(evaluator.eval(e, env), digits)
+    return _core.round_to(NumericEvaluator(digits).eval(e, env), digits)
 
 
 def literal_fraction(e: Expr):

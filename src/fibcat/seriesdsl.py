@@ -49,6 +49,7 @@ from .expr import (
 )
 
 KINDS = ("series", "finite", "algebraic", "radical", "integral", "constant")
+MAX_DEPTH = 100  # expression tree levels; the shipped registry reaches 10
 
 
 # ----------------------------------------------------------------- tokenizer
@@ -102,9 +103,12 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent; each rule returns (node, height of its tree)."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # open unary() calls: every recursion passes there
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -120,45 +124,58 @@ class _Parser:
             raise ParseError(f"got {tok.text or 'end of input'!r}", tok.line, tok.column, expected={text})
         return tok
 
+    def deeper(self, height: int, tok: _Token) -> int:
+        if height > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+        return height
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column, expected={"end of input"})
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        e, h = self.term()
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            e = BinOp(op, e, self.term())
-        return e
+            op = self.next()
+            right, rh = self.term()
+            e, h = BinOp(op.text, e, right), self.deeper(1 + max(h, rh), op)
+        return e, h
 
-    def term(self) -> Expr:
-        e = self.unary()
+    def term(self) -> tuple[Expr, int]:
+        e, h = self.unary()
         while self.peek().text in ("*", "/"):
-            op = self.next().text
-            e = BinOp(op, e, self.unary())
-        return e
+            op = self.next()
+            right, rh = self.unary()
+            e, h = BinOp(op.text, e, right), self.deeper(1 + max(h, rh), op)
+        return e, h
 
-    def unary(self) -> Expr:
-        if self.peek().text == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
+    def unary(self) -> tuple[Expr, int]:
+        tok = self.peek()
+        self.nesting = self.deeper(self.nesting + 1, tok)
+        try:
+            if tok.text == "-":
+                self.next()
+                arg, h = self.unary()
+                return Neg(arg), self.deeper(h + 1, tok)
+            return self.power()
+        finally:
+            self.nesting -= 1
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, h = self.atom()
         if self.peek().text == "^":
             caret = self.next()
-            exponent = self.unary()  # right associative, binds tighter than unary minus on the left
-            return Pow(base, _normalize_exponent(exponent, caret))
-        return base
+            exponent, eh = self.unary()  # right associative, binds tighter than unary minus on the left
+            return Pow(base, _normalize_exponent(exponent, caret)), self.deeper(1 + max(h, eh), caret)
+        return base, h
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.next()
         if tok.kind == "int":
-            return IntLit(int(tok.text))
+            return IntLit(int(tok.text)), 1
         if tok.text == "(":
             e = self.expr()
             self.expect(")")
@@ -167,8 +184,8 @@ class _Parser:
             if self.peek().text == "(":
                 return self.call(tok)
             if tok.text in CONSTANT_NAMES:
-                return Const(tok.text)
-            return Var(tok.text)
+                return Const(tok.text), 1
+            return Var(tok.text), 1
         raise ParseError(
             f"got {tok.text or 'end of input'!r}",
             tok.line,
@@ -176,32 +193,34 @@ class _Parser:
             expected={"integer", "identifier", "("},
         )
 
-    def call(self, name: _Token) -> Expr:
+    def call(self, name: _Token) -> tuple[Expr, int]:
         self.expect("(")
         args = [self.expr()]
         while self.peek().text == ",":
             self.next()
             args.append(self.expr())
         self.expect(")")
+        h = self.deeper(1 + max(ah for _, ah in args), name)
+        args = [a for a, _ in args]
         ident = name.text
         if ident in FUNCTION_NAMES:
             if len(args) != 1:
                 raise ParseError(f"{ident} takes one argument", name.line, name.column)
-            return Fn(ident, args[0])
+            return Fn(ident, args[0]), h
         if ident in SEQUENCE_ARITY:
             if len(args) != SEQUENCE_ARITY[ident]:
                 raise ParseError(
                     f"{ident} takes {SEQUENCE_ARITY[ident]} argument(s)", name.line, name.column
                 )
-            return SeqCall(ident, tuple(args))
+            return SeqCall(ident, tuple(args)), h
         if ident == "quad":
             if len(args) != 3:
                 raise ParseError("quad takes (body, lower, upper)", name.line, name.column)
-            return Quad(args[0], args[1], args[2])
+            return Quad(args[0], args[1], args[2]), h
         if ident == "cl2":
             if len(args) != 1:
                 raise ParseError("cl2 takes one argument", name.line, name.column)
-            return Clausen(args[0])
+            return Clausen(args[0]), h
         raise ParseError(f"unknown function {ident!r}", name.line, name.column)
 
 
@@ -237,12 +256,11 @@ class GeometricTail:
 
 @dataclass(frozen=True)
 class AlgebraicTail:
-    ladder: tuple  # ladder and order are parsed so that existing registries
-    order: int  # stay valid; the summation (engine._sum_algebraic) reads neither
+    """Summed by its term ratio plus an asymptotic tail (engine._sum_algebraic);
+    the ladder= and order= keys of older registries are accepted and ignored."""
 
     def __str__(self) -> str:
-        rungs = ",".join(str(r) for r in self.ladder)
-        return f"algebraic ladder={rungs} order={self.order}"
+        return "algebraic"
 
 
 @dataclass(frozen=True)
@@ -302,10 +320,7 @@ def parse_tail(text: str):
             raise ValueError(f"geometric ratio must lie in (0, 1), got {ratio}")
         return GeometricTail(ratio, int(kv.get("from", 0)))
     if mode == "algebraic":
-        ladder = tuple(Fraction(x) for x in kv["ladder"].split(","))
-        if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("algebraic ladder must be non-empty and strictly decreasing")
-        return AlgebraicTail(ladder, int(kv.get("order", 7)))
+        return AlgebraicTail()
     raise ValueError(f"unknown tail mode {mode!r}")
 
 
@@ -315,11 +330,11 @@ def parse_params(text: str):
         name, _, rng = chunk.partition("=")
         if not _ or not name.isidentifier():
             raise ValueError(f"bad parameter spec {chunk!r}")
-        if ".." in rng:
-            lo, hi = rng.split("..", 1)
-            out.append((name, int(lo), int(hi)))
-        else:
-            out.append((name, int(rng), int(rng)))
+        lo, dots, hi = rng.partition("..")
+        lo, hi = int(lo), int(hi if dots else lo)
+        if lo > hi:
+            raise ValueError(f"empty parameter range {chunk!r}")
+        out.append((name, lo, hi))
     return tuple(out)
 
 

@@ -40,6 +40,15 @@ def test_nth_root_is_iterated_sqrt():
     assert str(quartic).startswith("1.4953487812212205")
 
 
+@pytest.mark.parametrize("x", ["1e1000000", "3e-1000000", "7.5e999999", "0.0375"])
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_nth_root_of_a_huge_decimal_exponent(x, n):
+    # x = m 10^(n e) is split before the integer root, so 10^1000000 is never built
+    ctx = core.context(40)
+    ratio = ctx.divide(ctx.power(ar.nth_root(Decimal(x), n, 35), n), Decimal(x))
+    assert ctx.subtract(ratio, 1).copy_abs() < Decimal("1e-33")
+
+
 def test_sqrt_negative_rejected():
     with pytest.raises(DomainError):
         ar.sqrt(Decimal(-1), 20)
@@ -177,6 +186,54 @@ def test_ln_matches_the_library_logarithm(x, d):
 def test_ln_near_one_keeps_relative_accuracy(x, d):
     x = Decimal(x)
     assert within_units(ar.ln(x, d), Context(prec=d + 20).ln(x), d)
+
+
+@pytest.mark.parametrize("x", ["3e-1000000", "7e999999"])
+def test_ln_of_a_huge_decimal_exponent(x):
+    # the decimal exponent is split off, so 10^1000000 is never built
+    x = Decimal(x)
+    assert within_units(ar.ln(x, 30), core.context(50).ln(x), 30)
+
+
+def test_pi_routes_agree_to_1000_digits():
+    # Machin and Gauss arccot combinations, each rounded once from its integer
+    for d in range(1, 1001):
+        assert ar.const_pi(d) == ar.const_pi_check(d)
+
+
+@pytest.mark.parametrize("x", ["1e-3", "-3e-6", "1.5e-12", "7e-21", "2e-35", "0.3", "-0.39", "1e-100"])
+@pytest.mark.parametrize("d", [10, 40, 60])
+def test_arctan_of_small_arguments_against_exact_taylor(x, d):
+    # exact-rational Taylor terms down to 10^-150 relative; |x| <= 0.4 is
+    # reached without a halving, so this checks the series and the tiny-x path
+    f, want, k = Fraction(x), Fraction(0), 0
+    while True:
+        term = Fraction((-1) ** k) * f ** (2 * k + 1) / (2 * k + 1)
+        want += term
+        if abs(term) < abs(f) * Fraction(1, 10**150):
+            break
+        k += 1
+    want = Context(prec=100).divide(Decimal(want.numerator), Decimal(want.denominator))
+    assert within_units(ar.arctan(Decimal(x), d), want, d)
+
+
+def test_arctan_of_tiny_argument_keeps_relative_accuracy():
+    assert ar.arctan(Decimal("1e-100"), 40) == Decimal("1e-100")
+    assert ar.arctan(Decimal("-2e-70"), 40) == Decimal("-2e-70")
+
+
+@pytest.mark.parametrize("x", ["0.001", "0.4", "0.5", "1", "1.5", "7.25", "1e30"])
+def test_arctan_of_x_and_its_reciprocal_sum_to_half_pi(x):
+    d = 40
+    x = Decimal(x)
+    total = CTX.add(ar.arctan(x, d), ar.arctan(CTX.divide(1, x), d))
+    assert within_units(total, CTX.divide(ar.const_pi(60), 2), d - 1)
+    assert ar.arctan(x.copy_negate(), d) == ar.arctan(x, d).copy_negate()
+
+
+def test_sin_of_a_3000_digit_argument_agrees_with_itself():
+    x = Decimal("1e3000")
+    assert within_units(ar.sin(x, 20), ar.sin(x, 50), 20)
 
 
 def test_sin_of_pi_over_six_is_half():

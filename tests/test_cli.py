@@ -83,6 +83,20 @@ def test_corrupt_registry_exits_two(capsys, tmp_path):
     assert "serieses" in err or "kind" in err
 
 
+@pytest.mark.parametrize(
+    "lhs",
+    ["(" * 300 + "1" + ")" * 300, "+".join(["1"] * 3001), "-" * 1000 + "1"],
+    ids=["parentheses", "long-sum", "minus-signs"],
+)
+def test_too_deep_expression_exits_two(capsys, tmp_path, lhs):
+    reg = tmp_path / "deep.reg"
+    reg.write_text(f'[identity]\nid = "t.deep" kind = "constant" paper = "p"\nlhs = "{lhs}" rhs = "1"\n')
+    code, out, err = run(capsys, "verify", "--registry", str(reg))
+    assert code == 2
+    assert out == ""
+    assert "record 't.deep'" in err and "deeper than 100 levels" in err
+
+
 def test_missing_registry_exits_two(capsys):
     code, _, err = run(capsys, "verify", "--registry", "/nonexistent/path.reg")
     assert code == 2

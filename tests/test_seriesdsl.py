@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fibcat.errors import ParseError
 from fibcat.expr import BinOp, Expr, Pow, RatLit, SeqCall, free_vars
 from fibcat.seriesdsl import (
+    MAX_DEPTH,
     AlgebraicTail,
     GeometricTail,
     ParsedRegistry,
@@ -14,6 +15,7 @@ from fibcat.seriesdsl import (
     builtin_registry,
     format_expr,
     parse_expression,
+    parse_params,
     parse_registry,
     parse_tail,
     serialize_record,
@@ -69,12 +71,13 @@ def test_syntax_error_carries_location():
 def test_parse_tail():
     t = parse_tail("geometric ratio=9/10 from=1")
     assert t == GeometricTail(Fraction(9, 10), 1)
-    t = parse_tail("algebraic ladder=-1/2,-3/2,-5/2 order=7")
-    assert t == AlgebraicTail((Fraction(-1, 2), Fraction(-3, 2), Fraction(-5, 2)), 7)
+    assert parse_tail("algebraic") == AlgebraicTail()
+    assert str(AlgebraicTail()) == "algebraic"
+    # the ladder= and order= keys of older registries are accepted and ignored
+    assert parse_tail("algebraic ladder=-1/2,-3/2,-5/2 order=7") == AlgebraicTail()
+    assert parse_tail("algebraic ladder=-1/2,-1/2 order=3") == AlgebraicTail()
     with pytest.raises(ValueError):
         parse_tail("geometric ratio=3/2 from=1")
-    with pytest.raises(ValueError):
-        parse_tail("algebraic ladder=-1/2,-1/2 order=3")
 
 
 def test_builtin_registry_loads_clean():
@@ -169,6 +172,56 @@ rhs = "1"
     parsed = parse_registry(text)
     assert [r.id for r in parsed.records] == ["good"]
     assert any("tail" in p.message for p in parsed.problems)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("(" * 300 + "1" + ")" * 300, MAX_DEPTH + 1),  # the parser would recurse
+        ("+".join(["1"] * 3001), 2 * MAX_DEPTH),  # free_vars would recurse
+        ("-" * 1000 + "1", MAX_DEPTH + 1),
+    ],
+)
+def test_too_deep_expression_is_a_parse_error(text, column):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert (info.value.line, info.value.column) == (1, column)
+    assert f"deeper than {MAX_DEPTH} levels" in str(info.value)
+
+
+def test_depth_limit_counts_tree_levels():
+    parse_expression("-" * (MAX_DEPTH - 1) + "1")  # MAX_DEPTH levels
+    parse_expression("+".join(["1"] * MAX_DEPTH))
+    with pytest.raises(ParseError):
+        parse_expression("-" * MAX_DEPTH + "1")
+    with pytest.raises(ParseError):
+        parse_expression("+".join(["1"] * (MAX_DEPTH + 1)))
+
+
+def test_deep_lhs_and_empty_range_are_registry_problems():
+    deep = "+".join(["1"] * 3001)
+    text = f"""
+[identity]
+id = "deep" kind = "constant" paper = "x" lhs = "{deep}" rhs = "3001"
+
+[identity]
+id = "empty" kind = "constant" paper = "x" lhs = "n" rhs = "n" params = "n=5..1"
+
+[identity]
+id = "good" kind = "constant" paper = "y" lhs = "n" rhs = "n" params = "n=1..5"
+"""
+    parsed = parse_registry(text)
+    assert [r.id for r in parsed.records] == ["good"]
+    assert [(p.record_id, p.line) for p in parsed.problems] == [("deep", 2), ("empty", 5)]
+    assert "deeper than" in parsed.problems[0].message
+    assert "empty parameter range 'n=5..1'" in parsed.problems[1].message
+
+
+def test_parse_params_ranges():
+    assert parse_params("n=1..3 r=4 s=-2..-2") == (("n", 1, 3), ("r", 4, 4), ("s", -2, -2))
+    for bad in ("n=5..1", "n=1..", "n=", "n", "1=2"):
+        with pytest.raises(ValueError):
+            parse_params(bad)
 
 
 def test_trailing_comment_outside_string():

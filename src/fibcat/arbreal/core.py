@@ -44,10 +44,6 @@ def context(digits: int) -> Context:
     return ctx
 
 
-def working_context(digits: int) -> Context:
-    return context(digits + guard_digits(digits))
-
-
 def round_to(x: Decimal, digits: int) -> Decimal:
     return context(digits).plus(x)
 
@@ -207,7 +203,9 @@ def _sin_fixed(x: Decimal, digits: int, quarter: int) -> Decimal:
     w = digits + guard_digits(digits)
     need = _bits(w)
     mag = x.adjusted()
-    if not quarter and 2 * mag < -(w + 10):  # sin x = x (1 - x^2/6 + ...)
+    if 2 * mag < -(w + 10):  # sin x = x (1 - x^2/6 + ...), cos x = 1 - x^2/2 + ...
+        if quarter:  # 1 to `digits` digits, as the series rounds it
+            return context(digits).scaleb(10 ** (digits - 1), 1 - digits)
         return context(digits).plus(x)
     p, q = x.as_integer_ratio()
     # w + 10 digits absolute, plus x's digits above the point (the error of
@@ -258,6 +256,10 @@ def arctan(x: Decimal, digits: int) -> Decimal:
     if 2 * mag < -(w + 10):  # arctan x = x (1 - x^2/3 + ...), rounded toward zero
         ctx = context(digits)
         return ctx.subtract(x, ctx.scaleb(x, 2 * mag - 1))
+    if mag > w + 10:  # arctan x = +-pi/2 - 1/x + ..., before x's ratio costs 10^mag
+        bits = _bits(w + 10) + 8
+        half_pi = _fixed("pi", bits) >> 1
+        return _from_fixed(half_pi if x > 0 else -half_pi, bits, digits)
     p, q = x.as_integer_ratio()
     flip = abs(p) > q
     a, b = (q, abs(p)) if flip else (abs(p), q)

@@ -29,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--id", dest="id_glob", metavar="GLOB", help="select records whose id matches")
+    def common(p, id_metavar, id_help):
+        p.add_argument("--id", dest="id_glob", metavar=id_metavar, help=id_help)
         p.add_argument("--kind", choices=("series", "finite", "algebraic", "radical", "integral", "constant"))
         p.add_argument("--registry", action="append", default=[], metavar="PATH",
                        help="extra registry file (repeatable)")
@@ -38,10 +38,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also select as-printed misprint records")
 
     p_list = sub.add_parser("list", help="list records")
-    common(p_list)
+    common(p_list, "GLOB", "select records whose id matches")
 
     p_verify = sub.add_parser("verify", help="verify records")
-    common(p_verify)
+    common(p_verify, "GLOB", "select records whose id matches")
     p_verify.add_argument("--digits", type=int, metavar="D",
                           help="target digits for series and constant records")
     p_verify.add_argument("--param", action="append", default=[], metavar="NAME=A..B",
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", metavar="PATH", help="write the report to a file")
 
     p_eval = sub.add_parser("eval", help="print both sides of one identity")
-    common(p_eval)
+    common(p_eval, "ID", "the record to evaluate: an exact id, not a glob")
     p_eval.add_argument("--digits", type=int, default=50, metavar="D")
     p_eval.add_argument("--param", action="append", default=[], metavar="NAME=A..B")
     return parser
@@ -218,6 +218,8 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     if args.digits < 1:
         raise SystemExit2("--digits must be at least 1")
+    if args.id_glob is None:
+        raise SystemExit2("eval needs --id ID (an exact record id)")
     records = [r for r in _load_records(args) if r.id == args.id_glob]
     if not records:
         raise SystemExit2(f"no record with id {args.id_glob!r}")

@@ -36,7 +36,6 @@ from .expr import (
     Clausen,
     Expr,
     NumericEvaluator,
-    NumericSeqCache,
     Quad,
     Var,
     children,
@@ -151,7 +150,7 @@ def sum_series(
 
 
 def _sum_geometric(spec, env, tail, digits, force_terms) -> SumResult:
-    evaluator = NumericEvaluator(digits, NumericSeqCache(_core.working_context(digits)))
+    evaluator = NumericEvaluator(digits)
     ctx = evaluator.ctx
     rho = ctx.divide(Decimal(tail.ratio.numerator), Decimal(tail.ratio.denominator))
     factor = ctx.divide(rho, ctx.subtract(1, rho))
@@ -194,7 +193,7 @@ def _sum_algebraic(spec, env, digits, force_terms) -> SumResult:
     if terms > ALGEBRAIC_TERM_CAP:
         raise ConvergenceError(f"algebraic tail needs {terms} terms, past the {ALGEBRAIC_TERM_CAP}-term cap")
     half = max(n_tail // 2, spec.start)
-    evaluator = NumericEvaluator(digits, NumericSeqCache(_core.working_context(digits)))
+    evaluator = NumericEvaluator(digits)
     ctx = evaluator.ctx
     env = dict(env)
     total = size = Decimal(0)  # the partial sum and the sum of |t(n)|

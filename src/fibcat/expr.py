@@ -1,11 +1,15 @@
 """Expression trees for closed forms and series terms.
 
-Two exact evaluators walk the tree: exact rational (Fraction or None when
-the value is not rational) and exact Q(sqrt5) (QuadRat or None).  A third,
-restricted one puts an expression into the one-radical form u*sqrt(v) with
-u, v in Q(sqrt5), which is what the radical lemma checks need.  The
+One exact walk evaluates a tree in a field given as a parameter: Q
+(`eval_exact_rational`, a Fraction or None when the value is not rational)
+or Q(sqrt5) (`eval_exact_qsqrt5`, a QuadRat or None); exponents and
+sequence arguments are read in Q either way.  The one-radical evaluator
+puts an expression into the form u*sqrt(v) with u, v in Q(sqrt5), which is
+what the radical lemma checks need, in one pass: its leaves take the exact
+walk and its other nodes combine their children's forms.  The
 arbitrary-precision numeric evaluator compiles a tree once into closures
-(integer index arithmetic on Python ints) and runs those per term.
+(integer index arithmetic on Python ints) and runs those per term; C, binom
+and literal powers step through its own NumericSeqCache.
 `term_ratio` reads t(n+1)/t(n) of a hypergeometric series term off the
 tree as a quotient of integer products, so a summation loop can step from
 term to term without evaluating each one; its linear factors are kept, so
@@ -160,54 +164,89 @@ def substitute(e: Expr, name: str, value) -> Expr:
 # ---------------------------------------------------------------- exact paths
 
 
+class _Field:
+    """A number field of the exact walk: `lift` takes an int or a Fraction
+    into it, `consts` names the constants it holds, `power` raises an
+    element to an int.  (A plain class: see TermRatio.)"""
+
+    __slots__ = ("lift", "consts", "zero", "power")
+
+    def __init__(self, lift, consts: dict, zero, power):
+        self.lift, self.consts, self.zero, self.power = lift, consts, zero, power
+
+
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_FIELD_OPS = {**_INT_OPS, "/": operator.truediv}
+_Q = _Field(Fraction, {}, Fraction(0), operator.pow)
+_QSQRT5 = _Field(
+    QuadRat.of,
+    {"sqrt5": exactnum.SQRT5, "alpha": exactnum.ALPHA, "beta": exactnum.BETA},
+    QuadRat.of(0),
+    qr_pow,
+)
+
+
 def eval_exact_rational(e: Expr, env: Env):
     """Exact Fraction value, or None when the expression leaves Q."""
-    if isinstance(e, IntLit):
-        return Fraction(e.value)
-    if isinstance(e, RatLit):
-        return e.value
-    if isinstance(e, Var):
+    return _exact(e, env, _Q)
+
+
+def eval_exact_qsqrt5(e: Expr, env: Env):
+    """Exact QuadRat value, or None when the expression leaves Q(sqrt5)."""
+    return _exact(e, env, _QSQRT5)
+
+
+def _exact(e: Expr, env: Env, field: _Field):
+    """The value of `e` in `field`, or None when it leaves the field.
+    Exponents and sequence arguments are read in Q whatever the field."""
+    t = type(e)
+    if t is IntLit or t is RatLit:
+        return field.lift(e.value)
+    if t is Var:
         if e.name not in env:
             raise UnboundVariableError(e.name, e)
-        return Fraction(env[e.name])
-    if isinstance(e, Neg):
-        v = eval_exact_rational(e.arg, env)
+        return field.lift(env[e.name])
+    if t is Const:
+        return field.consts.get(e.name)
+    if t is Neg:
+        v = _exact(e.arg, env, field)
         return None if v is None else -v
-    if isinstance(e, BinOp):
-        l = eval_exact_rational(e.left, env)
-        r = eval_exact_rational(e.right, env)
+    if t is BinOp:
+        l = _exact(e.left, env, field)
+        r = _exact(e.right, env, field)
         if l is None or r is None:
             return None
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "*":
-            return l * r
-        if e.op == "/":
-            if r == 0:
-                raise ZeroDivisionError(f"division by zero in {e}")
-            return l / r
-        raise ValueError(f"unknown operator {e.op!r}")
-    if isinstance(e, Pow):
-        ex = eval_exact_rational(e.exponent, env)
-        if ex is None or ex.denominator != 1:
+        op = _FIELD_OPS.get(e.op)
+        if op is None:
+            raise ValueError(f"unknown operator {e.op!r}")
+        if op is operator.truediv and r == field.zero:
+            raise ZeroDivisionError(f"division by zero in {e}")
+        return op(l, r)
+    if t is Pow:
+        k = _exact_int(e.exponent, env)
+        if k is None:
             return None
-        base = eval_exact_rational(e.base, env)
+        base = _exact(e.base, env, field)
         if base is None:
             return None
-        if base == 0 and ex < 0:
+        if k < 0 and base == field.zero:
             raise ZeroDivisionError(f"zero base with negative exponent in {e}")
-        return base ** int(ex)
-    if isinstance(e, SeqCall):
+        return field.power(base, k)
+    if t is SeqCall:
         args = []
         for a in e.args:
-            v = eval_exact_rational(a, env)
-            if v is None or v.denominator != 1:
+            v = _exact_int(a, env)
+            if v is None:
                 return None
-            args.append(int(v))
-        return Fraction(_sequence_int(e.name, args))
-    return None  # Const, Fn, Quad, Clausen
+            args.append(v)
+        return field.lift(_sequence_int(e.name, args))
+    return None  # Fn, Quad, Clausen
+
+
+def _exact_int(e: Expr, env: Env):
+    """The value of `e` as an int when it is an integer in Q, else None."""
+    v = _exact(e, env, _Q)
+    return None if v is None or v.denominator != 1 else int(v)
 
 
 def _sequence_int(name: str, args) -> int:
@@ -222,67 +261,23 @@ def _sequence_int(name: str, args) -> int:
     raise ValueError(f"unknown sequence {name!r}")
 
 
-_QR_CONSTS = {
-    "sqrt5": exactnum.SQRT5,
-    "alpha": exactnum.ALPHA,
-    "beta": exactnum.BETA,
-}
-
-
-def eval_exact_qsqrt5(e: Expr, env: Env):
-    """Exact QuadRat value, or None when the expression leaves Q(sqrt5)."""
-    if isinstance(e, Const):
-        return _QR_CONSTS.get(e.name)
-    if isinstance(e, (IntLit, RatLit, Var)):
-        v = eval_exact_rational(e, env)
-        return None if v is None else QuadRat.of(v)
-    if isinstance(e, Neg):
-        v = eval_exact_qsqrt5(e.arg, env)
-        return None if v is None else -v
-    if isinstance(e, BinOp):
-        l = eval_exact_qsqrt5(e.left, env)
-        r = eval_exact_qsqrt5(e.right, env)
-        if l is None or r is None:
-            return None
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "*":
-            return l * r
-        if e.op == "/":
-            return l / r
-        raise ValueError(f"unknown operator {e.op!r}")
-    if isinstance(e, Pow):
-        ex = eval_exact_rational(e.exponent, env)
-        if ex is None or ex.denominator != 1:
-            return None
-        base = eval_exact_qsqrt5(e.base, env)
-        if base is None:
-            return None
-        return qr_pow(base, int(ex))
-    if isinstance(e, SeqCall):
-        v = eval_exact_rational(e, env)
-        return None if v is None else QuadRat.of(v)
-    return None
-
-
 def eval_one_radical(e: Expr, env: Env):
     """Evaluate into the form u*sqrt(v) with u, v exact in Q(sqrt5).
 
     Returns (u, v) or None when the expression does not fit (nested
-    radicals, sums of unlike radicals, transcendental parts).
+    radicals, sums of unlike radicals, transcendental parts).  The tree is
+    walked once: literals, names, constants and sequence calls take the
+    exact Q(sqrt5) walk and give (value, 1); every other node combines the
+    forms of its children.
     """
-    exact = eval_exact_qsqrt5(e, env)
-    if exact is not None:
-        return (exact, ONE)
-    if isinstance(e, Neg):
+    t = type(e)
+    if t is Neg:
         r = eval_one_radical(e.arg, env)
         return None if r is None else (-r[0], r[1])
-    if isinstance(e, Fn) and e.name == "sqrt":
-        inner = eval_exact_qsqrt5(e.arg, env)
-        return None if inner is None else (ONE, inner)
-    if isinstance(e, BinOp):
+    if t is Fn:
+        inner = eval_one_radical(e.arg, env) if e.name == "sqrt" else None
+        return None if inner is None or inner[1] != ONE else (ONE, inner[0])
+    if t is BinOp:
         l = eval_one_radical(e.left, env)
         r = eval_one_radical(e.right, env)
         if l is None or r is None:
@@ -291,23 +286,21 @@ def eval_one_radical(e: Expr, env: Env):
             return (l[0] * r[0], l[1] * r[1])
         if e.op == "/":
             return (l[0] / r[0], l[1] / r[1])
-        if e.op in "+-":
-            rs = (-r[0], r[1]) if e.op == "-" else r
-            if l[0].is_zero():
-                return rs
-            if rs[0].is_zero():
-                return l
-            if l[1] == rs[1]:
-                return (l[0] + rs[0], l[1])
-            return None
-    if isinstance(e, Pow):
-        ex = eval_exact_rational(e.exponent, env)
-        if ex is None or ex.denominator != 1:
+        if e.op not in ("+", "-"):
+            raise ValueError(f"unknown operator {e.op!r}")
+        rs = (-r[0], r[1]) if e.op == "-" else r
+        if l[0].is_zero():
+            return rs
+        if rs[0].is_zero():
+            return l
+        return (l[0] + rs[0], l[1]) if l[1] == rs[1] else None
+    if t is Pow:
+        k = _exact_int(e.exponent, env)
+        if k is None:
             return None
         base = eval_one_radical(e.base, env)
         if base is None:
             return None
-        k = int(ex)
         if k < 0:
             u, v = base
             if u.is_zero() or v.is_zero():
@@ -316,19 +309,23 @@ def eval_one_radical(e: Expr, env: Env):
             k = -k
         u, v = base
         return (qr_pow(u, k) * qr_pow(v, k // 2), v if k % 2 else ONE)
-    return None
+    if t is Quad or t is Clausen:
+        return None
+    exact = _exact(e, env, _QSQRT5)
+    return None if exact is None else (exact, ONE)
 
 
 # -------------------------------------------------------------- numeric path
 
 
 class NumericSeqCache:
-    """Incremental Decimal values for term-by-term series summation.
+    """Incremental Decimal values of C, binom and literal powers, one cache
+    per NumericEvaluator.
 
     Catalan numbers and binomials are carried as working-precision decimals
-    through their one-step ratio recurrences, so a term at n = 10^5 costs
-    O(1) decimal operations instead of exact 10^5-digit integers.  Literal
-    powers are advanced by small-exponent steps for the same reason.
+    through their one-step ratio recurrences, so a series term at n = 10^5
+    costs O(1) decimal operations instead of exact 10^5-digit integers.
+    Literal powers are advanced by small-exponent steps for the same reason.
     """
 
     def __init__(self, ctx: Context):
@@ -348,15 +345,13 @@ class NumericSeqCache:
         return cat[n]
 
     def binom(self, a: int, b: int) -> Decimal:
+        if a < 0:  # as exactnum.binomial
+            raise DomainError(f"binomial: n must be non-negative, got {a}")
         if b < 0 or b > a:
             return Decimal(0)
-        cache = self._binom
-        got = cache.get((a, b))
-        if got is not None:
-            return got
         # walk down the diagonal (a, b) -> (a-2, b-1) to a cached entry, an
-        # edge or a small entry computed exactly, then step back up
-        path = []
+        # edge or a small exact entry, step back up and keep only the ends
+        cache, key, path = self._binom, (a, b), []
         while a > 400 and 0 < b < a and (a, b) not in cache:
             path.append((a, b))
             a, b = a - 2, b - 1
@@ -364,7 +359,8 @@ class NumericSeqCache:
         if val is None:
             val = cache[(a, b)] = self.ctx.plus(Decimal(exactnum.binomial(a, b)))
         for a, b in reversed(path):
-            val = cache[(a, b)] = self.ctx.divide(self.ctx.multiply(val, a * (a - 1)), b * (a - b))
+            val = self.ctx.divide(self.ctx.multiply(val, a * (a - 1)), b * (a - b))
+        cache[key] = val
         return val
 
     def powers(self, base: Fraction):
@@ -434,11 +430,11 @@ class NumericEvaluator:
     constant, function, sequence or operator) is refused when compiled.
     """
 
-    def __init__(self, digits: int, seq_cache: NumericSeqCache | None = None):
+    def __init__(self, digits: int):
         self.digits = digits
         self.w = digits + _core.guard_digits(digits)
         self.ctx = _core.context(self.w)
-        self.seq = seq_cache
+        self.seq = NumericSeqCache(self.ctx)
         self._compiled: dict = {}  # id(e) -> (e, closure); holding e keeps its id
 
     def eval(self, e: Expr, env: Env) -> Decimal:
@@ -510,10 +506,10 @@ class NumericEvaluator:
             if e.name not in SEQUENCE_ARITY:
                 raise ValueError(f"unknown sequence {e.name!r}")
             args = [_seq_arg(a, e) for a in e.args]
-            if self.seq is not None and e.name == "C":
+            if e.name == "C":
                 (n,), catalan = args, self.seq.catalan
                 return lambda env, x: catalan(n(env))
-            if self.seq is not None and e.name == "binom":
+            if e.name == "binom":
                 (a, b), binom = args, self.seq.binom
                 return lambda env, x: binom(a(env), b(env))
             name, plus = e.name, ctx.plus
@@ -534,11 +530,11 @@ class NumericEvaluator:
 
     def _pow(self, e: Pow, quad: bool):
         # the exponent comes first and sees the binding only, as in
-        # eval_exact_rational; a literal base outside a quadrature body takes
-        # the sequence cache's power table
+        # eval_exact_rational; a nonzero literal base outside a quadrature
+        # body takes the sequence cache's power table
         base = self._num(e.base, quad)
-        lit = literal_fraction(e.base) if self.seq is not None and not quad else None
-        table = None if lit is None else self.seq.powers(lit)
+        lit = None if quad else literal_fraction(e.base)
+        table = self.seq.powers(lit) if lit else None
         w = self.w
         if is_integer_expr(e.exponent, False):
             k = _int_fn(e.exponent)
@@ -569,7 +565,6 @@ class NumericEvaluator:
         return power
 
 
-_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _DECIMAL_OPS = {"+": "add", "-": "subtract", "*": "multiply"}
 
 

@@ -115,7 +115,7 @@ def test_ln_against_library():
 
 def within_units(got: Decimal, want: Decimal, digits: int) -> bool:
     """|got - want| is at most one unit in the digits-th significant digit of want."""
-    unit = Decimal(1).scaleb(want.adjusted() - digits + 1)
+    unit = CTX.scaleb(Decimal(1), want.adjusted() - digits + 1)
     return CTX.subtract(got, want).copy_abs() <= unit
 
 
@@ -229,6 +229,23 @@ def test_arctan_of_x_and_its_reciprocal_sum_to_half_pi(x):
     total = CTX.add(ar.arctan(x, d), ar.arctan(CTX.divide(1, x), d))
     assert within_units(total, CTX.divide(ar.const_pi(60), 2), d - 1)
     assert ar.arctan(x.copy_negate(), d) == ar.arctan(x, d).copy_negate()
+
+
+@pytest.mark.parametrize("x", ["1e-27", "-3e-100000", "1e-1000000", "-1e-1000000"])
+def test_cos_of_tiny_argument_is_one_as_the_series_gives_it(x):
+    # at 30 digits the series sums 1e-26 and the shortcut takes 1e-27 on
+    slow = ar.cos(Decimal("1e-26"), 30)
+    got = ar.cos(Decimal(x), 30)
+    assert got == slow == 1 and str(got) == str(slow)
+
+
+@pytest.mark.parametrize("x", ["1e54", "-7e100000", "1e1000000", "-1e1000000"])
+def test_arctan_of_huge_argument_is_half_pi_as_the_series_gives_it(x):
+    # at 30 digits the series sums 1e53 and the shortcut takes 1e54 on
+    slow = ar.arctan(Decimal("1e53"), 30)
+    got = ar.arctan(Decimal(x), 30)
+    assert got == (slow.copy_negate() if x.startswith("-") else slow)
+    assert got.copy_abs() == core.round_to(CTX.divide(ar.const_pi(60), 2), 30)
 
 
 def test_sin_of_a_3000_digit_argument_agrees_with_itself():

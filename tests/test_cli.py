@@ -206,6 +206,12 @@ def test_eval_unknown_id_exits_two(capsys):
     assert "missing" in err
 
 
+def test_eval_without_id_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--digits", "20")
+    assert code == 2 and out == ""
+    assert "eval needs --id ID (an exact record id)" in err
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--frobnicate"])

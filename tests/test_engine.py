@@ -193,10 +193,10 @@ def test_perturbed_rhs_fails(records):
 
 
 def test_cold_binom_far_out_matches_the_stepwise_warm_up():
-    from fibcat.expr import NumericSeqCache
+    from fibcat.expr import NumericEvaluator
 
-    cold = NumericSeqCache(core.working_context(30))
-    warm = NumericSeqCache(core.working_context(30))
+    cold = NumericEvaluator(30).seq
+    warm = NumericEvaluator(30).seq
     for m in range(0, 10001):
         warm.binom(2 * m, m)
     assert cold.binom(20000, 10000) == warm.binom(20000, 10000)

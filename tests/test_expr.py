@@ -7,17 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibcat import arbreal as ar
+from fibcat import exactnum
 from fibcat.arbreal import core
 from fibcat.errors import DomainError, SubstitutionError, UnboundVariableError
 from fibcat.exactnum import QuadRat
 from fibcat.expr import (
     BinOp,
+    Const,
     Fn,
     IntLit,
     Neg,
     NumericEvaluator,
-    NumericSeqCache,
     Pow,
+    RatLit,
+    SeqCall,
     Var,
     children,
     eval_exact_qsqrt5,
@@ -183,8 +186,16 @@ def test_numeric_domain_errors_point_at_subexpression():
         eval_numeric(parse("C(n)/5^n"), {}, 20)
 
 
+@pytest.mark.parametrize("text", ["binom(n, 2)", "binom(n, -1)", "C(n)"])
+def test_a_negative_sequence_index_is_a_domain_error_on_both_paths(text):
+    with pytest.raises(DomainError, match="must be non-negative"):
+        eval_numeric(parse(text), {"n": -2}, 20)
+    with pytest.raises(DomainError, match="must be non-negative"):
+        eval_exact_rational(parse(text), {"n": -2})
+
+
 def _evaluator(digits):
-    return NumericEvaluator(digits, NumericSeqCache(core.working_context(digits)))
+    return NumericEvaluator(digits)
 
 
 def test_compiled_errors_are_raised_at_the_failing_term():
@@ -241,6 +252,98 @@ def test_substitute_then_eval_equals_extended_env(e, n_val, s_val):
     direct = eval_exact_rational(substituted, {})
     via_env = eval_exact_rational(e, {"n": n_val, "s": s_val})
     assert direct == via_env
+
+
+# exponents and sequence arguments stay small so the values stay small
+_small_ints = st.one_of(
+    st.integers(-3, 3).map(IntLit),
+    st.just(Var("n")),
+    st.just(BinOp("-", Var("n"), IntLit(2))),
+    st.just(RatLit(Fraction(1, 2))),
+)
+_field_leaves = st.one_of(
+    st.integers(-5, 5).map(IntLit),
+    st.builds(lambda p, q: RatLit(Fraction(p, q)), st.integers(-5, 5), st.integers(2, 5)),
+    st.just(Var("n")),
+    st.sampled_from(["sqrt5", "alpha", "beta"]).map(Const),
+    st.builds(lambda name, a: SeqCall(name, (a,)), st.sampled_from("CFL"), _small_ints),
+    st.builds(lambda a, b: SeqCall("binom", (a, b)), _small_ints, _small_ints),
+)
+_field_exprs = st.recursive(
+    _field_leaves,
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Pow, sub, _small_ints),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_field_exprs, st.integers(0, 4))
+def test_the_qsqrt5_walk_extends_the_rational_walk(e, n):
+    try:
+        q = eval_exact_rational(e, {"n": n})
+    except (ZeroDivisionError, DomainError):
+        return
+    if q is not None:
+        assert eval_exact_qsqrt5(e, {"n": n}) == QuadRat.of(q)
+
+
+def _qr_decimal(q, ctx):
+    def dec(f):
+        return ctx.divide(Decimal(f.numerator), Decimal(f.denominator))
+
+    return ctx.add(dec(q.a), ctx.multiply(dec(q.b), ar.sqrt5_decimal(ctx.prec)))
+
+
+def test_one_radical_forms_agree_with_the_numeric_values_on_the_registry():
+    ctx, checked = core.context(50), 0
+    for record in builtin_registry():
+        if record.kind not in ("algebraic", "radical"):
+            continue
+        axes = [[(name, v) for v in range(lo, hi + 1)] for name, lo, hi in record.params]
+        for binding in map(dict, itertools.product(*axes)):
+            for side in (record.lhs, record.rhs):
+                form = eval_one_radical(side, binding)
+                if form is None:
+                    continue
+                u, v = (_qr_decimal(q, ctx) for q in form)
+                value = ctx.multiply(u, ar.sqrt(v, 50))
+                numeric = eval_numeric(side, binding, 30)
+                unit = Decimal(1).scaleb(max(value.adjusted(), 0) - 29)
+                assert ctx.subtract(numeric, value).copy_abs() < unit, (record.id, binding)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["sqrt(alpha)^3", "(2*sqrt(3))^(-3)", "sqrt(5)^2/sqrt(2)", "-sqrt(alpha + 1)*sqrt(alpha)/alpha",
+     "sqrt(sqrt(7)^2)", "3*sqrt(beta^2) - sqrt(beta^2)", "(sqrt(2)/alpha)^(-2)"],
+)
+def test_one_radical_rules_agree_with_the_numeric_value(text):
+    ctx = core.context(50)
+    u, v = (_qr_decimal(q, ctx) for q in eval_one_radical(parse(text), {}))
+    value = ctx.multiply(u, ar.sqrt(v, 50))
+    assert ctx.subtract(eval_numeric(parse(text), {}, 40), value).copy_abs() < Decimal("1E-38")
+
+
+def test_the_evaluator_and_eval_numeric_agree_on_sequences_and_powers():
+    d, evaluator = 30, NumericEvaluator(30)
+    for text, exact in [
+        ("C(n)", lambda n: core.context(d + 5).plus(Decimal(exactnum.catalan(n)))),
+        ("binom(2*n, n)", lambda n: core.context(d + 5).plus(Decimal(exactnum.binomial(2 * n, n)))),
+        ("4^(2*n+2)", lambda n: core.context(d + 5).plus(Decimal(4 ** (2 * n + 2)))),
+    ]:
+        e = parse(text)
+        for n in range(1001):  # the evaluator steps from n to n + 1
+            stepped = core.round_to(evaluator.eval(e, {"n": n}), d)
+            if n % 25 == 0:
+                want = exact(n)
+                assert stepped == eval_numeric(e, {"n": n}, d), (text, n)
+                assert CTX.subtract(stepped, want).copy_abs() <= Decimal(1).scaleb(want.adjusted() + 1 - d)
 
 
 def _algebraic_tail_rows():

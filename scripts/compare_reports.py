@@ -7,7 +7,9 @@ Usage:
 Rows are matched by (id, binding).  Every field except `seconds` must be
 equal, and both reports must hold the same rows in the same order.  Prints
 the first N (default 10) differing rows and exits 1 on any difference, 0
-when the reports agree, 2 when a file cannot be read.  Use it to check that
+when the reports agree, 2 when a file cannot be read, holds no rows or holds
+one (id, binding) row twice: a comparison of nothing must not pass, and a
+repeated row would hide its other copies.  Use it to check that
 a change meant to be invisible in the verdicts (a speed-up, a refactor)
 leaves every row, status, digit count and |lhs - rhs| as they were.
 """
@@ -15,6 +17,7 @@ leaves every row, status, digit count and |lhs - rhs| as they were.
 import argparse
 import json
 import sys
+from collections import Counter
 
 IGNORED = {"seconds"}
 
@@ -22,7 +25,14 @@ IGNORED = {"seconds"}
 def _rows(path):
     with open(path, encoding="utf-8") as fh:
         rows = json.load(fh)
-    return {(r["id"], r["binding"]): r for r in rows}, [(r["id"], r["binding"]) for r in rows]
+    order = [(r["id"], r["binding"]) for r in rows]
+    if not order:
+        raise ValueError(f"{path} holds no rows")
+    repeated = [key for key, count in Counter(order).items() if count > 1]
+    if repeated:
+        first = f"{repeated[0][0]} [{repeated[0][1]}]"
+        raise ValueError(f"{path} holds {len(repeated)} row(s) twice or more, first {first}")
+    return dict(zip(order, rows)), order
 
 
 def diff_reports(old, new):
@@ -53,7 +63,7 @@ def main(argv=None) -> int:
     try:
         old, new = _rows(args.old), _rows(args.new)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot read reports: {exc}", file=sys.stderr)
+        print(f"cannot compare reports: {exc}", file=sys.stderr)
         return 2
     diffs = diff_reports(old, new)
     for key, what in diffs[: args.show]:

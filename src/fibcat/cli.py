@@ -204,15 +204,7 @@ def cmd_verify(args) -> int:
             raise SystemExit2(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(body)
-    convergence = any(
-        r.status == "error" and r.detail.startswith(("ConvergenceError", "TailBoundViolation"))
-        for r in report.results
-    )
-    if convergence:
-        return 3
-    if any(r.status != "pass" for r in report.results):
-        return 1
-    return 0
+    return engine.exit_code(report.results)
 
 
 def cmd_eval(args) -> int:
@@ -226,35 +218,29 @@ def cmd_eval(args) -> int:
     record = records[0]
     digits = args.digits
     config = _config([record], args, digits)
-    target = engine.target_digits(record, config)
-    working = None if target is None else max(digits, target + engine.COMPARE_GUARD)
-    codes = {0}
+    check = engine.checker(record, config, digits)
+    results = []
     for binding in engine.bindings(record, config):
-        where = " at " + ",".join(f"{k}={v}" for k, v in sorted(binding.items())) if binding else ""
+        sides, result = check(binding)
+        results.append(result)
+        where = f" at {result.binding_text()}" if binding else ""
         print(f"{record.id}{where}  ({record.kind})")
-        sides = engine.evaluate_sides(record, binding, working)
-        if sides.exact is None:
-            terms = ""
-            if sides.terms is not None:
-                terms = f"  ({sides.terms} terms, {sides.strategy} tail estimate {sides.tail_bound:.2E})"
+        if sides is not None and sides.exact is None:
+            terms = "" if sides.terms is None else (
+                f"  ({sides.terms} terms, {sides.strategy} tail estimate {sides.tail_bound:.2E})")
             print(f"  lhs = {round_to(sides.lhs, digits)}{terms}")
             print(f"  rhs = {round_to(sides.rhs, digits)}")
             print(f"  |lhs - rhs| = {sides.diff:.3E}")
-        else:
+        elif sides is not None:
             square = "^2" if sides.squared else ""
             print(f"  lhs{square} = {sides.lhs}")
             print(f"  rhs{square} = {sides.rhs}")
             print(f"  exact match{' (squares and signs)' if sides.squared else ''}: {sides.exact}")
-        try:
-            status, _ = engine.verdict(sides, target)
-        except engine.ConvergenceError as exc:
-            print(f"  ConvergenceError: {exc}")
-            codes.add(3)
-            continue
-        if sides.exact is None:
-            print(f"  verdict: {status}")
-        codes.add(1 if status == "fail" else 0)
-    return max(codes)
+        if result.status == "error":
+            print(f"  {result.detail}")
+        elif sides.exact is None:
+            print(f"  verdict: {result.status}")
+    return engine.exit_code(results)
 
 
 def main(argv=None) -> int:

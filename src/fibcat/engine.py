@@ -16,7 +16,10 @@ Two summation regimes:
 
 Exact kinds (finite, algebraic, radical) never compare floats: they reduce
 to Fraction or QuadRat equality, with radical records squared into Q(sqrt5)
-first and their signs checked numerically at 20 digits.
+first and their signs checked numerically at 20 digits.  A finite record
+keeps one running exact sum across its bindings.  `checker` is the one
+per-binding check behind `verify_identity` and `fibcat eval`, and
+`exit_code` their one exit-code rule.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from .arbreal import core as _core
 from .errors import ConvergenceError, TailBoundViolation, UnsupportedRecordError
@@ -37,7 +41,6 @@ from .expr import (
     Expr,
     NumericEvaluator,
     Quad,
-    Var,
     children,
     eval_exact_qsqrt5,
     eval_exact_rational,
@@ -106,7 +109,8 @@ class VerificationReport:
 @dataclass(frozen=True)
 class Sides:
     """Both sides of one binding: Decimals with |lhs - rhs| in `diff`, or
-    exact values (squares when `squared`) with their verdict in `exact`."""
+    exact values (squares when `squared`) with their verdict in `exact` and
+    `diff` 0 on a match, else their gap to 20 digits or more."""
 
     lhs: object
     rhs: object
@@ -116,6 +120,7 @@ class Sides:
     terms: int | None = None
     strategy: str | None = None
     tail_bound: Decimal | None = None  # the series' tail bound or algebraic-tail gap estimate
+    detail: str = ""  # a note for the row, such as the radical route of an algebraic record
 
 
 @dataclass
@@ -290,23 +295,39 @@ def _binom_neg(k: int, r: int) -> int:
 
 
 def finite_check(record: IdentityRecord, binding: dict):
-    """Exact check of a finite-sum record at one binding of its parameters.
+    """Exact check of a finite-sum record at one binding of its parameters:
+    (ok, lhs, rhs) as Fractions."""
+    sides = _FiniteSum(record)(binding)
+    return sides.exact, sides.lhs, sides.rhs
 
-    Returns (ok, lhs, rhs) as Fractions.
-    """
-    spec = record.lhs
-    if not isinstance(spec, FiniteSpec):
-        raise UnsupportedRecordError(f"{record.id}: not a finite record")
-    env = dict(binding)
-    lo = _exact_int(spec.lower, env, "lower bound")
-    hi = _exact_int(spec.upper, env, "upper bound")
-    total = Fraction(0)
-    kenv = dict(env)
-    for k in range(lo, hi + 1):
-        kenv[spec.index] = k
-        total += _exact_fraction(spec.summand, kenv, "summand")
-    rhs = _exact_fraction(record.rhs, env, "rhs")
-    return total == rhs, total, rhs
+
+class _FiniteSum:
+    """binding -> Sides of a finite record, exact, with one running sum: a
+    binding that keeps the lower bound and the values of the summand's other
+    names, and does not lower the upper bound, extends the last sum; any
+    other binding starts it again."""
+
+    def __init__(self, record: IdentityRecord):
+        if not isinstance(record.lhs, FiniteSpec):
+            raise UnsupportedRecordError(f"{record.id}: not a finite record")
+        self.record, spec = record, record.lhs
+        self.others = sorted(free_vars(spec.summand) - {spec.index})
+        self.key = self.upto = self.total = None
+
+    def __call__(self, binding: dict, digits=None) -> Sides:
+        spec = self.record.lhs
+        lo = _exact_int(spec.lower, binding, "lower bound")
+        hi = _exact_int(spec.upper, binding, "upper bound")
+        key = (lo, [binding.get(name) for name in self.others])
+        extend = key == self.key and hi >= self.upto
+        upto, total = (self.upto, self.total) if extend else (lo - 1, Fraction(0))
+        env = dict(binding)
+        for k in range(upto + 1, hi + 1):
+            env[spec.index] = k
+            total += _exact_fraction(spec.summand, env, "summand")
+        self.key, self.upto, self.total = key, max(upto, hi), total
+        rhs = _exact_fraction(self.record.rhs, binding, "rhs")
+        return Sides(total, rhs, diff=_fraction_gap(total, rhs), exact=total == rhs, terms=max(hi - lo + 1, 0))
 
 
 def _exact_fraction(e: Expr, env, what: str) -> Fraction:
@@ -349,22 +370,55 @@ def radical_check(record: IdentityRecord, binding: dict):
     return (lv > 0) == (rv > 0) and (lv < 0) == (rv < 0), square_l, square_r
 
 
+def _exact_sides(record: IdentityRecord, in_q5: bool, binding: dict, digits=None) -> Sides:
+    """Sides of an algebraic (`in_q5`) or radical record: exact in Q(sqrt5)
+    or, when a side leaves it, the squares of both sides."""
+    checked = algebraic_check(record, binding) if in_q5 else None
+    squared = checked is None
+    ok, lhs, rhs = radical_check(record, binding) if squared else checked
+    diff = Decimal(0) if ok else _numeric_gap(record, binding)
+    detail = "routed to radical check" if in_q5 and squared else ""
+    return Sides(lhs, rhs, diff=diff, exact=ok, squared=squared, detail=detail)
+
+
+def _numeric_gap(record, binding) -> Decimal:
+    lhs, rhs = (eval_numeric(side, binding, 20) for side in (record.lhs, record.rhs))
+    return _core.context(30).subtract(lhs, rhs).copy_abs()
+
+
+def _fraction_gap(lhs: Fraction, rhs: Fraction) -> Decimal:
+    gap = abs(lhs - rhs)
+    return _core.context(30).divide(Decimal(gap.numerator), Decimal(gap.denominator))
+
+
 # -------------------------------------------------------------- verification
 
 
-def target_digits(record: IdentityRecord, config: VerifyConfig):
-    """The digits a numeric row must reach to pass (None for exact kinds):
-    `config.digits` moves series and constants, integrals keep their own."""
-    if record.kind == "series":
+def _kind(record: IdentityRecord, config: VerifyConfig):
+    """(target digits, sides), the one place that reads the record's kind:
+    `sides(binding, digits)` gives one binding's Sides, numeric kinds at
+    `digits` working digits.  Exact kinds have no target; `config.digits`
+    moves the target of series and constants, integrals keep their own."""
+    kind = record.kind
+    if kind == "finite":
+        return None, _FiniteSum(record)
+    if kind in ("algebraic", "radical"):
+        return None, partial(_exact_sides, record, kind == "algebraic")
+    if kind == "series":
         default = DIGITS_ALGEBRAIC if isinstance(record.tail, AlgebraicTail) else DIGITS_GEOMETRIC
-        return config.digits or record.digits or default
-    if record.kind == "integral":
-        if isinstance(record.lhs, SeriesSpec):
-            return record.digits or DIGITS_ALGEBRAIC
-        return record.digits or DIGITS_INTEGRAL
-    if record.kind == "constant":
-        return config.digits or record.digits or DIGITS_CONSTANT
-    return None  # exact kinds
+        target = config.digits or record.digits or default
+    elif kind == "integral":
+        target = record.digits or (DIGITS_ALGEBRAIC if isinstance(record.lhs, SeriesSpec) else DIGITS_INTEGRAL)
+    elif kind == "constant":
+        target = config.digits or record.digits or DIGITS_CONSTANT
+    else:
+        raise UnsupportedRecordError(f"{record.id}: unknown kind {kind!r}")
+    return target, partial(_numeric_sides, record)
+
+
+def target_digits(record: IdentityRecord, config: VerifyConfig):
+    """The digits a numeric row must reach to pass (None for exact kinds)."""
+    return _kind(record, config)[0]
 
 
 def _has_quadrature(e: Expr) -> bool:
@@ -392,17 +446,10 @@ def _diff_digits(diff: Decimal) -> int:
 def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = None) -> Sides:
     """Both sides of `record` at one binding, numeric kinds to `digits` digits
     (a series' quadrature rhs to at least DIGITS_INTEGRAL + COMPARE_GUARD)."""
-    kind = record.kind
-    if kind == "finite":
-        ok, lhs, rhs = finite_check(record, binding)
-        return Sides(lhs, rhs, exact=ok)
-    if kind in ("algebraic", "radical"):
-        checked = algebraic_check(record, binding) if kind == "algebraic" else None
-        squared = checked is None
-        ok, lhs, rhs = radical_check(record, binding) if squared else checked
-        return Sides(lhs, rhs, exact=ok, squared=squared)
-    if kind not in ("series", "integral", "constant"):
-        raise UnsupportedRecordError(f"{record.id}: unknown kind {kind!r}")
+    return _kind(record, VerifyConfig())[1](binding, digits)
+
+
+def _numeric_sides(record: IdentityRecord, binding: dict, digits: int) -> Sides:
     if isinstance(record.lhs, SeriesSpec):
         summed = sum_series(record.lhs, binding, record.tail, digits)
         lhs, terms, strategy, tail_bound = summed.value, summed.terms_used, summed.strategy, summed.tail_bound
@@ -413,73 +460,6 @@ def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = N
     rhs = eval_numeric(record.rhs, binding, digits)
     diff = _core.context(digits + 5).subtract(lhs, rhs).copy_abs()
     return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy, tail_bound=tail_bound)
-
-
-def _streamed_sides(record: IdentityRecord):
-    """Sides for rising n of a finite record whose partial sums extend one
-    term per n: the record's one parameter is the upper bound, the summand
-    involves only the inner index and the lower bound is fixed.  None for
-    other records (with a second parameter the bindings would not rise)."""
-    if record.kind != "finite" or len(record.params) != 1:
-        return None
-    spec = record.lhs
-    outer = record.params[0][0]
-    if not (free_vars(spec.summand) <= {spec.index} and spec.upper == Var(outer) and not free_vars(spec.lower)):
-        return None
-    kenv = {}
-    running = Fraction(0)
-    base = upto = None
-
-    def sides(binding):
-        nonlocal running, base, upto
-        n = binding[outer]
-        if base is None:
-            base = _exact_int(spec.lower, {}, "lower bound")
-            upto = base - 1
-        while upto < n:
-            upto += 1
-            kenv[spec.index] = upto
-            running += _exact_fraction(spec.summand, kenv, "summand")
-        rhs = _exact_fraction(record.rhs, {outer: n}, "rhs")
-        return Sides(running, rhs, exact=running == rhs, terms=n - base + 1)
-
-    return sides
-
-
-def verify_identity(record: IdentityRecord, config: VerifyConfig | None = None):
-    """Check one record over its parameter range; one result per binding."""
-    config = config or VerifyConfig()
-    digits = target_digits(record, config)
-    streamed = _streamed_sides(record)
-    out = []
-    for binding in bindings(record, config):
-        started = time.perf_counter()
-        try:
-            out.append(_verify_one(record, binding, digits, started, streamed))
-        except Exception as exc:  # downstream errors become rows, never crashes
-            out.append(
-                _result(record, binding, "error", requested=digits, started=started, detail=f"{type(exc).__name__}: {exc}")
-            )
-    return out
-
-
-def _result(
-    record, binding, status, *, diff=None, requested=None, achieved=None, sides=None, started, detail=""
-):
-    return VerificationResult(
-        record_id=record.id,
-        binding=tuple(sorted(binding.items())),
-        kind=record.kind,
-        status=status,
-        abs_diff=diff,
-        digits_requested=requested,
-        digits_achieved=achieved,
-        terms_used=sides and sides.terms,
-        seconds=time.perf_counter() - started,
-        detail=detail,
-        strategy=sides and sides.strategy,
-        tail_bound=sides and sides.tail_bound,
-    )
 
 
 def verdict(sides: Sides, target: int | None):
@@ -500,38 +480,48 @@ def verdict(sides: Sides, target: int | None):
     return ("pass" if sides.diff < tol else "fail"), achieved
 
 
-def _verify_one(record, binding, digits, started, streamed):
-    if streamed is not None:
-        sides = streamed(binding)
-    else:
-        sides = evaluate_sides(record, binding, None if digits is None else digits + COMPARE_GUARD)
-    status, achieved = verdict(sides, digits)
-    if sides.exact is None:
-        diff = sides.diff
-    elif sides.exact:
-        diff = Decimal(0)
-    elif record.kind == "finite":
-        diff = _fraction_gap(sides.lhs, sides.rhs)
-    else:
-        diff = _numeric_gap(record, binding)
-    detail = "routed to radical check" if record.kind == "algebraic" and sides.squared else ""
-    return _result(
-        record, binding, status, diff=diff, requested=digits, achieved=achieved, sides=sides,
-        started=started, detail=detail,
-    )
+def checker(record: IdentityRecord, config: VerifyConfig | None = None, digits: int = 0):
+    """binding -> (Sides or None, VerificationResult), the check of one
+    binding behind both `verify` and `eval`.  Numeric sides are evaluated at
+    the larger of `digits` and the target plus COMPARE_GUARD.  Any exception
+    becomes an error row whose detail names it; the sides come with it when
+    they were evaluated (a tail estimate not below the target)."""
+    config = config or VerifyConfig()
+    target, sides_of = _kind(record, config)
+    working = None if target is None else max(digits, target + COMPARE_GUARD)
+
+    def check(binding: dict):
+        started = time.perf_counter()
+        sides = achieved = None
+        try:
+            sides = sides_of(binding, working)
+            status, achieved = verdict(sides, target)
+            row, detail = sides, sides.detail
+        except Exception as exc:  # downstream errors become rows, never crashes
+            status, row, detail = "error", None, f"{type(exc).__name__}: {exc}"
+        return sides, VerificationResult(
+            record_id=record.id, binding=tuple(sorted(binding.items())), kind=record.kind, status=status,
+            abs_diff=row and row.diff, digits_requested=target, digits_achieved=achieved,
+            terms_used=row and row.terms, seconds=time.perf_counter() - started, detail=detail,
+            strategy=row and row.strategy, tail_bound=row and row.tail_bound,
+        )
+
+    return check
 
 
-def _numeric_gap(record, binding) -> Decimal:
-    ctx = _core.context(30)
-    return ctx.subtract(
-        eval_numeric(record.lhs, binding, 20), eval_numeric(record.rhs, binding, 20)
-    ).copy_abs()
+def verify_identity(record: IdentityRecord, config: VerifyConfig | None = None):
+    """Check one record over its parameter range; one result per binding."""
+    config = config or VerifyConfig()
+    check = checker(record, config)
+    return [check(binding)[1] for binding in bindings(record, config)]
 
 
-def _fraction_gap(lhs: Fraction, rhs: Fraction) -> Decimal:
-    gap = lhs - rhs
-    ctx = _core.context(30)
-    return ctx.divide(Decimal(gap.numerator), Decimal(gap.denominator)).copy_abs()
+def exit_code(results) -> int:
+    """The exit code of `fibcat verify` and `fibcat eval` over their rows:
+    3 when a row failed to converge, else 1 when a row did not pass, else 0."""
+    if any(r.status == "error" and r.detail.startswith(("ConvergenceError", "TailBoundViolation")) for r in results):
+        return 3
+    return int(any(r.status != "pass" for r in results))
 
 
 def verify_all(records, config: VerifyConfig | None = None) -> VerificationReport:

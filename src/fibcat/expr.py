@@ -6,14 +6,15 @@ or Q(sqrt5) (`eval_exact_qsqrt5`, a QuadRat or None); exponents and
 sequence arguments are read in Q either way.  The one-radical evaluator
 puts an expression into the form u*sqrt(v) with u, v in Q(sqrt5), which is
 what the radical lemma checks need, in one pass: its leaves take the exact
-walk and its other nodes combine their children's forms.  The
-arbitrary-precision numeric evaluator compiles a tree once into closures
-(integer index arithmetic on Python ints) and runs those per term; C, binom
-and literal powers step through its own NumericSeqCache.
-`term_ratio` reads t(n+1)/t(n) of a hypergeometric series term off the
-tree as a quotient of integer products, so a summation loop can step from
-term to term without evaluating each one; its linear factors are kept, so
-the summation can also expand the series' tail from them.
+walk and its other nodes combine their children's forms.  One reading,
+`integer_poly`, turns literals, names, negation, + - * and division by a
+constant into a polynomial: the numeric evaluator, which compiles a tree
+once into closures, runs such subtrees on Python ints, `term_ratio` reads
+its linear factors s*n + o from them and the parser its exponents.  C,
+binom and constant powers step through the evaluator's NumericSeqCache.
+`term_ratio` gives t(n+1)/t(n) of a hypergeometric series term as a
+quotient of integer products, so a summation loop can step from term to
+term and expand the series' tail from the factors.
 
 alpha and beta are primitive constants rather than spelled-out surds so
 the exact Q(sqrt5) evaluator can recognise them; the numeric evaluator
@@ -22,6 +23,7 @@ expands them.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -175,8 +177,7 @@ class _Field:
         self.lift, self.consts, self.zero, self.power = lift, consts, zero, power
 
 
-_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_FIELD_OPS = {**_INT_OPS, "/": operator.truediv}
+_FIELD_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _Q = _Field(Fraction, {}, Fraction(0), operator.pow)
 _QSQRT5 = _Field(
     QuadRat.of,
@@ -422,12 +423,13 @@ class NumericEvaluator:
     and the compiled code; values come back at the working precision
     (target digits plus guard), callers round.
 
-    Integer subtrees (+ - * and negation over int literals and bound names:
-    exponents, sequence arguments, polynomial factors) run on Python ints
-    and become one Decimal; other exponents and sequence arguments keep the
-    exact-rational semantics of eval_exact_rational.  Errors are raised when
-    a closure runs, at the failing term; only a malformed tree (an unknown
-    constant, function, sequence or operator) is refused when compiled.
+    A subtree that integer_poly reads as a polynomial with integer
+    coefficients (exponents, sequence arguments, polynomial factors) runs on
+    Python ints and becomes one Decimal; other exponents and sequence
+    arguments keep the exact-rational semantics of eval_exact_rational.
+    Each compile reads every subtree once.  Errors are raised when a closure
+    runs, at the failing term; only a malformed tree (an unknown constant,
+    function, sequence or operator) is refused when compiled.
     """
 
     def __init__(self, digits: int):
@@ -445,23 +447,30 @@ class NumericEvaluator:
 
     def compile(self, e: Expr):
         """The closure env -> Decimal that evaluates `e`."""
-        code = self._num(e, False)
-        return lambda env: code(env, None)
+        code = self._num(e, False, {})
 
-    def _num(self, e: Expr, quad: bool):
+        def run(env):
+            try:
+                return code(env, None)
+            except KeyError as exc:  # the closures read bound names as env[name]
+                raise UnboundVariableError(exc.args[0], Var(exc.args[0])) from None
+
+        return run
+
+    def _num(self, e: Expr, quad: bool, polys: dict):
         """Closure (env, x) -> Decimal, where x is the value of QUAD_VAR
-        inside a quadrature body (`quad`) and None outside."""
+        inside a quadrature body (`quad`) and None outside; `polys` is the
+        compile's integer_poly memo."""
         ctx, w = self.ctx, self.w
-        if is_integer_expr(e, quad):
-            code = _int_code(e)
-            if isinstance(code, int):
-                c = ctx.plus(Decimal(code))
+        p = integer_poly(e, quad, polys)
+        if p is not None:
+            c = poly_constant(p)
+            if c is not None:
+                c = ctx.divide(Decimal(c.numerator), Decimal(c.denominator))
                 return lambda env, x: c
-            plus = ctx.plus
-            return lambda env, x: plus(Decimal(code(env)))
-        if isinstance(e, RatLit):
-            c = ctx.divide(Decimal(e.value.numerator), Decimal(e.value.denominator))
-            return lambda env, x: c
+            if poly_integral(p):
+                code, plus = _poly_fn(p), ctx.plus
+                return lambda env, x: plus(Decimal(code(env)))
         if isinstance(e, Const):
             c = _const_decimal(e.name, w)
             return lambda env, x: c
@@ -469,12 +478,12 @@ class NumericEvaluator:
             name, plus = e.name, ctx.plus
             return lambda env, x: plus(Decimal(env[name])) if name in env else x
         if isinstance(e, Neg):
-            a, minus = self._num(e.arg, quad), ctx.minus
+            a, minus = self._num(e.arg, quad, polys), ctx.minus
             return lambda env, x: minus(a(env, x))
         if isinstance(e, Fn):
             if e.name not in FUNCTION_NAMES:
                 raise ValueError(f"unknown function {e.name!r}")
-            a, name = self._num(e.arg, quad), e.name
+            a, name = self._num(e.arg, quad, polys), e.name
 
             def fn(env, x):
                 v = a(env, x)
@@ -485,7 +494,7 @@ class NumericEvaluator:
 
             return fn
         if isinstance(e, BinOp):
-            l, r = self._num(e.left, quad), self._num(e.right, quad)
+            l, r = self._num(e.left, quad, polys), self._num(e.right, quad, polys)
             if e.op == "/":
                 divide = ctx.divide
 
@@ -496,16 +505,16 @@ class NumericEvaluator:
                     return divide(a, b)
 
                 return div
-            if e.op not in _INT_OPS:
+            if e.op not in _DECIMAL_OPS:
                 raise ValueError(f"unknown operator {e.op!r}")
             op = getattr(ctx, _DECIMAL_OPS[e.op])
             return lambda env, x: op(l(env, x), r(env, x))
         if isinstance(e, Pow):
-            return self._pow(e, quad)
+            return self._pow(e, quad, polys)
         if isinstance(e, SeqCall):
             if e.name not in SEQUENCE_ARITY:
                 raise ValueError(f"unknown sequence {e.name!r}")
-            args = [_seq_arg(a, e) for a in e.args]
+            args = [_seq_arg(a, e, polys) for a in e.args]
             if e.name == "C":
                 (n,), catalan = args, self.seq.catalan
                 return lambda env, x: catalan(n(env))
@@ -515,8 +524,8 @@ class NumericEvaluator:
             name, plus = e.name, ctx.plus
             return lambda env, x: plus(Decimal(_sequence_int(name, [a(env) for a in args])))
         if isinstance(e, Quad):
-            lo, hi = self._num(e.lower, quad), self._num(e.upper, quad)
-            body, digits = self._num(e.body, True), self.digits
+            lo, hi = self._num(e.lower, quad, polys), self._num(e.upper, quad, polys)
+            body, digits = self._num(e.body, True, polys), self.digits
 
             def integral(env, x):
                 a, b = lo(env, x), hi(env, x)
@@ -524,20 +533,21 @@ class NumericEvaluator:
 
             return integral
         if isinstance(e, Clausen):
-            a = self._num(e.arg, quad)
+            a = self._num(e.arg, quad, polys)
             return lambda env, x: _quad.clausen2(a(env, x), w)
         raise TypeError(f"not an expression: {e!r}")
 
-    def _pow(self, e: Pow, quad: bool):
+    def _pow(self, e: Pow, quad: bool, polys: dict):
         # the exponent comes first and sees the binding only, as in
-        # eval_exact_rational; a nonzero literal base outside a quadrature
+        # eval_exact_rational; a nonzero constant base outside a quadrature
         # body takes the sequence cache's power table
-        base = self._num(e.base, quad)
-        lit = None if quad else literal_fraction(e.base)
+        base = self._num(e.base, quad, polys)
+        lit = None if quad else poly_constant(integer_poly(e.base, quad, polys))
         table = self.seq.powers(lit) if lit else None
         w = self.w
-        if is_integer_expr(e.exponent, False):
-            k = _int_fn(e.exponent)
+        p = integer_poly(e.exponent, False, polys)
+        if p is not None and poly_integral(p):
+            k = _poly_fn(p)
             if table is not None:
                 return lambda env, x: table(k(env))
 
@@ -546,7 +556,7 @@ class NumericEvaluator:
                 return _core.pow_int(base(env, x), n, w)
 
             return int_power
-        exponent = _rational_fn(e.exponent)
+        exponent = _poly_fn(p) if p is not None else lambda env: eval_exact_rational(e.exponent, env)
 
         def power(env, x):
             ex = exponent(env)
@@ -568,65 +578,92 @@ class NumericEvaluator:
 _DECIMAL_OPS = {"+": "add", "-": "subtract", "*": "multiply"}
 
 
-def is_integer_expr(e: Expr, quad: bool = False) -> bool:
-    """Whether `e` is an integer subtree: + - * and negation over int
-    literals and names bound to ints (QUAD_VAR in a quadrature body, `quad`,
-    is not)."""
-    if isinstance(e, IntLit):
-        return True
-    if isinstance(e, Var):
-        return not (quad and e.name == QUAD_VAR)
-    if isinstance(e, Neg):
-        return is_integer_expr(e.arg, quad)
-    if isinstance(e, BinOp) and e.op in _INT_OPS:
-        return is_integer_expr(e.left, quad) and is_integer_expr(e.right, quad)
-    return False
+def integer_poly(e: Expr, quad: bool = False, memo: dict | None = None):
+    """`e` as a polynomial in its names, {monomial: coefficient}, or None.
+
+    A monomial is the sorted tuple of its names, each repeated by its
+    degree; a coefficient is an int, or a Fraction below a division.  There
+    is one when `e` is built from int and rational literals, names (not
+    QUAD_VAR in a quadrature body, `quad`), negation, + - * and division by
+    a nonzero constant.  Zero coefficients are kept, so a name that cancels
+    is still read: `n - n` needs n.  `memo` lets a caller that asks about
+    every node of a tree read each subtree once."""
+    t, p = type(e), None
+    if t is IntLit or t is RatLit:
+        return {(): e.value}
+    if t is Var:
+        return None if quad and e.name == QUAD_VAR else {(e.name,): 1}
+    if t is not Neg and t is not BinOp:
+        return None
+    key = (id(e), quad)
+    if memo is not None and key in memo:
+        return memo[key]
+    if t is Neg:
+        a = integer_poly(e.arg, quad, memo)
+        p = None if a is None else {m: -c for m, c in a.items()}
+    elif e.op in _FIELD_OPS:
+        l = integer_poly(e.left, quad, memo)
+        r = None if l is None else integer_poly(e.right, quad, memo)
+        if e.op == "/":
+            c = poly_constant(r)
+            p = {m: Fraction(v) / c for m, v in l.items()} if c else None
+        elif r is not None:
+            if e.op == "*":
+                pairs = [(tuple(sorted(ml + mr)), cl * cr) for ml, cl in l.items() for mr, cr in r.items()]
+            else:
+                pairs = [*l.items(), *((m, c if e.op == "+" else -c) for m, c in r.items())]
+            p = {}
+            for m, c in pairs:
+                p[m] = p.get(m, 0) + c
+    if memo is not None:
+        memo[key] = p
+    return p
 
 
-def _int_code(e: Expr):
-    """An integer subtree as an int when it has no names, else env -> int."""
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Var):
-        name = e.name
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundVariableError(name, e) from None
-
-        return var
-    if isinstance(e, Neg):
-        a = _int_code(e.arg)
-        return -a if isinstance(a, int) else lambda env: -a(env)
-    l, r, op = _int_code(e.left), _int_code(e.right), _INT_OPS[e.op]
-    if isinstance(l, int):
-        return op(l, r) if isinstance(r, int) else lambda env: op(l, r(env))
-    if isinstance(r, int):
-        return lambda env: op(l(env), r)
-    return lambda env: op(l(env), r(env))
+def poly_constant(p):
+    """The value of a polynomial from integer_poly without names; None for
+    any other polynomial, or for None."""
+    return p[()] if p is not None and len(p) == 1 and () in p else None
 
 
-def _int_fn(e: Expr):
-    code = _int_code(e)
-    return (lambda env: code) if isinstance(code, int) else code
+def poly_integral(p: dict) -> bool:
+    """Whether every coefficient of a polynomial from integer_poly is an int."""
+    return all(c.denominator == 1 for c in p.values())
 
 
-def _rational_fn(e: Expr):
-    """env -> eval_exact_rational(e, env), a constant when `e` is a literal
-    such as the exponent (5/2)."""
-    v = literal_fraction(e)
-    if v is not None:
-        return lambda env: v
-    return lambda env: eval_exact_rational(e, env)
+def _poly_fn(p: dict):
+    """env -> the value of the polynomial `p` (an int when its coefficients
+    are), compiled to one of four shapes: a constant, a bare name,
+    s*name + o, or a sum of coefficients times products of names.  A name
+    missing from env raises KeyError."""
+    if poly_integral(p):
+        p = {m: int(c) for m, c in p.items()}
+    c = poly_constant(p)
+    if c is not None:
+        return lambda env: c
+    named = [m for m in p if m]
+    if len(named) == 1 and len(named[0]) == 1:
+        (name,), s, o = named[0], p[named[0]], p.get((), 0)
+        return (lambda env: env[name]) if s == 1 and o == 0 else lambda env: s * env[name] + o
+    terms = [(c, m) for m, c in p.items()]
+
+    def poly(env):
+        total = 0
+        for c, m in terms:
+            for name in m:
+                c *= env[name]
+            total += c
+        return total
+
+    return poly
 
 
-def _seq_arg(a: Expr, node: SeqCall):
+def _seq_arg(a: Expr, node: SeqCall, polys: dict):
     """env -> int for one sequence argument."""
-    if is_integer_expr(a, False):
-        return _int_fn(a)
-    rational = _rational_fn(a)
+    p = integer_poly(a, False, polys)
+    if p is not None and poly_integral(p):
+        return _poly_fn(p)
+    rational = _poly_fn(p) if p is not None else lambda env: eval_exact_rational(a, env)
 
     def arg(env):
         v = rational(env)
@@ -640,24 +677,6 @@ def _seq_arg(a: Expr, node: SeqCall):
 def eval_numeric(e: Expr, env: Env, digits: int) -> Decimal:
     """Evaluate to `digits` correct decimal digits (guard digits inside)."""
     return _core.round_to(NumericEvaluator(digits).eval(e, env), digits)
-
-
-def literal_fraction(e: Expr):
-    """Fraction value of a literal-only subtree, else None."""
-    if isinstance(e, IntLit):
-        return Fraction(e.value)
-    if isinstance(e, RatLit):
-        return e.value
-    if isinstance(e, Neg):
-        v = literal_fraction(e.arg)
-        return None if v is None else -v
-    if isinstance(e, BinOp) and e.op == "/":
-        l = literal_fraction(e.left)
-        r = literal_fraction(e.right)
-        if l is None or r is None or r == 0:
-            return None
-        return l / r
-    return None
 
 
 # ---------------------------------------------------------------- term ratio
@@ -731,16 +750,17 @@ def _ratio(e: Expr, index: str, env: Env):
         if e.op == "*":
             return ln + rn, ld + rd, lc * rc
         return ln + rd, ld + rn, lc / rc
-    if is_integer_expr(e):
-        s, o = _linear(e, index, env)
+    p = integer_poly(e)
+    if p is not None:
+        s, o = _linear(p, index, env)
         return ([(s, o + s)], [(s, o)], Fraction(1)) if s else ([], [], Fraction(1))
     if isinstance(e, Pow) and index in free_vars(e.exponent):
-        base = literal_fraction(e.base)
+        base = poly_constant(integer_poly(e.base))
         if base is None:
-            raise ValueError(f"not a literal base: {e}")
-        s = _linear(e.exponent, index, env)[0]
+            raise ValueError(f"not a constant base: {e}")
+        s = _linear(integer_poly(e.exponent), index, env)[0]
         _check_size(abs(s))
-        return [], [], base ** s
+        return [], [], Fraction(base) ** s
     if isinstance(e, Pow):
         k = eval_exact_rational(e.exponent, env)
         if k is None or k.denominator != 1:
@@ -751,32 +771,32 @@ def _ratio(e: Expr, index: str, env: Env):
             num, den, c, k = den, num, 1 / c, -k
         return num * int(k), den * int(k), c ** int(k)
     if isinstance(e, SeqCall) and e.name == "binom":
-        return _binom_ratio(*(_linear(a, index, env) for a in e.args))
+        return _binom_ratio(*(_linear(integer_poly(a), index, env) for a in e.args))
     if isinstance(e, SeqCall) and e.name == "C":
-        s, o = _linear(e.args[0], index, env)
+        s, o = _linear(integer_poly(e.args[0]), index, env)
         num, den, c = _binom_ratio((2 * s, 2 * o), (s, o))
         return (num + [(s, o + 1)], den + [(s, o + 1 + s)], c) if s else (num, den, c)
     raise ValueError(f"not hypergeometric: {e}")
 
 
-def _linear(e: Expr, index: str, env: Env):
-    """(s, o) with e = s*index + o, read from the tree of an integer subtree."""
-    if isinstance(e, IntLit):
-        return 0, e.value
-    if isinstance(e, Var):
-        return (1, 0) if e.name == index else (0, int(env[e.name]))
-    if isinstance(e, Neg):
-        s, o = _linear(e.arg, index, env)
-        return -s, -o
-    if isinstance(e, BinOp) and e.op in _INT_OPS:
-        (ls, lo), (rs, ro) = _linear(e.left, index, env), _linear(e.right, index, env)
-        if e.op == "*":
-            if ls and rs:
-                raise ValueError(f"not linear: {e}")
-            return ls * ro + rs * lo, lo * ro
-        sign = 1 if e.op == "+" else -1
-        return ls + sign * rs, lo + sign * ro
-    raise ValueError(f"not an integer subtree: {e}")
+def _linear(p, index: str, env: Env):
+    """(s, o), ints with p = s*index + o for the polynomial p from
+    integer_poly, its other names bound by `env`; raises unless p is one."""
+    if p is None:
+        raise ValueError("not a polynomial")
+    s = o = 0
+    for m, c in p.items():
+        v = c * math.prod([env[name] for name in m if name != index])
+        degree = m.count(index)
+        if degree == 0:
+            o += v
+        elif degree == 1:
+            s += v
+        elif v:
+            raise ValueError(f"not linear in {index}")
+    if s.denominator != 1 or o.denominator != 1:
+        raise ValueError(f"not an integer linear form in {index}")
+    return int(s), int(o)
 
 
 def _binom_ratio(a, b):

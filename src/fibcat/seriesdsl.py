@@ -44,8 +44,9 @@ from .expr import (
     SeqCall,
     Var,
     free_vars,
-    is_integer_expr,
-    literal_fraction,
+    integer_poly,
+    poly_constant,
+    poly_integral,
 )
 
 KINDS = ("series", "finite", "algebraic", "radical", "integral", "constant")
@@ -225,11 +226,11 @@ class _Parser:
 
 
 def _normalize_exponent(e: Expr, caret: _Token) -> Expr:
-    if is_integer_expr(e):
+    p = integer_poly(e)
+    if p is not None and poly_integral(p):
         return e
-    f = literal_fraction(e)
-    if f is not None:
-        return e if f.denominator == 1 else RatLit(f)
+    if poly_constant(p) is not None:
+        return RatLit(poly_constant(p))
     raise ParseError(
         "exponent must be an integer expression or a rational literal",
         caret.line,

@@ -216,3 +216,22 @@ def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--frobnicate"])
     assert info.value.code == 2
+
+
+def test_eval_reports_a_binding_that_raises_and_goes_on(capsys, tmp_path):
+    reg = tmp_path / "pole.reg"
+    reg.write_text(
+        '[identity]\nid = "t.pole" kind = "algebraic" paper = "p"\n'
+        'lhs = "1/(r-2)" rhs = "1/(r-2)" params = "r=1..3"\n'
+    )
+    code, out, _ = run(capsys, "eval", "--registry", str(reg), "--id", "t.pole")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("  ")] == [
+        "t.pole at r=1  (algebraic)", "t.pole at r=2  (algebraic)", "t.pole at r=3  (algebraic)",
+    ]
+    at_r2 = lines[lines.index("t.pole at r=2  (algebraic)") + 1]
+    assert at_r2 == "  ZeroDivisionError: division by zero in 1/(r - 2)"
+    assert lines[-1] == "  exact match: True"
+    code, out, _ = run(capsys, "verify", "--registry", str(reg), "--id", "t.pole")
+    assert code == 1 and "ZeroDivisionError: division by zero in 1/(r - 2)" in out

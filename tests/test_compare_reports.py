@@ -36,3 +36,20 @@ def test_any_other_difference_exits_one(tmp_path, capsys):
     swapped = _write(tmp_path / "swapped.json", [dict(ROW, binding="s=1"), ROW])
     assert compare_reports.main([old, swapped]) == 1
     assert compare_reports.main([old, str(tmp_path / "absent.json")]) == 2
+
+
+def test_an_empty_report_is_not_a_match(tmp_path, capsys):
+    empty = _write(tmp_path / "empty.json", [])
+    one = _write(tmp_path / "one.json", [ROW])
+    assert compare_reports.main([empty, empty]) == 2
+    assert "holds no rows" in capsys.readouterr().err
+    assert compare_reports.main([one, empty]) == 2
+    assert compare_reports.main([empty, one]) == 2
+
+
+def test_a_repeated_row_is_refused(tmp_path, capsys):
+    old = _write(tmp_path / "old.json", [ROW, dict(ROW, binding="s=1")])
+    twice = _write(tmp_path / "twice.json", [ROW, dict(ROW, status="fail"), dict(ROW, binding="s=1")])
+    assert compare_reports.main([old, twice]) == 2
+    assert "holds 1 row(s) twice or more, first s2.G.z15 []" in capsys.readouterr().err
+    assert compare_reports.main([twice, old]) == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fibcat import arbreal as ar
 from fibcat import exactnum
+from fibcat import expr as expr_module
 from fibcat.arbreal import core
 from fibcat.errors import DomainError, SubstitutionError, UnboundVariableError
 from fibcat.exactnum import QuadRat
@@ -28,6 +29,7 @@ from fibcat.expr import (
     eval_numeric,
     eval_one_radical,
     free_vars,
+    integer_poly,
     map_children,
     substitute,
     term_ratio,
@@ -410,3 +412,74 @@ def test_term_ratio_exposes_its_cancelled_factors():
 )
 def test_term_ratio_refuses_what_it_cannot_derive(term):
     assert term_ratio(parse_expression(term), "n", {}) is None
+
+
+# the subset integer_poly reads: literals, names, negation, + - * and
+# division by a nonzero literal
+_nonzero_literals = st.one_of(
+    st.integers(1, 9).map(IntLit),
+    st.builds(lambda p, q: RatLit(Fraction(p, q)), st.integers(-5, 5).filter(bool), st.integers(2, 5)),
+)
+_poly_exprs = st.recursive(
+    st.one_of(
+        st.integers(-9, 9).map(IntLit),
+        st.builds(lambda p, q: RatLit(Fraction(p, q)), st.integers(-5, 5), st.integers(2, 5)),
+        st.sampled_from(["n", "s"]).map(Var),
+    ),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
+        st.builds(lambda a, b: BinOp("/", a, b), sub, _nonzero_literals),
+    ),
+    max_leaves=10,
+)
+
+
+def _poly_value(p, env):
+    value = Fraction(0)
+    for monomial, c in p.items():
+        for name in monomial:
+            c *= env[name]
+        value += c
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_exprs, st.integers(-20, 20), st.integers(-20, 20))
+def test_the_one_polynomial_reading_agrees_with_the_exact_walk(e, n, s):
+    env = {"n": n, "s": s}
+    p = integer_poly(e)
+    assert p is not None
+    value = eval_exact_rational(e, env)
+    assert _poly_value(p, env) == value
+    assert expr_module._poly_fn(p)(env) == value
+    if all(c.denominator == 1 for c in p.values()):
+        got = expr_module._poly_fn(p)(env)
+        assert type(got) is int and got == value
+        assert NumericEvaluator(20).eval(e, env) == value
+    if max((m.count("n") for m, c in p.items() if c), default=0) <= 1:
+        t0, t1 = (eval_exact_rational(e, {"n": k, "s": s}) for k in (0, 1))
+        if (t1 - t0).denominator == 1 and t0.denominator == 1:
+            assert expr_module._linear(p, "n", {"s": s}) == (t1 - t0, t0)
+        else:
+            with pytest.raises(ValueError):
+                expr_module._linear(p, "n", {"s": s})
+
+
+def test_a_cancelled_name_is_still_read():
+    e = parse("n - n")
+    assert integer_poly(e) == {("n",): 0}
+    with pytest.raises(UnboundVariableError):
+        eval_numeric(e, {}, 10)
+    assert eval_numeric(e, {"n": 5}, 10) == 0
+    with pytest.raises(UnboundVariableError):
+        eval_numeric(parse("2^(n - n)"), {}, 10)
+
+
+def test_a_constant_base_keeps_its_value_and_takes_the_power_table():
+    evaluator = NumericEvaluator(30)
+    assert core.round_to(evaluator.eval(parse("(4 - 1)^2"), {}), 30) == 9
+    assert Fraction(3) in evaluator.seq._pow
+    root = core.round_to(evaluator.eval(parse("(4 - 1)^(5/2)"), {}), 30)
+    assert root == core.round_to(ar.sqrt(Decimal(243), 40), 30)
+    assert integer_poly(parse("(4 - 1)^2")) is None and integer_poly(parse("x"), quad=True) is None

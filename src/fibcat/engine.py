@@ -16,10 +16,11 @@ Two summation regimes:
 
 Exact kinds (finite, algebraic, radical) never compare floats: they reduce
 to Fraction or QuadRat equality, with radical records squared into Q(sqrt5)
-first and their signs checked numerically at 20 digits.  A finite record
-keeps one running exact sum across its bindings.  `checker` is the one
-per-binding check behind `verify_identity` and `fibcat eval`, and
-`exit_code` their one exit-code rule.
+first and their signs checked numerically at 20 digits; a failed row's gap
+comes from those same values.  A finite record keeps one running exact sum
+across its bindings.  `checker` is the one per-binding check behind
+`verify_identity` and `fibcat eval`, and `exit_code` their one exit-code
+rule.
 """
 
 from __future__ import annotations
@@ -355,6 +356,12 @@ def algebraic_check(record: IdentityRecord, binding: dict):
 
 def radical_check(record: IdentityRecord, binding: dict):
     """Square both sides into Q(sqrt5) exactly, then match signs numerically."""
+    return _radical_check(record, binding)[:3]
+
+
+def _radical_check(record: IdentityRecord, binding: dict):
+    """radical_check's (ok, square_l, square_r) and the sides it compared in
+    sign, or None when the squares already differ."""
     left = eval_one_radical(record.lhs, binding)
     right = eval_one_radical(record.rhs, binding)
     if left is None or right is None:
@@ -364,26 +371,27 @@ def radical_check(record: IdentityRecord, binding: dict):
     square_l = qr_pow(left[0], 2) * left[1]
     square_r = qr_pow(right[0], 2) * right[1]
     if square_l != square_r:
-        return False, square_l, square_r
-    lv = eval_numeric(record.lhs, binding, RADICAL_SIGN_DIGITS)
-    rv = eval_numeric(record.rhs, binding, RADICAL_SIGN_DIGITS)
-    return (lv > 0) == (rv > 0) and (lv < 0) == (rv < 0), square_l, square_r
+        return False, square_l, square_r, None
+    lv, rv = values = _numeric_values(record, binding)
+    return (lv > 0) == (rv > 0) and (lv < 0) == (rv < 0), square_l, square_r, values
+
+
+def _numeric_values(record: IdentityRecord, binding: dict) -> tuple:
+    return tuple(eval_numeric(side, binding, RADICAL_SIGN_DIGITS) for side in (record.lhs, record.rhs))
 
 
 def _exact_sides(record: IdentityRecord, in_q5: bool, binding: dict, digits=None) -> Sides:
     """Sides of an algebraic (`in_q5`) or radical record: exact in Q(sqrt5)
-    or, when a side leaves it, the squares of both sides."""
+    or, when a side leaves it, the squares of both sides.  A failed row's
+    diff is the gap of the sides at RADICAL_SIGN_DIGITS, each evaluated once."""
     checked = algebraic_check(record, binding) if in_q5 else None
     squared = checked is None
-    ok, lhs, rhs = radical_check(record, binding) if squared else checked
-    diff = Decimal(0) if ok else _numeric_gap(record, binding)
+    ok, lhs, rhs, values = _radical_check(record, binding) if squared else (*checked, None)
+    if not ok:
+        values = values or _numeric_values(record, binding)
+    diff = Decimal(0) if ok else _core.context(30).subtract(*values).copy_abs()
     detail = "routed to radical check" if in_q5 and squared else ""
     return Sides(lhs, rhs, diff=diff, exact=ok, squared=squared, detail=detail)
-
-
-def _numeric_gap(record, binding) -> Decimal:
-    lhs, rhs = (eval_numeric(side, binding, 20) for side in (record.lhs, record.rhs))
-    return _core.context(30).subtract(lhs, rhs).copy_abs()
 
 
 def _fraction_gap(lhs: Fraction, rhs: Fraction) -> Decimal:

@@ -14,9 +14,15 @@ The registry file format is line-oriented blocks:
     as_printed = false
     note = ""
 
-Full-line comments start with '#'; a '#' outside quotes also ends a line.
-Strings are double-quoted with \\" and \\\\ escapes.  Several key = value
-pairs may share a line.
+One pattern reads every line: an `[identity]` header alone on its line, or
+`key = value` pairs, a value being a double-quoted string with \\" and \\\\
+escapes, `true`, `false` or an integer.  A '#' outside a string starts a
+comment.  Every record takes `id kind paper rhs params as_printed note
+digits`; a finite record also `index lower upper term`, a series record (or
+an integral with a `term`) also `index start term tail`, and any other
+record also `lhs`.  Any other key, a repeated key or a bad value is a
+registry problem, as is a tail other than `geometric ratio=R [from=N]` or
+`algebraic`.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError
 from .expr import (
@@ -55,61 +62,38 @@ MAX_DEPTH = 100  # expression tree levels; the shipped registry reaches 10
 
 # ----------------------------------------------------------------- tokenizer
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))", re.DOTALL)
-_SYMBOL_MAP = {"−": "-", "×": "*", "÷": "/"}
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+_TOKEN_KINDS = (None, "int", "ident", "symbol")  # by the group that matched
+_SYMBOL_MAP = str.maketrans("−×÷", "-*/")
 _SYMBOLS = set("+-*/^(),")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # int | ident | symbol | end
     text: str
-    line: int
-    column: int
+    offset: int
 
 
-def _tokenize(text: str):
-    tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            break
-        start = m.start(m.lastindex)
-        for nl in re.finditer(r"\n", text[pos:start]):
-            line += 1
-            line_start = pos + nl.end()
-        col = start - line_start + 1
-        num, ident, sym = m.group(1), m.group(2), m.group(3)
-        if num is not None:
-            tokens.append(_Token("int", num, line, col))
-        elif ident is not None:
-            tokens.append(_Token("ident", ident, line, col))
-        else:
-            sym = _SYMBOL_MAP.get(sym, sym)
-            if sym == "\n":
-                line += 1
-                line_start = m.end()
-            elif sym.isspace():
-                pass
-            elif sym in _SYMBOLS:
-                tokens.append(_Token("symbol", sym, line, col))
-            else:
-                raise ParseError(f"unexpected character {sym!r}", line, col)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
-    return tokens
+def _location(text: str, offset: int) -> tuple[int, int]:
+    """(line, column) of `offset` in `text`, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
     """Recursive descent; each rule returns (node, height of its tree)."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text.translate(_SYMBOL_MAP)  # one character for one: offsets stay
+        self.tokens = [_Token(_TOKEN_KINDS[m.lastindex], m.group(), m.start()) for m in _TOKEN_RE.finditer(self.text)]
+        self.tokens.append(_Token("end", "", len(text)))
+        for tok in self.tokens:
+            if tok.kind == "symbol" and tok.text not in _SYMBOLS:
+                raise self.error(f"unexpected character {tok.text!r}", tok)
         self.pos = 0
         self.nesting = 0  # open unary() calls: every recursion passes there
+
+    def error(self, message: str, tok: _Token, expected=()) -> ParseError:
+        return ParseError(message, *_location(self.text, tok.offset), expected=expected)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -122,19 +106,19 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
-            raise ParseError(f"got {tok.text or 'end of input'!r}", tok.line, tok.column, expected={text})
+            raise self.error(f"got {tok.text or 'end of input'!r}", tok, expected={text})
         return tok
 
     def deeper(self, height: int, tok: _Token) -> int:
         if height > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+            raise self.error(f"expression nests deeper than {MAX_DEPTH} levels", tok)
         return height
 
     def parse(self) -> Expr:
         e, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column, expected={"end of input"})
+            raise self.error(f"trailing input {tok.text!r}", tok, expected={"end of input"})
         return e
 
     def expr(self) -> tuple[Expr, int]:
@@ -170,13 +154,24 @@ class _Parser:
         if self.peek().text == "^":
             caret = self.next()
             exponent, eh = self.unary()  # right associative, binds tighter than unary minus on the left
-            return Pow(base, _normalize_exponent(exponent, caret)), self.deeper(1 + max(h, eh), caret)
+            return Pow(base, self.exponent(exponent, caret)), self.deeper(1 + max(h, eh), caret)
         return base, h
+
+    def exponent(self, e: Expr, caret: _Token) -> Expr:
+        p = integer_poly(e)
+        if p is not None and poly_integral(p):
+            return e
+        if poly_constant(p) is not None:
+            return RatLit(poly_constant(p))
+        raise self.error("exponent must be an integer expression or a rational literal", caret)
 
     def atom(self) -> tuple[Expr, int]:
         tok = self.next()
         if tok.kind == "int":
-            return IntLit(int(tok.text)), 1
+            try:
+                return IntLit(int(tok.text)), 1
+            except ValueError as exc:  # more digits than int() converts
+                raise self.error(str(exc), tok) from None
         if tok.text == "(":
             e = self.expr()
             self.expect(")")
@@ -187,12 +182,7 @@ class _Parser:
             if tok.text in CONSTANT_NAMES:
                 return Const(tok.text), 1
             return Var(tok.text), 1
-        raise ParseError(
-            f"got {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
-            expected={"integer", "identifier", "("},
-        )
+        raise self.error(f"got {tok.text or 'end of input'!r}", tok, expected={"integer", "identifier", "("})
 
     def call(self, name: _Token) -> tuple[Expr, int]:
         self.expect("(")
@@ -206,36 +196,21 @@ class _Parser:
         ident = name.text
         if ident in FUNCTION_NAMES:
             if len(args) != 1:
-                raise ParseError(f"{ident} takes one argument", name.line, name.column)
+                raise self.error(f"{ident} takes one argument", name)
             return Fn(ident, args[0]), h
         if ident in SEQUENCE_ARITY:
             if len(args) != SEQUENCE_ARITY[ident]:
-                raise ParseError(
-                    f"{ident} takes {SEQUENCE_ARITY[ident]} argument(s)", name.line, name.column
-                )
+                raise self.error(f"{ident} takes {SEQUENCE_ARITY[ident]} argument(s)", name)
             return SeqCall(ident, tuple(args)), h
         if ident == "quad":
             if len(args) != 3:
-                raise ParseError("quad takes (body, lower, upper)", name.line, name.column)
+                raise self.error("quad takes (body, lower, upper)", name)
             return Quad(args[0], args[1], args[2]), h
         if ident == "cl2":
             if len(args) != 1:
-                raise ParseError("cl2 takes one argument", name.line, name.column)
+                raise self.error("cl2 takes one argument", name)
             return Clausen(args[0]), h
-        raise ParseError(f"unknown function {ident!r}", name.line, name.column)
-
-
-def _normalize_exponent(e: Expr, caret: _Token) -> Expr:
-    p = integer_poly(e)
-    if p is not None and poly_integral(p):
-        return e
-    if poly_constant(p) is not None:
-        return RatLit(poly_constant(p))
-    raise ParseError(
-        "exponent must be an integer expression or a rational literal",
-        caret.line,
-        caret.column,
-    )
+        raise self.error(f"unknown function {ident!r}", name)
 
 
 def parse_expression(text: str) -> Expr:
@@ -258,7 +233,7 @@ class GeometricTail:
 @dataclass(frozen=True)
 class AlgebraicTail:
     """Summed by its term ratio plus an asymptotic tail (engine._sum_algebraic);
-    the ladder= and order= keys of older registries are accepted and ignored."""
+    the tail text `algebraic` takes no keys."""
 
     def __str__(self) -> str:
         return "algebraic"
@@ -310,19 +285,35 @@ class ParsedRegistry:
     problems: list = field(default_factory=list)
 
 
+_TAIL_KEYS = {"geometric": ("ratio", "from"), "algebraic": ()}
+
+
 def parse_tail(text: str):
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty tail specification")
-    mode, kv = parts[0], dict(p.split("=", 1) for p in parts[1:])
-    if mode == "geometric":
-        ratio = Fraction(kv["ratio"])
-        if not 0 < ratio < 1:
-            raise ValueError(f"geometric ratio must lie in (0, 1), got {ratio}")
-        return GeometricTail(ratio, int(kv.get("from", 0)))
+    """`geometric ratio=R [from=N]` or `algebraic`; anything else is a ValueError."""
+    mode, *fields = text.split() or [""]
+    if mode not in _TAIL_KEYS:
+        raise ValueError(f"unknown tail mode {mode!r}")
+    kv = {}
+    for f in fields:
+        key, eq, value = f.partition("=")
+        if not key or not eq:
+            raise ValueError(f"tail field {f!r} is not key=value")
+        if key not in _TAIL_KEYS[mode]:
+            raise ValueError(f"unknown tail key {key!r} for {mode}")
+        if key in kv:
+            raise ValueError(f"repeated tail key {key!r}")
+        kv[key] = value
     if mode == "algebraic":
         return AlgebraicTail()
-    raise ValueError(f"unknown tail mode {mode!r}")
+    if "ratio" not in kv:
+        raise ValueError("geometric tail needs ratio=")
+    try:
+        ratio = Fraction(kv["ratio"])
+    except ZeroDivisionError:
+        raise ValueError(f"geometric ratio {kv['ratio']!r} divides by zero") from None
+    if not 0 < ratio < 1:
+        raise ValueError(f"geometric ratio must lie in (0, 1), got {ratio}")
+    return GeometricTail(ratio, int(kv.get("from", 0)))
 
 
 def parse_params(text: str):
@@ -331,6 +322,8 @@ def parse_params(text: str):
         name, _, rng = chunk.partition("=")
         if not _ or not name.isidentifier():
             raise ValueError(f"bad parameter spec {chunk!r}")
+        if any(name == p[0] for p in out):
+            raise ValueError(f"repeated parameter {name!r}")
         lo, dots, hi = rng.partition("..")
         lo, hi = int(lo), int(hi if dots else lo)
         if lo > hi:
@@ -339,89 +332,54 @@ def parse_params(text: str):
     return tuple(out)
 
 
-_KEY_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*")
-
-
-def _scan_value(line: str, pos: int, lineno: int):
-    if pos < len(line) and line[pos] == '"':
-        out = []
-        i = pos + 1
-        while i < len(line):
-            ch = line[i]
-            if ch == "\\":
-                if i + 1 >= len(line) or line[i + 1] not in ('"', "\\"):
-                    raise ParseError("bad escape in string", lineno, i + 1)
-                out.append(line[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                return "".join(out), i + 1
-            out.append(ch)
-            i += 1
-        raise ParseError("unterminated string", lineno, pos + 1)
-    m = re.match(r"[^\s#]+", line[pos:])
-    if not m:
-        raise ParseError("missing value", lineno, pos + 1)
-    tok = m.group(0)
-    if tok in ("true", "false"):
-        return tok == "true", pos + m.end()
-    try:
-        return int(tok), pos + m.end()
-    except ValueError:
-        raise ParseError(f"bad value {tok!r}", lineno, pos + 1) from None
-
-
-def _strip_comment(line: str) -> str:
-    in_string = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "\\" and in_string:
-            i += 2
-            continue
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:i]
-        i += 1
-    return line
+# A header alone on its line, one `key = value` pair, or the blank or
+# comment-only rest of a line; `match` at position 0, then after each pair.
+_PAIR_RE = re.compile(
+    r'^\s*(?P<header>\[identity\])\s*(?:#.*)?$'
+    r'|\s*(?P<key>[A-Za-z_][A-Za-z0-9_]*)\s*=\s*'
+    r'(?:"(?P<string>(?:[^"\\]|\\["\\])*)"|(?P<bare>true|false|-?\d+)(?![^\s#]))'
+    r'|\s*(?:#.*)?$'
+)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 def parse_registry(text: str) -> ParsedRegistry:
     """Parse registry text; malformed records become diagnostics, not aborts."""
     out = ParsedRegistry()
-    blocks = []
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line == "[identity]":
-            current = {"_line": lineno}
-            blocks.append(current)
-            continue
-        if current is None:
-            out.problems.append(RegistryProblem(lineno, "", "content before first [identity] block"))
-            continue
+    blocks = []  # (line of the header, {key: value})
+    for lineno, line in enumerate(text.splitlines(), start=1):
         pos = 0
-        while pos < len(line):
-            m = _KEY_RE.match(line, pos)
-            if not m:
-                out.problems.append(RegistryProblem(lineno, current.get("id", ""), f"expected key = value, got {line[pos:]!r}"))
+        while m := _PAIR_RE.match(line, pos):
+            if m["header"]:
+                blocks.append((lineno, {}))
                 break
-            key = m.group(1)
-            try:
-                value, pos = _scan_value(line, m.end(), lineno)
-            except ParseError as exc:
-                out.problems.append(RegistryProblem(lineno, current.get("id", ""), str(exc)))
+            if not m["key"]:
+                break  # blank or comment to the end of the line
+            if not blocks:
+                out.problems.append(RegistryProblem(lineno, "", "content before first [identity] block"))
                 break
-            if key in current:
-                out.problems.append(RegistryProblem(lineno, current.get("id", ""), f"duplicate key {key!r}"))
-            current[key] = value
+            block, key, bare = blocks[-1][1], m["key"], m["bare"]
+            if key in block:
+                out.problems.append(RegistryProblem(lineno, block.get("id", ""), f"duplicate key {key!r}"))
+            if bare is None:
+                block[key] = _ESCAPE_RE.sub(r"\1", m["string"])
+            elif bare in ("true", "false"):
+                block[key] = bare == "true"
+            else:
+                try:
+                    block[key] = int(bare)
+                except ValueError as exc:  # more digits than int() converts
+                    out.problems.append(RegistryProblem(lineno, block.get("id", ""), f"{key}: {exc}"))
+                    break
+            pos = m.end()
+        else:
+            rid = blocks[-1][1].get("id", "") if blocks else ""
+            out.problems.append(
+                RegistryProblem(lineno, rid, f"column {pos + 1}: expected key = value, got {line[pos:].strip()!r}")
+            )
 
     seen: dict = {}
-    for block in blocks:
-        line = block.pop("_line")
+    for line, block in blocks:
         rid = block.get("id", "")
         try:
             record = _build_record(block)
@@ -443,10 +401,23 @@ def parse_registry(text: str) -> ParsedRegistry:
     return out
 
 
+_COMMON_KEYS = frozenset("id kind paper rhs params as_printed note digits".split())
+_FINITE_KEYS = _COMMON_KEYS | {"index", "lower", "upper", "term"}
+_SERIES_KEYS = _COMMON_KEYS | {"index", "start", "term", "tail"}
+_PLAIN_KEYS = _COMMON_KEYS | {"lhs"}
+
+
 def _expect_str(block: dict, key: str) -> str:
     value = block[key]
     if not isinstance(value, str):
         raise ValueError(f"{key} must be a quoted string")
+    return value
+
+
+def _expect_int(block: dict, key: str) -> int:
+    value = block[key]
+    if type(value) is not int:  # bool is an int subclass: `start = true` is refused
+        raise ValueError(f"{key} must be an integer")
     return value
 
 
@@ -455,15 +426,20 @@ def _build_record(block: dict) -> IdentityRecord:
     kind = _expect_str(block, "kind")
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    series = kind == "series" or (kind == "integral" and "term" in block)
+    allowed = _FINITE_KEYS if kind == "finite" else _SERIES_KEYS if series else _PLAIN_KEYS
+    unknown = sorted(block.keys() - allowed)
+    if unknown:
+        raise ValueError(f"{kind} records take no key {unknown[0]!r}")
     paper = _expect_str(block, "paper")
     rhs = parse_expression(_expect_str(block, "rhs"))
     params = parse_params(_expect_str(block, "params")) if "params" in block else ()
     as_printed = block.get("as_printed", False)
     if not isinstance(as_printed, bool):
         raise ValueError("as_printed must be true or false")
-    note = block.get("note", "")
-    digits = block.get("digits")
-    if digits is not None and (not isinstance(digits, int) or digits < 1):
+    note = _expect_str(block, "note") if "note" in block else ""
+    digits = _expect_int(block, "digits") if "digits" in block else None
+    if digits is not None and digits < 1:
         raise ValueError("digits must be a positive integer")
     tail = parse_tail(_expect_str(block, "tail")) if "tail" in block else None
     param_names = {p[0] for p in params}
@@ -485,11 +461,9 @@ def _build_record(block: dict) -> IdentityRecord:
         check_free(summand, param_names | {index}, "summand")
         check_free(rhs, param_names, "rhs")
         lhs: object = FiniteSpec(index, lower, upper, summand)
-    elif kind in ("series",) or (kind == "integral" and "term" in block):
+    elif series:
         index = _expect_str(block, "index")
-        start = block["start"]
-        if not isinstance(start, int):
-            raise ValueError("start must be an integer")
+        start = _expect_int(block, "start")
         term = parse_expression(_expect_str(block, "term"))
         if tail is None:
             raise ValueError("series records need a tail strategy")

@@ -83,6 +83,14 @@ def test_corrupt_registry_exits_two(capsys, tmp_path):
     assert "serieses" in err or "kind" in err
 
 
+def test_registry_with_a_typod_key_exits_two(capsys, tmp_path):
+    reg = tmp_path / "typo.reg"
+    reg.write_text('[identity]\nid = "t.typo" kind = "constant" paper = "p"\nlhs = "1" rhs = "1" digit = 60\n')
+    code, out, err = run(capsys, "list", "--registry", str(reg))
+    assert code == 2 and out == ""
+    assert "line 1: record 't.typo': constant records take no key 'digit'" in err
+
+
 @pytest.mark.parametrize(
     "lhs",
     ["(" * 300 + "1" + ")" * 300, "+".join(["1"] * 3001), "-" * 1000 + "1"],
@@ -180,7 +188,7 @@ def test_eval_reports_the_tail_gap_against_verifys_target(capsys, tmp_path):
     reg = tmp_path / "deep.reg"
     reg.write_text(
         '[identity]\nid = "t.deep" kind = "series" paper = "p" index = "n" start = 0\n'
-        'term = "1/(n+1)^2" tail = "algebraic ladder=-1 order=1" rhs = "pi^2/6" digits = 100\n'
+        'term = "1/(n+1)^2" tail = "algebraic" rhs = "pi^2/6" digits = 100\n'
     )
     code, out, _ = run(capsys, "eval", "--registry", str(reg), "--id", "t.deep", "--digits", "100")
     assert code == 3

@@ -120,6 +120,24 @@ def test_radical_check_lemma_and_sign_control(records):
     assert sq_l == sq_r and not ok  # squares agree, signs disagree
 
 
+def test_failed_radical_row_evaluates_each_side_once(records, monkeypatch):
+    corrupted = dataclasses.replace(
+        records["s2.lem3.sqrt.alpha"], rhs=parse_expression("-(alpha*sqrt(-beta))")
+    )
+    calls, evaluate = [], engine.eval_numeric
+
+    def counting(e, env, digits):
+        calls.append(digits)
+        return evaluate(e, env, digits)
+
+    monkeypatch.setattr(engine, "eval_numeric", counting)
+    (row,) = engine.verify_identity(corrupted)
+    assert row.status == "fail"
+    assert calls == [engine.RADICAL_SIGN_DIGITS] * 2  # the sign check and the gap share them
+    lhs = evaluate(corrupted.lhs, {}, engine.RADICAL_SIGN_DIGITS)
+    assert row.abs_diff == core.context(30).subtract(lhs, -lhs).copy_abs()
+
+
 def test_verify_identity_euler_at_50(records):
     res = engine.verify_identity(records["s5.Y.euler"])
     assert len(res) == 1 and res[0].status == "pass"
@@ -242,7 +260,7 @@ def _deep_record(digits):
     # 1/(n+1)^2 to `digits` digits: the expansion's gap estimate bottoms out near 1e-81
     return _record(
         'id = "t.deep" kind = "series" paper = "p" index = "n" start = 0\n'
-        f'term = "1/(n+1)^2" tail = "algebraic ladder=-1 order=1" rhs = "pi^2/6" digits = {digits}'
+        f'term = "1/(n+1)^2" tail = "algebraic" rhs = "pi^2/6" digits = {digits}'
     )
 
 
@@ -284,7 +302,7 @@ def test_compiled_sums_match_the_tree_walker(records):
     assert str(rhs) == "0.008206011438920170546912423218080279997240"
 
 
-def _series_record(term, tail="algebraic ladder=-2 order=1", start=0):
+def _series_record(term, tail="algebraic", start=0):
     return _record(
         f'id = "t.term" kind = "series" paper = "p" index = "n" start = {start}\n'
         f'term = "{term}" tail = "{tail}" rhs = "1"'
@@ -294,7 +312,7 @@ def _series_record(term, tail="algebraic ladder=-2 order=1", start=0):
 def test_ratio_sum_through_a_zero_matches_the_direct_sum():
     # t(3) = 0: P(2) = 0 hands t(3) and then t(4) to the evaluator;
     # (n-3)/(n+1)^3 = 1/(n+1)^2 - 4/(n+1)^3 sums to zeta(2) - 4 zeta(3)
-    record = _series_record("(n-3)/(n+1)^3", "algebraic ladder=-1,-2 order=2")
+    record = _series_record("(n-3)/(n+1)^3", "algebraic")
     res = engine.sum_series(record.lhs, {}, record.tail, 20)
     want = engine.eval_numeric(parse_expression("pi^2/6 - 4*zeta3"), {}, 40)
     assert CTX.subtract(res.value, want).copy_abs() < Decimal("1E-28")
@@ -309,7 +327,7 @@ def test_ratio_sum_through_a_zero_matches_the_direct_sum():
     ],
 )
 def test_a_pole_after_the_first_term_is_still_an_error_row(term, shown):
-    record = _series_record(term, "algebraic ladder=-2 order=1")
+    record = _series_record(term, "algebraic")
     (row,) = engine.verify_identity(record)
     assert (row.status, row.detail) == ("error", f"ZeroDivisionError: division by zero in {shown}")
 

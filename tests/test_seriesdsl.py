@@ -73,11 +73,30 @@ def test_parse_tail():
     assert t == GeometricTail(Fraction(9, 10), 1)
     assert parse_tail("algebraic") == AlgebraicTail()
     assert str(AlgebraicTail()) == "algebraic"
-    # the ladder= and order= keys of older registries are accepted and ignored
-    assert parse_tail("algebraic ladder=-1/2,-3/2,-5/2 order=7") == AlgebraicTail()
-    assert parse_tail("algebraic ladder=-1/2,-1/2 order=3") == AlgebraicTail()
+    assert parse_tail("geometric ratio=1/2") == GeometricTail(Fraction(1, 2), 0)
     with pytest.raises(ValueError):
         parse_tail("geometric ratio=3/2 from=1")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("algebraic ladder=-1/2,-3/2,-5/2 order=7", "unknown tail key 'ladder'"),  # the keys of older registries
+        ("algebraic order=3", "unknown tail key 'order'"),
+        ("geometric ratio=9/10 form=1", "unknown tail key 'form'"),
+        ("geometric ratio=9/10 ratio=1/2", "repeated tail key 'ratio'"),
+        ("geometric =9/10", "is not key=value"),
+        ("geometric ratio", "is not key=value"),
+        ("geometric from=1", "needs ratio="),
+        ("geometric ratio=1/0", "divides by zero"),
+        ("geometric ratio=x", "Invalid literal"),
+        ("", "unknown tail mode ''"),
+        ("harmonic", "unknown tail mode 'harmonic'"),
+    ],
+)
+def test_parse_tail_refuses_what_it_does_not_read(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_tail(text)
 
 
 def test_builtin_registry_loads_clean():
@@ -219,7 +238,7 @@ id = "good" kind = "constant" paper = "y" lhs = "n" rhs = "n" params = "n=1..5"
 
 def test_parse_params_ranges():
     assert parse_params("n=1..3 r=4 s=-2..-2") == (("n", 1, 3), ("r", 4, 4), ("s", -2, -2))
-    for bad in ("n=5..1", "n=1..", "n=", "n", "1=2"):
+    for bad in ("n=5..1", "n=1..", "n=", "n", "1=2", "n=1..2 n=5"):
         with pytest.raises(ValueError):
             parse_params(bad)
 
@@ -244,6 +263,90 @@ def test_quoted_escapes():
     parsed = parse_registry(text)
     assert not parsed.problems
     assert parsed.records[0].paper_ref == 'with "quote" and \\'
+
+
+def _block(*pairs):
+    return "\n".join(["# a block", "", "[identity]", 'id = "t" paper = "p"', *pairs]) + "\n"
+
+
+_SERIES = ('kind = "series"', 'index = "n"  start = 0', 'term = "1/2^n"', 'rhs = "2"')
+_TAIL = 'tail = "geometric ratio=1/2"'
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (_SERIES + (_TAIL, "digit = 60"), "series records take no key 'digit'"),
+        (_SERIES + (_TAIL, 'lhs = "2"'), "series records take no key 'lhs'"),
+        (('kind = "constant"', 'lhs = "1"', 'rhs = "1"', _TAIL), "constant records take no key 'tail'"),
+        (('kind = "integral"', 'lhs = "1"', 'rhs = "1"', "start = 0"), "integral records take no key 'start'"),
+        (('kind = "algebraic"', 'lhs = "1"', 'rhs = "1"', 'term = "1"'), "algebraic records take no key 'term'"),
+        (_SERIES + ('tail = "geometric ratio=9/10 form=1"',), "unknown tail key 'form'"),
+        (_SERIES + ('tail = "geometric ratio=9/10 ratio=1/2"',), "repeated tail key 'ratio'"),
+        (_SERIES + ('tail = "algebraic ladder=-2"',), "unknown tail key 'ladder'"),
+        (_SERIES[:1] + ('index = "n"  start = true',) + _SERIES[2:] + (_TAIL,), "start must be an integer"),
+        (('kind = "constant"', 'lhs = "1"', 'rhs = "1"', "digits = false"), "digits must be an integer"),
+        (('kind = "constant"', 'lhs = "n"', 'rhs = "n"', 'params = "n=1..2 n=5"'), "repeated parameter 'n'"),
+    ],
+)
+def test_keys_and_values_nothing_reads_are_registry_problems(pairs, message):
+    parsed = parse_registry(_block(*pairs))
+    assert parsed.records == []
+    assert [(p.line, p.record_id) for p in parsed.problems] == [(3, "t")]  # the block's line
+    assert message in parsed.problems[0].message
+
+
+def test_the_example_block_parses_with_each_shape():
+    for pairs in (_SERIES + (_TAIL,), ('kind = "constant"', 'lhs = "1"', 'rhs = "1"', "digits = 60")):
+        parsed = parse_registry(_block(*pairs))
+        assert not parsed.problems and [r.id for r in parsed.records] == ["t"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('id = "unterminated', "column 1: expected key = value"),
+        ('id = "bad \\q escape"', "column 1: expected key = value"),
+        ('note = "" start = 1.5', "column 10: expected key = value, got 'start = 1.5'"),
+        ("start = 0x", "expected key = value"),
+        ("start =", "expected key = value"),
+        ("= 1", "expected key = value"),
+        ('[identity] id = "x"', "expected key = value"),
+        ("bare words", "expected key = value"),
+        ("digits = " + "9" * 5000, "digits: Exceeds the limit"),
+    ],
+)
+def test_a_malformed_line_is_a_problem_on_its_line(line, message):
+    parsed = parse_registry(_block(*_SERIES, _TAIL, line))
+    assert [p.line for p in parsed.problems] == [10]
+    assert message in parsed.problems[0].message
+
+
+def test_expression_error_on_a_later_line_of_the_string():
+    with pytest.raises(ParseError) as info:
+        parse_expression("1 +\n  2 * )")
+    assert (info.value.line, info.value.column) == (2, 7)
+    with pytest.raises(ParseError) as info:
+        parse_expression("2^\n (n/2)")
+    assert (info.value.line, info.value.column) == (1, 2)  # the caret
+    with pytest.raises(ParseError) as info:
+        parse_expression("1 + 2\n\n  ; 3")
+    assert (info.value.line, info.value.column) == (3, 3)
+    assert "unexpected character ';'" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        parse_expression("1 +\n " + "9" * 5000)
+    assert (info.value.line, info.value.column) == (2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("0123n ()+-*/^\n\t,x@−C"), max_size=40) | st.text(max_size=40))
+def test_parse_error_locates_inside_the_text(text):
+    try:
+        parse_expression(text)
+    except ParseError as exc:
+        lines = text.split("\n")
+        assert 1 <= exc.line <= len(lines)
+        assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,9 +5,11 @@ Usage:
     python scripts/crosscheck_constants.py [digits]
 
 Exits 1 when the two routes of a constant differ by 10^-(digits-1) or
-more, 0 when every gap is below that.
+more, 0 when every gap is below that, and 2 on a bad argument (digits
+must be an integer of at least 1; the default is 50).
 """
 
+import argparse
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -19,8 +21,11 @@ from fibcat.arbreal import core  # noqa: E402
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    digits = int(argv[0]) if argv else 50
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("digits", nargs="?", type=int, default=50, help="digits per constant (default 50)")
+    digits = parser.parse_args(argv).digits
+    if digits < 1:
+        parser.error(f"digits must be at least 1, not {digits}")
     ctx = core.context(digits + 10)
     rows = [
         ("pi", "machin arccots", ar.const_pi, "gauss arccots", ar.const_pi_check),

@@ -11,10 +11,7 @@ from .engine import (
     VerificationReport,
     VerificationResult,
     VerifyConfig,
-    algebraic_check,
     evaluate_sides,
-    finite_check,
-    radical_check,
     sum_series,
     verdict,
     verify_all,
@@ -64,7 +61,6 @@ __all__ = [
     "VerificationReport",
     "VerificationResult",
     "VerifyConfig",
-    "algebraic_check",
     "binomial",
     "builtin_registry",
     "catalan",
@@ -73,13 +69,11 @@ __all__ = [
     "eval_numeric",
     "evaluate_sides",
     "fibonacci",
-    "finite_check",
     "free_vars",
     "lucas",
     "parse_expression",
     "parse_registry",
     "qr_pow",
-    "radical_check",
     "serialize_record",
     "substitute",
     "sum_series",

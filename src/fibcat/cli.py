@@ -13,6 +13,7 @@ import fnmatch
 import io
 import json
 import sys
+from pathlib import Path
 
 from . import engine
 from .arbreal.core import round_to
@@ -60,8 +61,8 @@ def _load_records(args) -> list:
     records = builtin_registry()
     for path in args.registry:
         try:
-            text = open(path, encoding="utf-8").read()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise SystemExit2(f"cannot read registry {path}: {exc}")
         parsed = parse_registry(text)
         if parsed.problems:

@@ -15,12 +15,12 @@ Two summation regimes:
   estimate, not a proved bound.
 
 Exact kinds (finite, algebraic, radical) never compare floats: they reduce
-to Fraction or QuadRat equality, with radical records squared into Q(sqrt5)
-first and their signs checked numerically at 20 digits; a failed row's gap
-comes from those same values.  A finite record keeps one running exact sum
-across its bindings.  `checker` is the one per-binding check behind
-`verify_identity` and `fibcat eval`, and `exit_code` their one exit-code
-rule.
+to Fraction or QuadRat equality.  An algebraic or radical record whose side
+leaves Q(sqrt5) has both sides squared into it and their signs checked
+numerically at 20 digits; a failed row's gap comes from those same values.
+A finite record keeps one running exact sum across its bindings.
+`checker` is the one per-binding check behind `verify_identity` and
+`fibcat eval`, and `exit_code` their one exit-code rule.
 """
 
 from __future__ import annotations
@@ -295,13 +295,6 @@ def _binom_neg(k: int, r: int) -> int:
 # ---------------------------------------------------------------- exact paths
 
 
-def finite_check(record: IdentityRecord, binding: dict):
-    """Exact check of a finite-sum record at one binding of its parameters:
-    (ok, lhs, rhs) as Fractions."""
-    sides = _FiniteSum(record)(binding)
-    return sides.exact, sides.lhs, sides.rhs
-
-
 class _FiniteSum:
     """binding -> Sides of a finite record, exact, with one running sum: a
     binding that keeps the lower bound and the values of the summand's other
@@ -345,52 +338,25 @@ def _exact_int(e: Expr, env, what: str) -> int:
     return int(v)
 
 
-def algebraic_check(record: IdentityRecord, binding: dict):
-    """Exact pass/fail in Q(sqrt5); None values route to radical_check."""
-    lhs = eval_exact_qsqrt5(record.lhs, binding)
-    rhs = eval_exact_qsqrt5(record.rhs, binding)
-    if lhs is None or rhs is None:
-        return None
-    return lhs == rhs, lhs, rhs
-
-
-def radical_check(record: IdentityRecord, binding: dict):
-    """Square both sides into Q(sqrt5) exactly, then match signs numerically."""
-    return _radical_check(record, binding)[:3]
-
-
-def _radical_check(record: IdentityRecord, binding: dict):
-    """radical_check's (ok, square_l, square_r) and the sides it compared in
-    sign, or None when the squares already differ."""
-    left = eval_one_radical(record.lhs, binding)
-    right = eval_one_radical(record.rhs, binding)
-    if left is None or right is None:
-        raise UnsupportedRecordError(
-            f"{record.id}: sides do not square into Q(sqrt5)"
-        )
-    square_l = qr_pow(left[0], 2) * left[1]
-    square_r = qr_pow(right[0], 2) * right[1]
-    if square_l != square_r:
-        return False, square_l, square_r, None
-    lv, rv = values = _numeric_values(record, binding)
-    return (lv > 0) == (rv > 0) and (lv < 0) == (rv < 0), square_l, square_r, values
-
-
-def _numeric_values(record: IdentityRecord, binding: dict) -> tuple:
-    return tuple(eval_numeric(side, binding, RADICAL_SIGN_DIGITS) for side in (record.lhs, record.rhs))
-
-
-def _exact_sides(record: IdentityRecord, in_q5: bool, binding: dict, digits=None) -> Sides:
-    """Sides of an algebraic (`in_q5`) or radical record: exact in Q(sqrt5)
-    or, when a side leaves it, the squares of both sides.  A failed row's
-    diff is the gap of the sides at RADICAL_SIGN_DIGITS, each evaluated once."""
-    checked = algebraic_check(record, binding) if in_q5 else None
-    squared = checked is None
-    ok, lhs, rhs, values = _radical_check(record, binding) if squared else (*checked, None)
-    if not ok:
-        values = values or _numeric_values(record, binding)
+def _exact_sides(record: IdentityRecord, binding: dict, digits=None) -> Sides:
+    """Sides of an algebraic or radical record: exact in Q(sqrt5) when both
+    sides lie in it, else the squares of their u*sqrt(v) forms with the signs
+    of the sides compared at RADICAL_SIGN_DIGITS.  A failed row's diff is the
+    gap of those same values, each side evaluated once."""
+    sides = (record.lhs, record.rhs)
+    lhs, rhs = (eval_exact_qsqrt5(side, binding) for side in sides)
+    squared = lhs is None or rhs is None
+    if squared:
+        forms = [eval_one_radical(side, binding) for side in sides]
+        if None in forms:
+            raise UnsupportedRecordError(f"{record.id}: sides do not square into Q(sqrt5)")
+        lhs, rhs = (qr_pow(u, 2) * v for u, v in forms)
+    ok = lhs == rhs
+    if squared or not ok:
+        values = [eval_numeric(side, binding, RADICAL_SIGN_DIGITS) for side in sides]
+        ok = ok and values[0].compare(0) == values[1].compare(0)
     diff = Decimal(0) if ok else _core.context(30).subtract(*values).copy_abs()
-    detail = "routed to radical check" if in_q5 and squared else ""
+    detail = "routed to radical check" if squared and record.kind == "algebraic" else ""
     return Sides(lhs, rhs, diff=diff, exact=ok, squared=squared, detail=detail)
 
 
@@ -403,15 +369,16 @@ def _fraction_gap(lhs: Fraction, rhs: Fraction) -> Decimal:
 
 
 def _kind(record: IdentityRecord, config: VerifyConfig):
-    """(target digits, sides), the one place that reads the record's kind:
-    `sides(binding, digits)` gives one binding's Sides, numeric kinds at
-    `digits` working digits.  Exact kinds have no target; `config.digits`
-    moves the target of series and constants, integrals keep their own."""
+    """(target digits, sides), the one place that picks a path by the
+    record's kind: `sides(binding, digits)` gives one binding's Sides,
+    numeric kinds at `digits` working digits.  Exact kinds have no target;
+    `config.digits` moves the target of series and constants, integrals
+    keep their own."""
     kind = record.kind
     if kind == "finite":
         return None, _FiniteSum(record)
     if kind in ("algebraic", "radical"):
-        return None, partial(_exact_sides, record, kind == "algebraic")
+        return None, partial(_exact_sides, record)
     if kind == "series":
         default = DIGITS_ALGEBRAIC if isinstance(record.tail, AlgebraicTail) else DIGITS_GEOMETRIC
         target = config.digits or record.digits or default

@@ -286,6 +286,8 @@ def eval_one_radical(e: Expr, env: Env):
         if e.op == "*":
             return (l[0] * r[0], l[1] * r[1])
         if e.op == "/":
+            if r[0].is_zero() or r[1].is_zero():
+                raise ZeroDivisionError(f"division by zero in {e}")
             return (l[0] / r[0], l[1] / r[1])
         if e.op not in ("+", "-"):
             raise ValueError(f"unknown operator {e.op!r}")
@@ -474,9 +476,8 @@ class NumericEvaluator:
         if isinstance(e, Const):
             c = _const_decimal(e.name, w)
             return lambda env, x: c
-        if isinstance(e, Var):  # QUAD_VAR in a quadrature body; a binding of the name wins
-            name, plus = e.name, ctx.plus
-            return lambda env, x: plus(Decimal(env[name])) if name in env else x
+        if isinstance(e, Var):  # QUAD_VAR in a quadrature body, bound whatever the binding
+            return lambda env, x: x
         if isinstance(e, Neg):
             a, minus = self._num(e.arg, quad, polys), ctx.minus
             return lambda env, x: minus(a(env, x))

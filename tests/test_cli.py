@@ -111,6 +111,26 @@ def test_missing_registry_exits_two(capsys):
     assert "cannot read" in err
 
 
+def test_registry_that_is_not_utf8_exits_two(capsys, tmp_path):
+    reg = tmp_path / "latin1.reg"
+    reg.write_bytes('[identity]\nid = "t.caf\xe9"\n'.encode("latin-1"))
+    code, out, err = run(capsys, "list", "--registry", str(reg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"fibcat: cannot read registry {reg}: ") and "codec can't decode" in err
+
+
+def test_eval_compares_a_radical_record_inside_q_sqrt5_exactly(capsys, tmp_path):
+    reg = tmp_path / "binet.reg"
+    reg.write_text(
+        '[identity]\nid = "t.binet" kind = "radical" paper = "p"\n'
+        'lhs = "(alpha^r - beta^r)/sqrt5" rhs = "F(r)" params = "r=4"\n'
+    )
+    code, out, _ = run(capsys, "eval", "--registry", str(reg), "--id", "t.binet")
+    assert code == 0
+    assert out.splitlines()[1:] == ["  lhs = 3 + 0*sqrt5", "  rhs = 3 + 0*sqrt5", "  exact match: True"]
+
+
 def test_eval_series(capsys):
     code, out, _ = run(capsys, "eval", "--id", "s2.G.z15", "--digits", "30")
     assert code == 0

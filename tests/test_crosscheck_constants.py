@@ -2,6 +2,8 @@ import importlib.util
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
+
 from fibcat import arbreal as ar
 from fibcat.arbreal import core
 
@@ -21,3 +23,23 @@ def test_a_route_off_by_1e_40_fails(monkeypatch, capsys):
     monkeypatch.setattr(ar, "zeta3_check", lambda d: core.context(d).add(route(d), Decimal("1e-40")))
     assert crosscheck.main(["50"]) == 1
     assert "NOT below 1E-49" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["abc"], "invalid int value: 'abc'"), (["0"], "at least 1"), (["-3"], "at least 1"), (["5", "6"], "unrecognized")],
+)
+def test_a_bad_argument_exits_two_before_computing(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(ar, "const_pi", lambda d: pytest.fail("computed a constant"))
+    with pytest.raises(SystemExit) as info:
+        crosscheck.main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_zero_and_computes_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(ar, "const_pi", lambda d: pytest.fail("computed a constant"))
+    with pytest.raises(SystemExit) as info:
+        crosscheck.main(["--help"])
+    assert info.value.code == 0
+    assert "usage:" in capsys.readouterr().out

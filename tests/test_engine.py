@@ -81,43 +81,65 @@ def test_geometric_tail_soundness_all_shipped(records):
         assert moved <= first.tail_bound, record.id
 
 
+def _exact(record, binding):
+    sides = engine.evaluate_sides(record, binding)
+    return sides.exact, sides.lhs, sides.rhs
+
+
 def test_finite_check_contract_values(records):
-    ok, lhs, rhs = engine.finite_check(records["s7.id1"], {"n": 2})
+    ok, lhs, rhs = _exact(records["s7.id1"], {"n": 2})
     assert ok and lhs == rhs == Fraction(14, 3)
-    ok, lhs, rhs = engine.finite_check(records["s7.id2"], {"n": 1})
+    ok, lhs, rhs = _exact(records["s7.id2"], {"n": 1})
     assert ok and lhs == rhs == Fraction(4, 3)
-    ok, lhs, rhs = engine.finite_check(records["s7.parker"], {"n": 2})
+    ok, lhs, rhs = _exact(records["s7.parker"], {"n": 2})
     assert ok and lhs == rhs == Fraction(5, 3)
 
 
 def test_algebraic_check_lemma_instances(records):
-    ok, lhs, rhs = engine.algebraic_check(records["s2.lem4.plus"], {"r": 3})
-    assert ok and lhs == rhs
-    ok, _, _ = engine.algebraic_check(records["s6.lem6.plus"], {"r": 0})
-    assert ok
-    ok, _, _ = engine.algebraic_check(records["s4.lem5.plus"], {"r": 0})
-    assert ok
+    for rid, r in (("s2.lem4.plus", 3), ("s6.lem6.plus", 0), ("s4.lem5.plus", 0)):
+        sides = engine.evaluate_sides(records[rid], {"r": r})
+        assert sides.exact and sides.lhs == sides.rhs and not sides.squared, rid
+        assert sides.diff == 0 and sides.detail == "", rid
 
 
 def test_algebraic_routes_to_radical_when_not_representable(records):
     record = records["s2.lem4.plus"]
     surd = dataclasses.replace(record, rhs=parse_expression("sqrt((alpha*F(r-2) + F(r+1))^2)"))
-    assert engine.algebraic_check(surd, {"r": 2}) is None
+    sides = engine.evaluate_sides(surd, {"r": 2})
+    assert sides.squared and sides.exact and sides.detail == "routed to radical check"
     results = engine.verify_identity(surd, engine.VerifyConfig(param_ranges={"r": (2, 2)}))
     assert results[0].status == "pass"
     assert "radical" in results[0].detail
 
 
 def test_radical_check_lemma_and_sign_control(records):
-    ok, sq_l, sq_r = engine.radical_check(records["s2.lem3.sqrt.alpha"], {})
-    assert ok and sq_l == sq_r
-    ok, _, _ = engine.radical_check(records["s2.lem3.sqrt.alpha.sqrt5"], {})
-    assert ok
+    for rid in ("s2.lem3.sqrt.alpha", "s2.lem3.sqrt.alpha.sqrt5"):
+        sides = engine.evaluate_sides(records[rid], {})
+        assert sides.squared and sides.exact and sides.lhs == sides.rhs and sides.detail == "", rid
     corrupted = dataclasses.replace(
         records["s2.lem3.sqrt.alpha"], rhs=parse_expression("-(alpha*sqrt(-beta))")
     )
-    ok, sq_l, sq_r = engine.radical_check(corrupted, {})
-    assert sq_l == sq_r and not ok  # squares agree, signs disagree
+    sides = engine.evaluate_sides(corrupted, {})
+    assert sides.squared and sides.lhs == sides.rhs and not sides.exact  # squares agree, signs disagree
+
+
+def test_a_radical_record_inside_q_sqrt5_is_compared_exactly(records):
+    binet = records["s1.binet.F"]
+    record = dataclasses.replace(binet, id="t.radical", kind="radical")
+    sides = engine.evaluate_sides(record, {"r": 4})
+    assert (sides.exact, sides.squared, sides.diff) == (True, False, 0)
+    assert sides.lhs == sides.rhs == engine.evaluate_sides(binet, {"r": 4}).lhs
+    off = dataclasses.replace(record, rhs=BinOp("+", record.rhs, RatLit(Fraction(1, 10**6))))
+    sides = engine.evaluate_sides(off, {"r": 4})
+    assert (sides.exact, sides.squared) == (False, False)
+    assert abs(sides.diff - Decimal("1E-6")) < Decimal("1E-18")  # the gap at RADICAL_SIGN_DIGITS
+
+
+def test_a_radical_division_by_zero_names_the_expression():
+    record = _record('id = "t.pole" kind = "radical" paper = "p" lhs = "sqrt(alpha)/(r-2)" rhs = "1" params = "r=2"')
+    (row,) = engine.verify_identity(record)
+    assert row.status == "error"
+    assert row.detail == "ZeroDivisionError: division by zero in sqrt(alpha)/(r - 2)"
 
 
 def test_failed_radical_row_evaluates_each_side_once(records, monkeypatch):
@@ -252,8 +274,14 @@ def test_finite_record_with_two_parameters(params):
         (("n", n), ("s", s)) for n in range(3) for s in (1, 2)
     )
     assert [r.status for r in rows] == ["pass"] * 6, [r.detail for r in rows]
-    ok, lhs, rhs = engine.finite_check(record, {"n": 2, "s": 2})
+    ok, lhs, rhs = _exact(record, {"n": 2, "s": 2})
     assert ok and lhs == rhs == 6
+
+
+def test_a_parameter_named_x_leaves_a_quadrature_body_alone():
+    record = _record('id = "t.quad" kind = "integral" paper = "p" lhs = "quad(x, 0, 1)" rhs = "1/2" params = "x=3"')
+    (row,) = engine.verify_identity(record)
+    assert row.status == "pass", row.detail
 
 
 def _deep_record(digits):

@@ -94,6 +94,19 @@ def test_free_vars_and_substitute():
         substitute(parse("quad(x^2, 0, 1)"), "x", 3)
 
 
+@pytest.mark.parametrize(
+    "text, binding, want",
+    [
+        ("quad(x, 0, 1)", {"x": 3}, "0.5"),  # the body's x is the bound variable, not the binding
+        ("x + quad(x, 0, x)", {"x": 2}, "4"),  # outside the body x is the binding: 2 + 2
+        ("quad(x^s, 0, 1)", {"s": 3}, "0.25"),
+    ],
+)
+def test_a_binding_does_not_shadow_the_quadrature_variable(text, binding, want):
+    got = eval_numeric(parse(text), binding, 20)
+    assert abs(got - Decimal(want)) < Decimal("1E-19")
+
+
 def test_children_and_map_children():
     e = parse("F(2*n+s) + quad(x^n, 0, z)")
     seq, quad = children(e)

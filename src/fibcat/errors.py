@@ -23,10 +23,6 @@ class UnboundVariableError(FibcatError):
         super().__init__(msg)
 
 
-class SubstitutionError(FibcatError):
-    """Attempt to substitute the quadrature-bound variable."""
-
-
 class ConvergenceError(FibcatError):
     """An iterative scheme hit its cap before reaching the requested accuracy.
 

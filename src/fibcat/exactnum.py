@@ -7,6 +7,7 @@ of the package relies on for structural equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,28 +19,15 @@ def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); zero when k lies outside [0, n]."""
     if n < 0:
         raise DomainError(f"binomial: n must be non-negative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    return math.comb(n, k) if k >= 0 else 0
 
 
 @lru_cache(maxsize=None)
 def catalan(n: int) -> int:
-    """n-th Catalan number.
-
-    Computed by the multiplicative recurrence (n+2) C_{n+1} = 2(2n+1) C_n,
-    which keeps every intermediate the size of the answer.
-    """
+    """n-th Catalan number, binom(2n, n)/(n+1)."""
     if n < 0:
         raise DomainError(f"catalan: n must be non-negative, got {n}")
-    c = 1
-    for m in range(n):
-        c = c * (2 * (2 * m + 1)) // (m + 2)
-    return c
+    return math.comb(2 * n, n) // (n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -56,14 +44,9 @@ def fibonacci(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def lucas(n: int) -> int:
-    """Lucas number, extended to negative index by L(-n) = (-1)^n L(n)."""
-    if n < 0:
-        v = lucas(-n)
-        return -v if n % 2 else v
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    """Lucas number L(n) = F(n-1) + F(n+1), which extends it to negative
+    index by L(-n) = (-1)^n L(n)."""
+    return fibonacci(n - 1) + fibonacci(n + 1)
 
 
 @dataclass(frozen=True)

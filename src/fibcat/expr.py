@@ -18,7 +18,9 @@ term and expand the series' tail from the factors.
 
 alpha and beta are primitive constants rather than spelled-out surds so
 the exact Q(sqrt5) evaluator can recognise them; the numeric evaluator
-expands them.
+expands them.  The parser resolves every name once: a constant or sequence
+name is a key of CONSTANTS or SEQUENCES, and the variable of a quadrature
+body is the node BoundVar, never a Var, so no walk decides scope again.
 """
 
 from __future__ import annotations
@@ -34,13 +36,20 @@ from . import exactnum
 from .arbreal import constants as _const
 from .arbreal import core as _core
 from .arbreal import quadrature as _quad
-from .errors import DomainError, FibcatError, SubstitutionError, UnboundVariableError
+from .errors import DomainError, FibcatError, UnboundVariableError
 from .exactnum import ONE, QuadRat, qr_pow
 
-CONSTANT_NAMES = ("pi", "sqrt5", "alpha", "beta", "lnalpha", "catalanG", "zeta3", "omega")
+# name -> the function of arbreal.constants that gives the constant to a
+# number of digits; looked up when called, so a wrapper set on the module
+# attribute sees every call
+CONSTANTS = {
+    "pi": "const_pi", "sqrt5": "sqrt5_decimal", "alpha": "alpha_decimal", "beta": "beta_decimal",
+    "lnalpha": "ln_alpha", "catalanG": "const_catalan_g", "zeta3": "const_zeta3", "omega": "omega_decimal",
+}
 FUNCTION_NAMES = ("sqrt", "ln", "sin", "cos", "arcsin", "arctan")
-SEQUENCE_ARITY = {"C": 1, "F": 1, "L": 1, "binom": 2}
-QUAD_VAR = "x"
+# name -> (the function of exactnum that gives its integer values, arity)
+SEQUENCES = {"C": ("catalan", 1), "F": ("fibonacci", 1), "L": ("lucas", 1), "binom": ("binomial", 2)}
+QUAD_VAR = "x"  # the spelling of BoundVar
 
 
 class Expr:
@@ -70,6 +79,11 @@ class Const(Expr):
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
+
+
+@dataclass(frozen=True)
+class BoundVar(Expr):
+    """The variable of the innermost quadrature body around this node."""
 
 
 @dataclass(frozen=True)
@@ -104,7 +118,7 @@ class SeqCall(Expr):
 
 @dataclass(frozen=True)
 class Quad(Expr):
-    body: Expr  # in the bound variable QUAD_VAR
+    body: Expr  # its variable is BoundVar()
     lower: Expr
     upper: Expr
 
@@ -120,7 +134,7 @@ Env = dict  # variable name -> int
 # the subexpression fields of each node type; None marks SeqCall, whose
 # subexpressions are the tuple `args`
 _CHILD_FIELDS = {
-    IntLit: (), RatLit: (), Const: (), Var: (),
+    IntLit: (), RatLit: (), Const: (), Var: (), BoundVar: (),
     Neg: ("arg",), Fn: ("arg",), Clausen: ("arg",),
     BinOp: ("left", "right"), Pow: ("base", "exponent"),
     Quad: ("body", "lower", "upper"), SeqCall: None,
@@ -147,19 +161,16 @@ def map_children(e: Expr, fn) -> Expr:
 def free_vars(e: Expr) -> frozenset:
     if isinstance(e, Var):
         return frozenset((e.name,))
-    if isinstance(e, Quad):  # the body's QUAD_VAR is bound
-        return (free_vars(e.body) - {QUAD_VAR}) | free_vars(e.lower) | free_vars(e.upper)
     return frozenset().union(*map(free_vars, children(e)))
 
 
 def substitute(e: Expr, name: str, value) -> Expr:
-    """Capture-free substitution; `value` may be an int or an Expr."""
+    """Replace Var(name) by `value`, an int or an Expr; a quadrature
+    variable is a BoundVar, so nothing is captured."""
     if isinstance(value, int) and not isinstance(value, bool):
         value = IntLit(value)
     if isinstance(e, Var):
         return value if e.name == name else e
-    if isinstance(e, Quad) and name == QUAD_VAR:
-        raise SubstitutionError(f"{name!r} is bound by a quadrature node")
     return map_children(e, lambda child: substitute(child, name, value))
 
 
@@ -240,8 +251,8 @@ def _exact(e: Expr, env: Env, field: _Field):
             if v is None:
                 return None
             args.append(v)
-        return field.lift(_sequence_int(e.name, args))
-    return None  # Fn, Quad, Clausen
+        return field.lift(_sequence(e.name)(*args))
+    return None  # BoundVar, Fn, Quad, Clausen
 
 
 def _exact_int(e: Expr, env: Env):
@@ -250,16 +261,11 @@ def _exact_int(e: Expr, env: Env):
     return None if v is None or v.denominator != 1 else int(v)
 
 
-def _sequence_int(name: str, args) -> int:
-    if name == "C":
-        return exactnum.catalan(args[0])
-    if name == "F":
-        return exactnum.fibonacci(args[0])
-    if name == "L":
-        return exactnum.lucas(args[0])
-    if name == "binom":
-        return exactnum.binomial(args[0], args[1])
-    raise ValueError(f"unknown sequence {name!r}")
+def _sequence(name: str):
+    """The exactnum function of a sequence name."""
+    if name not in SEQUENCES:
+        raise ValueError(f"unknown sequence {name!r}")
+    return getattr(exactnum, SEQUENCES[name][0])
 
 
 def eval_one_radical(e: Expr, env: Env):
@@ -397,26 +403,6 @@ class NumericSeqCache:
         return power
 
 
-def _const_decimal(name: str, digits: int) -> Decimal:
-    if name == "pi":
-        return _core.const_pi(digits)
-    if name == "sqrt5":
-        return _const.sqrt5_decimal(digits)
-    if name == "alpha":
-        return _const.alpha_decimal(digits)
-    if name == "beta":
-        return _const.beta_decimal(digits)
-    if name == "lnalpha":
-        return _const.ln_alpha(digits)
-    if name == "catalanG":
-        return _const.const_catalan_g(digits)
-    if name == "zeta3":
-        return _const.const_zeta3(digits)
-    if name == "omega":
-        return _const.omega_decimal(digits)
-    raise ValueError(f"unknown constant {name!r}")
-
-
 class NumericEvaluator:
     """Compiles trees into closures bound to one working precision.
 
@@ -449,7 +435,7 @@ class NumericEvaluator:
 
     def compile(self, e: Expr):
         """The closure env -> Decimal that evaluates `e`."""
-        code = self._num(e, False, {})
+        code = self._num(e, {})
 
         def run(env):
             try:
@@ -459,12 +445,12 @@ class NumericEvaluator:
 
         return run
 
-    def _num(self, e: Expr, quad: bool, polys: dict):
-        """Closure (env, x) -> Decimal, where x is the value of QUAD_VAR
-        inside a quadrature body (`quad`) and None outside; `polys` is the
-        compile's integer_poly memo."""
+    def _num(self, e: Expr, polys: dict):
+        """Closure (env, x) -> Decimal, where x is the value of BoundVar in
+        the innermost quadrature body around `e` (None outside every body);
+        `polys` is the compile's integer_poly memo."""
         ctx, w = self.ctx, self.w
-        p = integer_poly(e, quad, polys)
+        p = integer_poly(e, polys)
         if p is not None:
             c = poly_constant(p)
             if c is not None:
@@ -474,17 +460,19 @@ class NumericEvaluator:
                 code, plus = _poly_fn(p), ctx.plus
                 return lambda env, x: plus(Decimal(code(env)))
         if isinstance(e, Const):
-            c = _const_decimal(e.name, w)
+            if e.name not in CONSTANTS:
+                raise ValueError(f"unknown constant {e.name!r}")
+            c = getattr(_const, CONSTANTS[e.name])(w)
             return lambda env, x: c
-        if isinstance(e, Var):  # QUAD_VAR in a quadrature body, bound whatever the binding
+        if isinstance(e, BoundVar):
             return lambda env, x: x
         if isinstance(e, Neg):
-            a, minus = self._num(e.arg, quad, polys), ctx.minus
+            a, minus = self._num(e.arg, polys), ctx.minus
             return lambda env, x: minus(a(env, x))
         if isinstance(e, Fn):
             if e.name not in FUNCTION_NAMES:
                 raise ValueError(f"unknown function {e.name!r}")
-            a, name = self._num(e.arg, quad, polys), e.name
+            a, name = self._num(e.arg, polys), e.name
 
             def fn(env, x):
                 v = a(env, x)
@@ -495,7 +483,7 @@ class NumericEvaluator:
 
             return fn
         if isinstance(e, BinOp):
-            l, r = self._num(e.left, quad, polys), self._num(e.right, quad, polys)
+            l, r = self._num(e.left, polys), self._num(e.right, polys)
             if e.op == "/":
                 divide = ctx.divide
 
@@ -511,10 +499,9 @@ class NumericEvaluator:
             op = getattr(ctx, _DECIMAL_OPS[e.op])
             return lambda env, x: op(l(env, x), r(env, x))
         if isinstance(e, Pow):
-            return self._pow(e, quad, polys)
+            return self._pow(e, polys)
         if isinstance(e, SeqCall):
-            if e.name not in SEQUENCE_ARITY:
-                raise ValueError(f"unknown sequence {e.name!r}")
+            _sequence(e.name)  # refuse an unknown name now
             args = [_seq_arg(a, e, polys) for a in e.args]
             if e.name == "C":
                 (n,), catalan = args, self.seq.catalan
@@ -523,10 +510,10 @@ class NumericEvaluator:
                 (a, b), binom = args, self.seq.binom
                 return lambda env, x: binom(a(env), b(env))
             name, plus = e.name, ctx.plus
-            return lambda env, x: plus(Decimal(_sequence_int(name, [a(env) for a in args])))
+            return lambda env, x: plus(Decimal(_sequence(name)(*[a(env) for a in args])))
         if isinstance(e, Quad):
-            lo, hi = self._num(e.lower, quad, polys), self._num(e.upper, quad, polys)
-            body, digits = self._num(e.body, True, polys), self.digits
+            lo, hi = self._num(e.lower, polys), self._num(e.upper, polys)
+            body, digits = self._num(e.body, polys), self.digits
 
             def integral(env, x):
                 a, b = lo(env, x), hi(env, x)
@@ -534,27 +521,29 @@ class NumericEvaluator:
 
             return integral
         if isinstance(e, Clausen):
-            a = self._num(e.arg, quad, polys)
+            a = self._num(e.arg, polys)
             return lambda env, x: _quad.clausen2(a(env, x), w)
         raise TypeError(f"not an expression: {e!r}")
 
-    def _pow(self, e: Pow, quad: bool, polys: dict):
-        # the exponent comes first and sees the binding only, as in
-        # eval_exact_rational; a nonzero constant base outside a quadrature
-        # body takes the sequence cache's power table
-        base = self._num(e.base, quad, polys)
-        lit = None if quad else poly_constant(integer_poly(e.base, quad, polys))
+    def _pow(self, e: Pow, polys: dict):
+        # the exponent sees the binding only, as in eval_exact_rational; a
+        # nonzero constant base takes the sequence cache's power table
+        base = self._num(e.base, polys)
+        lit = poly_constant(integer_poly(e.base, polys))
         table = self.seq.powers(lit) if lit else None
         w = self.w
-        p = integer_poly(e.exponent, False, polys)
+        p = integer_poly(e.exponent, polys)
         if p is not None and poly_integral(p):
             k = _poly_fn(p)
             if table is not None:
                 return lambda env, x: table(k(env))
 
             def int_power(env, x):
-                n = k(env)
-                return _core.pow_int(base(env, x), n, w)
+                n, v = k(env), base(env, x)
+                try:
+                    return _core.pow_int(v, n, w)
+                except ZeroDivisionError:
+                    raise ZeroDivisionError(f"zero base with negative exponent in {e}") from None
 
             return int_power
         exponent = _poly_fn(p) if p is not None else lambda env: eval_exact_rational(e.exponent, env)
@@ -563,15 +552,15 @@ class NumericEvaluator:
             ex = exponent(env)
             if ex is None:
                 raise DomainError(f"exponent is not an exact rational in {e}")
-            if ex.denominator == 1:
-                if table is not None:
-                    return table(int(ex))
-                return _core.pow_int(base(env, x), int(ex), w)
+            if ex.denominator == 1 and table is not None:
+                return table(int(ex))
             v = base(env, x)
             try:
                 return _core.pow_rational(v, ex, w)
             except DomainError as exc:
                 raise DomainError(f"{exc} in {e}") from exc
+            except ZeroDivisionError:
+                raise ZeroDivisionError(f"zero base with negative exponent in {e}") from None
 
         return power
 
@@ -579,32 +568,31 @@ class NumericEvaluator:
 _DECIMAL_OPS = {"+": "add", "-": "subtract", "*": "multiply"}
 
 
-def integer_poly(e: Expr, quad: bool = False, memo: dict | None = None):
+def integer_poly(e: Expr, memo: dict | None = None):
     """`e` as a polynomial in its names, {monomial: coefficient}, or None.
 
     A monomial is the sorted tuple of its names, each repeated by its
     degree; a coefficient is an int, or a Fraction below a division.  There
-    is one when `e` is built from int and rational literals, names (not
-    QUAD_VAR in a quadrature body, `quad`), negation, + - * and division by
-    a nonzero constant.  Zero coefficients are kept, so a name that cancels
-    is still read: `n - n` needs n.  `memo` lets a caller that asks about
-    every node of a tree read each subtree once."""
+    is one when `e` is built from int and rational literals, names (Var,
+    not BoundVar), negation, + - * and division by a nonzero constant.
+    Zero coefficients are kept, so a name that cancels is still read:
+    `n - n` needs n.  `memo` lets a caller that asks about every node of a
+    tree read each subtree once."""
     t, p = type(e), None
     if t is IntLit or t is RatLit:
         return {(): e.value}
     if t is Var:
-        return None if quad and e.name == QUAD_VAR else {(e.name,): 1}
+        return {(e.name,): 1}
     if t is not Neg and t is not BinOp:
         return None
-    key = (id(e), quad)
-    if memo is not None and key in memo:
-        return memo[key]
+    if memo is not None and id(e) in memo:
+        return memo[id(e)]
     if t is Neg:
-        a = integer_poly(e.arg, quad, memo)
+        a = integer_poly(e.arg, memo)
         p = None if a is None else {m: -c for m, c in a.items()}
     elif e.op in _FIELD_OPS:
-        l = integer_poly(e.left, quad, memo)
-        r = None if l is None else integer_poly(e.right, quad, memo)
+        l = integer_poly(e.left, memo)
+        r = None if l is None else integer_poly(e.right, memo)
         if e.op == "/":
             c = poly_constant(r)
             p = {m: Fraction(v) / c for m, v in l.items()} if c else None
@@ -617,7 +605,7 @@ def integer_poly(e: Expr, quad: bool = False, memo: dict | None = None):
             for m, c in pairs:
                 p[m] = p.get(m, 0) + c
     if memo is not None:
-        memo[key] = p
+        memo[id(e)] = p
     return p
 
 
@@ -661,7 +649,7 @@ def _poly_fn(p: dict):
 
 def _seq_arg(a: Expr, node: SeqCall, polys: dict):
     """env -> int for one sequence argument."""
-    p = integer_poly(a, False, polys)
+    p = integer_poly(a, polys)
     if p is not None and poly_integral(p):
         return _poly_fn(p)
     rational = _poly_fn(p) if p is not None else lambda env: eval_exact_rational(a, env)

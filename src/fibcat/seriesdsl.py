@@ -35,10 +35,12 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .expr import (
-    CONSTANT_NAMES,
+    CONSTANTS,
     FUNCTION_NAMES,
-    SEQUENCE_ARITY,
+    QUAD_VAR,
+    SEQUENCES,
     BinOp,
+    BoundVar,
     Clausen,
     Const,
     Expr,
@@ -54,6 +56,7 @@ from .expr import (
     integer_poly,
     poly_constant,
     poly_integral,
+    substitute,
 )
 
 KINDS = ("series", "finite", "algebraic", "radical", "integral", "constant")
@@ -179,7 +182,7 @@ class _Parser:
         if tok.kind == "ident":
             if self.peek().text == "(":
                 return self.call(tok)
-            if tok.text in CONSTANT_NAMES:
+            if tok.text in CONSTANTS:
                 return Const(tok.text), 1
             return Var(tok.text), 1
         raise self.error(f"got {tok.text or 'end of input'!r}", tok, expected={"integer", "identifier", "("})
@@ -198,14 +201,17 @@ class _Parser:
             if len(args) != 1:
                 raise self.error(f"{ident} takes one argument", name)
             return Fn(ident, args[0]), h
-        if ident in SEQUENCE_ARITY:
-            if len(args) != SEQUENCE_ARITY[ident]:
-                raise self.error(f"{ident} takes {SEQUENCE_ARITY[ident]} argument(s)", name)
+        if ident in SEQUENCES:
+            arity = SEQUENCES[ident][1]
+            if len(args) != arity:
+                raise self.error(f"{ident} takes {arity} argument(s)", name)
             return SeqCall(ident, tuple(args)), h
         if ident == "quad":
             if len(args) != 3:
                 raise self.error("quad takes (body, lower, upper)", name)
-            return Quad(args[0], args[1], args[2]), h
+            # the body's x is its own variable; a quad nested in the body is
+            # resolved already, and x in its bounds is this body's variable
+            return Quad(substitute(args[0], QUAD_VAR, BoundVar()), args[1], args[2]), h
         if ident == "cl2":
             if len(args) != 1:
                 raise self.error("cl2 takes one argument", name)
@@ -502,6 +508,8 @@ def _fmt(e: Expr, level: int) -> str:
         text, mine = f"{v.numerator}/{v.denominator}", _MUL
     elif isinstance(e, Const) or isinstance(e, Var):
         text, mine = e.name, _ATOM
+    elif isinstance(e, BoundVar):
+        text, mine = QUAD_VAR, _ATOM
     elif isinstance(e, Neg):
         text, mine = "-" + _fmt(e.arg, _UNARY), _UNARY
     elif isinstance(e, Fn):
@@ -522,7 +530,7 @@ def _fmt(e: Expr, level: int) -> str:
             text = f"{_fmt(e.left, _MUL)}{e.op}{_fmt(e.right, _MUL + 1)}"
     elif isinstance(e, Pow):
         base = _fmt(e.base, _ATOM)  # parenthesise anything but an atom
-        if isinstance(e.exponent, IntLit) or isinstance(e.exponent, Var):
+        if isinstance(e.exponent, (IntLit, Var, BoundVar)):
             exp = _fmt(e.exponent, _ATOM)
         else:
             exp = f"({_fmt(e.exponent, 0)})"

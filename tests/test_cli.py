@@ -43,6 +43,19 @@ def test_verify_printed_glob_exit_one(capsys):
     assert "FAIL" in out
 
 
+def test_a_binding_of_x_is_not_read_inside_a_quadrature_body(capsys, tmp_path):
+    # the integral of x^x over [0, 1] is 0.7834..., not the 1/4 of x^3
+    reg = tmp_path / "xx.reg"
+    reg.write_text(
+        '[identity]\nid = "t.xx" kind = "integral" paper = "p"\n'
+        'lhs = "quad(x^x, 0, 1)" rhs = "1/4" params = "x=3"\n'
+    )
+    code, out, _ = run(capsys, "verify", "--registry", str(reg), "--id", "t.xx")
+    assert code == 1
+    assert out.startswith("ERROR t.xx") and "exponent is not an exact rational in x^x" in out
+    assert "summary: 0 pass, 0 fail, 1 error" in out
+
+
 def test_verify_json_round_trips(capsys, tmp_path):
     out_path = tmp_path / "r.json"
     code, _, _ = run(

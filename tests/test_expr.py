@@ -1,4 +1,5 @@
 import itertools
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,16 +11,18 @@ from fibcat import arbreal as ar
 from fibcat import exactnum
 from fibcat import expr as expr_module
 from fibcat.arbreal import core
-from fibcat.errors import DomainError, SubstitutionError, UnboundVariableError
+from fibcat.errors import DomainError, UnboundVariableError
 from fibcat.exactnum import QuadRat
 from fibcat.expr import (
     BinOp,
+    BoundVar,
     Const,
     Fn,
     IntLit,
     Neg,
     NumericEvaluator,
     Pow,
+    Quad,
     RatLit,
     SeqCall,
     Var,
@@ -34,7 +37,7 @@ from fibcat.expr import (
     substitute,
     term_ratio,
 )
-from fibcat.seriesdsl import AlgebraicTail, FiniteSpec, SeriesSpec, builtin_registry, parse_expression
+from fibcat.seriesdsl import AlgebraicTail, FiniteSpec, SeriesSpec, builtin_registry, format_expr, parse_expression
 from fibcat.seriesdsl import parse_expression as parse
 
 CTX = core.context(80)
@@ -90,8 +93,7 @@ def test_free_vars_and_substitute():
     assert substitute(parse("F(2*n+s)"), "s", 3) == parse("F(2*n+3)")
     assert free_vars(parse("quad(x^2*sin(x), 0, pi/2)")) == frozenset()
     assert free_vars(parse("quad(x^n, 0, z)")) == {"n", "z"}
-    with pytest.raises(SubstitutionError):
-        substitute(parse("quad(x^2, 0, 1)"), "x", 3)
+    assert substitute(parse("x + quad(x^2, 0, x)"), "x", 5) == parse("5 + quad(x^2, 0, 5)")
 
 
 @pytest.mark.parametrize(
@@ -105,6 +107,29 @@ def test_free_vars_and_substitute():
 def test_a_binding_does_not_shadow_the_quadrature_variable(text, binding, want):
     got = eval_numeric(parse(text), binding, 20)
     assert abs(got - Decimal(want)) < Decimal("1E-19")
+
+
+@pytest.mark.parametrize(
+    "text, binding, message",
+    [
+        ("quad(x^x, 0, 1)", {"x": 3}, "exponent is not an exact rational in x\\^x"),
+        ("quad(x^x, 0, 1)", {}, "exponent is not an exact rational in x\\^x"),
+        ("quad(F(x), 0, 1)", {"x": 3}, "sequence argument is not an integer in F\\(x\\)"),
+    ],
+    ids=["exponent-x-bound", "exponent-x-unbound", "sequence-x-bound"],
+)
+def test_an_exponent_or_sequence_argument_that_reads_the_quadrature_variable_is_an_error(text, binding, message):
+    with pytest.raises(DomainError, match=message):
+        eval_numeric(parse(text), binding, 15)
+
+
+def test_a_nested_quadrature_binds_its_bounds_to_the_outer_variable():
+    e = parse("quad(quad(x, 0, x), 0, 1)")
+    assert e == Quad(Quad(BoundVar(), IntLit(0), BoundVar()), IntLit(0), IntLit(1))
+    assert abs(eval_numeric(e, {}, 20) - Decimal(1) / 6) < Decimal("1E-19")
+    assert free_vars(e) == frozenset()
+    text = format_expr(e)
+    assert text == "quad(quad(x, 0, x), 0, 1)" and parse(text) == e
 
 
 def test_children_and_map_children():
@@ -227,6 +252,23 @@ def test_compiled_errors_are_raised_at_the_failing_term():
     # the parser refuses such an exponent; a hand-built tree reaches the check
     with pytest.raises(DomainError, match="exponent is not an exact rational"):
         evaluator.eval(Pow(IntLit(2), Fn("sqrt", Var("n"))), {"n": 4})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(n-2)^(-2)", "zero base with negative exponent in (n - 2)^(-2)"),
+        ("(n-2)^(-3/2)", "zero base with negative exponent in (n - 2)^(-3/2)"),
+        ("(1/(n-2))^(-2)", "division by zero in 1/(n - 2)"),  # the base's own error
+    ],
+)
+def test_a_zero_base_names_its_expression_on_both_paths(text, message):
+    e = parse(text)
+    with pytest.raises(ZeroDivisionError, match=re.escape(message)):
+        eval_numeric(e, {"n": 2}, 20)
+    if "/2" not in text:  # a rational power leaves Q
+        with pytest.raises(ZeroDivisionError, match=re.escape(message)):
+            eval_exact_rational(e, {"n": 2})
 
 
 def test_one_evaluator_compiles_each_tree():
@@ -495,4 +537,4 @@ def test_a_constant_base_keeps_its_value_and_takes_the_power_table():
     assert Fraction(3) in evaluator.seq._pow
     root = core.round_to(evaluator.eval(parse("(4 - 1)^(5/2)"), {}), 30)
     assert root == core.round_to(ar.sqrt(Decimal(243), 40), 30)
-    assert integer_poly(parse("(4 - 1)^2")) is None and integer_poly(parse("x"), quad=True) is None
+    assert integer_poly(parse("(4 - 1)^2")) is None and integer_poly(parse("quad(x, 0, 1)").body) is None

@@ -1,18 +1,23 @@
 """Series summation with sound tail control, exact checks, verification.
 
-Two summation regimes:
+One summation loop, `_terms`, serves both tails: it asks one
+NumericEvaluator for t(start), t(start+1), ..., and the evaluator, told
+the series' index, steps each term from the last as Binet chains by the
+ratio of expr.term_ratio, u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i, and
+evaluates the tree only for the first term, any term after a zero t, P or
+Q, and every term of a term without a ratio.  The tails differ in where
+they stop:
 
 * geometric -- sum until |t_n| * rho/(1-rho) drops under the target,
-  validating the declared ratio bound against every computed term pair; a
-  violated bound is a hard TailBoundViolation, never a silent wrong answer.
-* algebraic -- the term must be hypergeometric: its first N terms (400,
-  or more when a factor of the ratio has a far root) are stepped by the
-  ratio t(n+1) = t(n)*P(n)/Q(n) from expr.term_ratio, the evaluator taking
-  the first term and any term after a zero t, P or Q.  The tail t(N)*f(N)
-  comes from the asymptotic expansion f(N) = sum_k c_k N^-k of
-  T(N)/t(N), solved exactly from f(N) = 1 + R(N) f(N+1).  Its gap,
-  |S(N) - S(N/2)| plus the last expansion term and the rounding, is an
-  estimate, not a proved bound.
+  validating the declared ratio bound against every term pair; a violated
+  bound is a hard TailBoundViolation, never a silent wrong answer.  The
+  tail bound adds the rounding allowance of the stepped terms.
+* algebraic -- the term must be hypergeometric (one chain, gamma = 1): its
+  first N terms (400, or more when a factor of the ratio has a far root)
+  are summed, and the tail t(N)*f(N) comes from the asymptotic expansion
+  f(N) = sum_k c_k N^-k of T(N)/t(N), solved exactly from
+  f(N) = 1 + R(N) f(N+1).  Its gap, |S(N) - S(N/2)| plus the last
+  expansion term and the rounding, is an estimate, not a proved bound.
 
 Exact kinds (finite, algebraic, radical) never compare floats: they reduce
 to Fraction or QuadRat equality.  An algebraic or radical record whose side
@@ -20,7 +25,9 @@ leaves Q(sqrt5) has both sides squared into it and their signs checked
 numerically at 20 digits; a failed row's gap comes from those same values.
 A finite record keeps one running exact sum across its bindings.
 `checker` is the one per-binding check behind `verify_identity` and
-`fibcat eval`, and `exit_code` their one exit-code rule.
+`fibcat eval`, and `exit_code` their one exit-code rule; a numeric record
+keeps one evaluator per working precision across its bindings, so each of
+its trees is compiled once.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from functools import partial
 
 from .arbreal import core as _core
 from .errors import ConvergenceError, TailBoundViolation, UnsupportedRecordError
-from .exactnum import qr_pow
+from .exactnum import ONE, qr_pow
 from .expr import (
     Clausen,
     Expr,
@@ -146,49 +153,65 @@ def sum_series(
     tail,
     digits: int,
     force_terms: int | None = None,
+    *,
+    evaluator: NumericEvaluator | None = None,
 ) -> SumResult:
-    """Sum a series to `digits` with the given tail strategy."""
+    """Sum a series to `digits` with the given tail strategy.  `evaluator`,
+    a NumericEvaluator at `digits`, lets a caller that sums one record at
+    many bindings compile its term once."""
+    evaluator = evaluator or NumericEvaluator(digits)
     if isinstance(tail, GeometricTail):
-        return _sum_geometric(spec, env, tail, digits, force_terms)
+        return _sum_geometric(spec, env, tail, evaluator, force_terms)
     if isinstance(tail, AlgebraicTail):
-        return _sum_algebraic(spec, env, digits, force_terms)
+        return _sum_algebraic(spec, env, evaluator, force_terms)
     raise TypeError(f"unknown tail strategy {tail!r}")
 
 
-def _sum_geometric(spec, env, tail, digits, force_terms) -> SumResult:
-    evaluator = NumericEvaluator(digits)
+def _terms(spec, env, evaluator):
+    """t(start), t(start + 1), ...: the one loop of both tails.  The
+    evaluator steps each term from the last as Binet chains
+    (NumericEvaluator.step)."""
+    evaluator.step(spec.term, spec.index)
+    env, term, index, evaluate = dict(env), spec.term, spec.index, evaluator.eval
+    for n in itertools.count(spec.start):
+        env[index] = n
+        yield evaluate(term, env)
+
+
+def _rounding(evaluator, terms: int, size: Decimal) -> Decimal:
+    """The rounding allowance of a sum of `terms` terms whose |t| add up to
+    `size`: a stepped term carries up to 3 roundings of 5*10^-w per step."""
+    return evaluator.ctx.multiply(Decimal(1).scaleb(-evaluator.w), 15 * terms * size)
+
+
+def _sum_geometric(spec, env, tail, evaluator, force_terms) -> SumResult:
     ctx = evaluator.ctx
+    add, multiply = ctx.add, ctx.multiply
     rho = ctx.divide(Decimal(tail.ratio.numerator), Decimal(tail.ratio.denominator))
     factor = ctx.divide(rho, ctx.subtract(1, rho))
-    eps = Decimal(1).scaleb(-digits)
-    env = dict(env)
-    total = Decimal(0)
-    prev = None
-    n = spec.start
-    terms = 0
-    while True:
-        env[spec.index] = n
-        t = evaluator.eval(spec.term, env)
-        total = ctx.add(total, t)
-        terms += 1
-        if prev is not None and n - 1 >= tail.start:
-            if t.copy_abs() > ctx.multiply(rho, prev.copy_abs()):
-                observed = ctx.divide(t, prev).copy_abs() if prev != 0 else Decimal("Infinity")
-                raise TailBoundViolation(n - 1, observed, tail.ratio)
-        bound = ctx.multiply(t.copy_abs(), factor)
+    eps = Decimal(1).scaleb(-evaluator.digits)
+    total = size = Decimal(0)  # the partial sum and the sum of |t(n)|
+    prev = None  # |t(n-1)|
+    for n, t in enumerate(_terms(spec, env, evaluator), spec.start):
+        terms = n - spec.start + 1
+        now = t.copy_abs()
+        total, size = add(total, t), add(size, now)
+        if prev is not None and n > tail.start and now > multiply(rho, prev):
+            observed = ctx.divide(now, prev) if prev != 0 else Decimal("Infinity")
+            raise TailBoundViolation(n - 1, observed, tail.ratio)
+        bound = multiply(now, factor)
         if n >= tail.start and bound < eps and (force_terms is None or terms >= force_terms):
-            return SumResult(total, terms, bound, "geometric")
+            return SumResult(total, terms, add(bound, _rounding(evaluator, terms, size)), "geometric")
         if terms >= GEOMETRIC_TERM_CAP:
             raise ConvergenceError(
                 f"geometric summation hit the {GEOMETRIC_TERM_CAP}-term cap", best=total, gap=bound
             )
-        prev = t
-        n += 1
+        prev = now
 
 
-def _sum_algebraic(spec, env, digits, force_terms) -> SumResult:
+def _sum_algebraic(spec, env, evaluator, force_terms) -> SumResult:
     ratio = term_ratio(spec.term, spec.index, env)
-    if ratio is None:
+    if ratio is None or [gamma for _, gamma in ratio.chains] != [ONE]:
         raise UnsupportedRecordError(f"an algebraic tail needs a hypergeometric term: {spec.term}")
     # the expansion point N lies 8x past every root of a factor of the ratio
     roots = [abs(Fraction(o, s)) for s, o in ratio.num + ratio.den] + [abs(z) for z in ratio.zeros]
@@ -199,29 +222,19 @@ def _sum_algebraic(spec, env, digits, force_terms) -> SumResult:
     if terms > ALGEBRAIC_TERM_CAP:
         raise ConvergenceError(f"algebraic tail needs {terms} terms, past the {ALGEBRAIC_TERM_CAP}-term cap")
     half = max(n_tail // 2, spec.start)
-    evaluator = NumericEvaluator(digits)
     ctx = evaluator.ctx
-    env = dict(env)
     total = size = Decimal(0)  # the partial sum and the sum of |t(n)|
-    t = p = q = 0  # t(n) and P(n), Q(n); a zero hands the next term to the evaluator
-    for n in range(spec.start, n_tail + 1):
-        if t and p and q:
-            t = ctx.divide(ctx.multiply(t, p), q)
-        else:
-            env[spec.index] = n
-            t = evaluator.eval(spec.term, env)
+    for n, t in zip(range(spec.start, n_tail + 1), _terms(spec, env, evaluator)):
         if n == half:
             half_total, half_t = total, t
         if n == n_tail:
             break
         total = ctx.add(total, t)
         size = ctx.add(size, t.copy_abs())
-        p, q = ratio(n)
 
     # S(N) = sum_{n<N} t(n) + t(N) * f(N), f(N) = sum_k c_k N^-k up to two
     # terms in a row below 10^-w (some c_k vanish).  The gap estimate is
-    # |S(N) - S(N/2)| (the same c_k at N/2) + the last term + rounding: a
-    # stepped t(n) carries up to 3 roundings of 5*10^-w per step taken
+    # |S(N) - S(N/2)| (the same c_k at N/2) + the last term + rounding
     eps = Decimal(1).scaleb(-evaluator.w)
     f_tail = f_half = Decimal(0)
     last = [Decimal(1), Decimal(1)]
@@ -234,8 +247,7 @@ def _sum_algebraic(spec, env, digits, force_terms) -> SumResult:
             break
     value = ctx.add(total, ctx.multiply(t, f_tail))
     rough = ctx.add(half_total, ctx.multiply(half_t, f_half))
-    rounding = ctx.multiply(eps, 15 * terms * size)
-    gap = ctx.add(ctx.add(ctx.subtract(value, rough).copy_abs(), max(last)), rounding)
+    gap = ctx.add(ctx.add(ctx.subtract(value, rough).copy_abs(), max(last)), _rounding(evaluator, terms, size))
     return SumResult(value, terms, gap, "algebraic")
 
 
@@ -251,7 +263,9 @@ def tail_coefficients(ratio):
 
     f = T/t satisfies f(N) = 1 + R(N) f(N+1), that is Q f(N) - P f(N+1) = Q
     with P, Q polynomials in N; expanding f(N+1) = sum_k c_k N^-k (1+1/N)^-k
-    and matching powers of 1/N gives a triangular system over Fraction.
+    and matching powers of 1/N gives a triangular system over Q, solved on
+    ints over one common denominator: c_k is c[k]/d and g_j is g[j]/d, and
+    d takes the factor |pivot| at each step.
     With R(N) = L (1 - s/N + O(N^-2)) only L = 1 with s > 1 (then
     c_-1 = 1/(s-1)), |L| < 1, and L = -1 with s > 0 converge; the first
     step raises UnsupportedRecordError for any other ratio.
@@ -263,28 +277,25 @@ def tail_coefficients(ratio):
         raise UnsupportedRecordError(
             f"the series does not converge like an algebraic tail: t(n+1)/t(n) = {limit}*(1 - {s}/n + O(1/n^2))"
         )
-    q = _polynomial(ratio.den, ratio.const.denominator)  # highest power first
-    p = [0] * -lead + _polynomial(ratio.num, ratio.const.numerator)
+    q = ratio.q  # highest power first
+    p = (0,) * -lead + ratio.p
     shift = int(limit == 1)  # L = 1: f ~ N/(s-1), and c_m comes from the order m+1 equation
-    c = {}
-    g = defaultdict(int)  # f(N+1) = sum_j g[j] N^-j over the c_k found so far
+    d, c = 1, {}
+    g = defaultdict(int)  # f(N+1) = sum_j g[j]/d N^-j over the c_k found so far
     for m in range(-shift, EXPANSION_ORDER_CAP + 1):
         e = m + shift
         g[e] = sum(ck * _binom_neg(k, e - k) for k, ck in c.items())
         known = sum(q[i] * c.get(e - i, 0) - p[i] * g[e - i] for i in range(len(q)))
         pivot = q[1] - p[1] + m * p[0] if shift else q[0] - p[0]
-        c[m] = Fraction((q[e] if e < len(q) else 0) - known) / pivot
+        # c_m = ((q_e d - known) / pivot) / d: every value takes the factor |pivot|
+        scale = abs(pivot)
+        c = {k: ck * scale for k, ck in c.items()}
+        g = defaultdict(int, {j: gj * scale for j, gj in g.items()})
+        c[m] = ((q[e] if e < len(q) else 0) * d - known) * (scale // pivot)
+        d *= scale
         for j in range(m, e + 1):
             g[j] += c[m] * _binom_neg(m, j - m)
-        yield m, c[m]
-
-
-def _polynomial(factors, c: int) -> list:
-    """Coefficients of c * prod(s*N + o), highest power first."""
-    out = [c]
-    for s, o in factors:
-        out = [a * s + b * o for a, b in zip(out + [0], [0] + out)]
-    return out
+        yield m, Fraction(c[m], d)
 
 
 def _binom_neg(k: int, r: int) -> int:
@@ -388,12 +399,7 @@ def _kind(record: IdentityRecord, config: VerifyConfig):
         target = config.digits or record.digits or DIGITS_CONSTANT
     else:
         raise UnsupportedRecordError(f"{record.id}: unknown kind {kind!r}")
-    return target, partial(_numeric_sides, record)
-
-
-def target_digits(record: IdentityRecord, config: VerifyConfig):
-    """The digits a numeric row must reach to pass (None for exact kinds)."""
-    return _kind(record, config)[0]
+    return target, _NumericSides(record)
 
 
 def _has_quadrature(e: Expr) -> bool:
@@ -424,17 +430,34 @@ def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = N
     return _kind(record, VerifyConfig())[1](binding, digits)
 
 
-def _numeric_sides(record: IdentityRecord, binding: dict, digits: int) -> Sides:
-    if isinstance(record.lhs, SeriesSpec):
-        summed = sum_series(record.lhs, binding, record.tail, digits)
-        lhs, terms, strategy, tail_bound = summed.value, summed.terms_used, summed.strategy, summed.tail_bound
-        if _has_quadrature(record.rhs):
-            digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
-    else:
-        lhs, terms, strategy, tail_bound = eval_numeric(record.lhs, binding, digits), None, None, None
-    rhs = eval_numeric(record.rhs, binding, digits)
-    diff = _core.context(digits + 5).subtract(lhs, rhs).copy_abs()
-    return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy, tail_bound=tail_bound)
+class _NumericSides:
+    """(binding, digits) -> Sides of a series, integral or constant record,
+    with one NumericEvaluator per working precision for the whole record,
+    so each tree is compiled once: it sums the series (first term and
+    stepped terms) and evaluates both sides at every binding."""
+
+    def __init__(self, record: IdentityRecord):
+        self.record = record
+        self.evaluators = {}  # digits -> NumericEvaluator
+
+    def _evaluator(self, digits: int) -> NumericEvaluator:
+        if digits not in self.evaluators:
+            self.evaluators[digits] = NumericEvaluator(digits)
+        return self.evaluators[digits]
+
+    def __call__(self, binding: dict, digits: int) -> Sides:
+        record = self.record
+        if isinstance(record.lhs, SeriesSpec):
+            summed = sum_series(record.lhs, binding, record.tail, digits, evaluator=self._evaluator(digits))
+            lhs, terms, strategy, tail_bound = summed.value, summed.terms_used, summed.strategy, summed.tail_bound
+            if _has_quadrature(record.rhs):
+                digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
+        else:
+            lhs = _core.round_to(self._evaluator(digits).eval(record.lhs, binding), digits)
+            terms = strategy = tail_bound = None
+        rhs = _core.round_to(self._evaluator(digits).eval(record.rhs, binding), digits)
+        diff = _core.context(digits + 5).subtract(lhs, rhs).copy_abs()
+        return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy, tail_bound=tail_bound)
 
 
 def verdict(sides: Sides, target: int | None):

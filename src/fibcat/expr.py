@@ -12,9 +12,12 @@ constant into a polynomial: the numeric evaluator, which compiles a tree
 once into closures, runs such subtrees on Python ints, `term_ratio` reads
 its linear factors s*n + o from them and the parser its exponents.  C,
 binom and constant powers step through the evaluator's NumericSeqCache.
-`term_ratio` gives t(n+1)/t(n) of a hypergeometric series term as a
-quotient of integer products, so a summation loop can step from term to
-term and expand the series' tail from the factors.
+`term_ratio` writes a series term as a hypergeometric part h(n), whose
+ratio h(n+1)/h(n) is a quotient of integer products, times Binet chains
+c*gamma^n split from its F and L factors (c, gamma exact in Q(sqrt5)).
+An evaluator told a series' index (`NumericEvaluator.step`) steps each
+term from the last through them, and the engine expands an algebraic
+tail from the factors.
 
 alpha and beta are primitive constants rather than spelled-out surds so
 the exact Q(sqrt5) evaluator can recognise them; the numeric evaluator
@@ -25,6 +28,7 @@ body is the node BoundVar, never a Var, so no walk decides scope again.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -411,13 +415,17 @@ class NumericEvaluator:
     and the compiled code; values come back at the working precision
     (target digits plus guard), callers round.
 
+    After `step(term, index)`, it steps that series term from the one
+    before it (see _stepper) instead of evaluating it again.
+
     A subtree that integer_poly reads as a polynomial with integer
     coefficients (exponents, sequence arguments, polynomial factors) runs on
     Python ints and becomes one Decimal; other exponents and sequence
     arguments keep the exact-rational semantics of eval_exact_rational.
     Each compile reads every subtree once.  Errors are raised when a closure
     runs, at the failing term; only a malformed tree (an unknown constant,
-    function, sequence or operator) is refused when compiled.
+    function, sequence or operator, or the quadrature variable outside
+    every quadrature body) is refused when compiled.
     """
 
     def __init__(self, digits: int):
@@ -425,17 +433,28 @@ class NumericEvaluator:
         self.w = digits + _core.guard_digits(digits)
         self.ctx = _core.context(self.w)
         self.seq = NumericSeqCache(self.ctx)
-        self._compiled: dict = {}  # id(e) -> (e, closure); holding e keeps its id
+        self._compiled: dict = {}  # id(e) -> (e, closure, series index or None); holding e keeps its id
+        self._bodies = 0  # quadrature bodies around the node being compiled
 
     def eval(self, e: Expr, env: Env) -> Decimal:
         got = self._compiled.get(id(e))
         if got is None:
-            got = self._compiled[id(e)] = (e, self.compile(e))
+            got = self._compiled[id(e)] = (e, self.compile(e), None)
         return got[1](env)
+
+    def step(self, term: Expr, index: str) -> None:
+        """Make `eval(term, env)` step `term` as a series term in `index`
+        from the call before it (see _stepper)."""
+        got = self._compiled.get(id(term))
+        if got is None or got[2] != index:
+            self._compiled[id(term)] = (term, self._stepper(term, index, self.compile(term)), index)
 
     def compile(self, e: Expr):
         """The closure env -> Decimal that evaluates `e`."""
-        code = self._num(e, {})
+        try:
+            code = self._num(e, {})
+        except UnboundVariableError:  # the quadrature variable outside every body
+            raise UnboundVariableError(QUAD_VAR, str(e)) from None
 
         def run(env):
             try:
@@ -444,6 +463,68 @@ class NumericEvaluator:
                 raise UnboundVariableError(exc.args[0], Var(exc.args[0])) from None
 
         return run
+
+    def _stepper(self, term: Expr, index: str, run):
+        """env -> t(n) for a series term t in `index`, stepped as Binet
+        chains.  With R = P/Q and the chains (c_i, gamma_i) of
+        term_ratio(term), t(n) = sum u_i(n), u_i(n) = c_i h(n) gamma_i^n, and
+        u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i: a call for n steps the
+        chains of the last call when that call was for n - 1 at the same
+        values of the term's other names.  `run` takes the first term, any
+        term after a zero t, P or Q, and every term of a term without a
+        ratio; its value is split into chains, u_i(n) = t(n) * c_i
+        gamma_i^n / sum_j c_j gamma_j^n, with each c and gamma rounded once
+        per binding of the other names.  A chain whose |gamma| is below
+        another's is dropped once it falls under 10^-w of |t|: it only
+        shrinks from there, against the chain of the largest |gamma|.  The
+        chains are updated in place, so a step allocates no container."""
+        ctx, w = self.ctx, self.w
+        multiply, divide, add = ctx.multiply, ctx.divide, ctx.add
+        others = sorted(free_vars(term) - {index})
+        read = others and operator.itemgetter(*others)
+        key = ratio = steps = None  # the other names' values, their TermRatio and its _chain_steps
+        us = gammas = fading = last = None  # the chains kept at `last`, or us None
+
+        def stepped(env):
+            nonlocal key, ratio, steps, us, gammas, fading, last
+            try:
+                n, values = env[index], others and read(env)
+            except KeyError:
+                return run(env)  # raises UnboundVariableError
+            if values != key:
+                key, us = values, None
+                ratio = term_ratio(term, index, env)
+                steps = ratio and _chain_steps(ratio, ctx)
+            before, last = last, n
+            if us is not None and n == before + 1:
+                p, q = ratio(before)
+                if p and q:
+                    if len(us) == 1:  # the common case, without the loops below
+                        t = divide(multiply(us[0], p), q)
+                        us[0] = t = t if gammas[0] is None else multiply(t, gammas[0])
+                        if not t:
+                            us = None
+                        return t
+                    for i, g in enumerate(gammas):
+                        u = divide(multiply(us[i], p), q)
+                        us[i] = u if g is None else multiply(u, g)
+                    t = functools.reduce(add, us)
+                    if not t:
+                        us = None
+                        return t
+                    floor = t.adjusted() - w
+                    keep = [i for i, u in enumerate(us) if not (fading[i] and u.adjusted() < floor)]
+                    if len(keep) < len(us):
+                        us, gammas, fading = ([x[i] for i in keep] for x in (us, gammas, fading))
+                    return t
+            us = None
+            t = run(env)
+            if ratio is not None and t:
+                consts, gammas, fading = steps
+                us = _split_chains(consts, gammas, t, n, ctx)
+            return t
+
+        return stepped
 
     def _num(self, e: Expr, polys: dict):
         """Closure (env, x) -> Decimal, where x is the value of BoundVar in
@@ -465,6 +546,8 @@ class NumericEvaluator:
             c = getattr(_const, CONSTANTS[e.name])(w)
             return lambda env, x: c
         if isinstance(e, BoundVar):
+            if not self._bodies:
+                raise UnboundVariableError(QUAD_VAR, e)
             return lambda env, x: x
         if isinstance(e, Neg):
             a, minus = self._num(e.arg, polys), ctx.minus
@@ -513,7 +596,12 @@ class NumericEvaluator:
             return lambda env, x: plus(Decimal(_sequence(name)(*[a(env) for a in args])))
         if isinstance(e, Quad):
             lo, hi = self._num(e.lower, polys), self._num(e.upper, polys)
-            body, digits = self._num(e.body, polys), self.digits
+            self._bodies += 1
+            try:
+                body = self._num(e.body, polys)
+            finally:
+                self._bodies -= 1
+            digits = self.digits
 
             def integral(env, x):
                 a, b = lo(env, x), hi(env, x)
@@ -670,102 +758,214 @@ def eval_numeric(e: Expr, env: Env, digits: int) -> Decimal:
 
 # ---------------------------------------------------------------- term ratio
 
-# a term whose ratio needs more linear factors (or a larger power of a
-# literal base) than this is left to the evaluator, which takes such powers
-# by squaring instead of carrying them as integer products
+# a term whose ratio needs more linear factors or Binet chains (or a larger
+# power of a literal base) than this is left to the evaluator, which takes
+# such powers by squaring instead of carrying them as integer products
 RATIO_MAX_FACTORS = 64
+
+# the chains {gamma: c} of a term without F or L: one chain, c = gamma = 1
+_ONE_CHAIN = {ONE: ONE}
 
 
 class TermRatio:
-    """t(n+1)/t(n) = const * prod(s*n + o for num) / prod(s*n + o for den),
-    with the factors that P and Q shared cancelled; `zeros` holds the n
+    """t(n+1)/t(n) of a term t(n) = h(n) * sum(c * gamma^n for c, gamma in
+    chains), where h is hypergeometric with h(n+1)/h(n) = const *
+    prod(s*n + o for num) / prod(s*n + o for den), the factors that P and Q
+    shared cancelled, and each chain comes from the Binet forms of the
+    term's F and L factors (a term without them has the one chain c =
+    gamma = 1); c and gamma are exact in Q(sqrt5).  `p` and `q` hold the
+    integer coefficients of P and Q, highest power first, and `zeros` the n
     where a cancelled factor vanishes.  Calling it with n gives (P, Q),
-    Python ints with P/Q the ratio wherever t(n), P and Q are nonzero, and
-    P = Q = 0 at the `zeros`.  (A plain class, not a dataclass: it keeps the
-    import of fibcat, which every run pays, short.)"""
+    Python ints with P/Q = h(n+1)/h(n) wherever t(n), P and Q are nonzero,
+    and P = Q = 0 at the `zeros`.  (A plain class, not a dataclass: it
+    keeps the import of fibcat, which every run pays, short.)"""
 
-    __slots__ = ("num", "den", "const", "zeros")
+    __slots__ = ("num", "den", "const", "zeros", "chains", "p", "q")
 
-    def __init__(self, num: tuple, den: tuple, const: Fraction, zeros: frozenset):
+    def __init__(self, num: tuple, den: tuple, const: Fraction, zeros: frozenset, chains: tuple):
         self.num, self.den = num, den  # ((s, o), ...): linear factors s*n + o of P, of Q
         self.const, self.zeros = const, zeros
+        self.chains = chains  # ((c, gamma), ...)
+        self.p, self.q = _polynomial(num, const.numerator), _polynomial(den, const.denominator)
 
     def __call__(self, n: int):
         if n in self.zeros:
             return 0, 0
-        p, q = self.const.numerator, self.const.denominator
-        for s, o in self.num:
-            p *= s * n + o
-        for s, o in self.den:
-            q *= s * n + o
+        p = q = 0
+        for a in self.p:
+            p = p * n + a
+        for a in self.q:
+            q = q * n + a
         return p, q
 
 
+def _polynomial(factors, c: int) -> tuple:
+    """Coefficients of c * prod(s*n + o), highest power first."""
+    out = [c]
+    for s, o in factors:
+        out = [a * s + b * o for a, b in zip(out + [0], [0] + out)]
+    return tuple(out)
+
+
 def term_ratio(term: Expr, index: str, env: Env):
-    """The TermRatio of a term t that is hypergeometric in `index` (the
-    other names bound by `env`); None when it is not, or when the ratio
-    cannot be read off the tree.
+    """The TermRatio of a term t in `index` (the other names bound by
+    `env`); None when t is not a hypergeometric term times a sum of Binet
+    chains, or when the ratio cannot be read off the tree.
 
     R(n) is derived once from the factors, each of which gives linear
-    factors s*n + o of P and of Q and a rational constant: a subtree free of
-    `index` gives 1, a linear integer subtree X gives X(n+1)/X(n), X^k
-    repeats X's factors k times, a literal base to a linear exponent gives
-    base^s, binom(a, b) with slopes sa >= sb >= 0 gives its rising-factorial
-    pieces and C(m) is binom(2m, m)/(m+1).  Slopes are read from the tree,
-    never sampled; a factor of slope 0 is a constant, so every factor kept
-    has s != 0.  Identical factors of P and Q cancel; a zero of t(n), P or
-    Q leaves t(n+1) to the evaluator.
+    factors s*n + o of P and of Q, a rational constant and chains: a
+    subtree free of `index` gives 1, a linear integer subtree X gives
+    X(n+1)/X(n), X^k repeats X's factors k times, a literal base to a linear
+    exponent gives base^s, binom(a, b) with slopes sa >= sb >= 0 gives its
+    rising-factorial pieces and C(m) is binom(2m, m)/(m+1).  F(s*n + o) is
+    alpha^o/sqrt5 (alpha^s)^n - beta^o/sqrt5 (beta^s)^n and L(s*n + o) is
+    alpha^o (alpha^s)^n + beta^o (beta^s)^n; a product multiplies the chains
+    out (chains of one gamma merge, so F(n)^2 has three), and F or L in a
+    divisor or under a negative power is refused.  F(s*n + o) also puts
+    the factor s*n + o + s into P and Q, where it cancels: t(n) is 0 where
+    F vanishes, and the step into that n is left to the evaluator.  Slopes
+    are read from the tree, never sampled; a factor of slope 0 is a
+    constant, so every factor kept has s != 0.  Identical factors of P and
+    Q cancel; a zero of t(n), P or Q leaves t(n+1) to the evaluator.
     """
+    reads: set = set()
+    _reading(term, index, reads)
     try:
-        num, den, c = _ratio(term, index, env)
+        num, den, c, chains = _ratio(term, index, env, reads)
     except (ValueError, KeyError, ZeroDivisionError, FibcatError):  # not derivable
         return None
     num, den = Counter(num), Counter(den)
     common = num & den
     zeros = frozenset(-o // s for s, o in common if o % s == 0)
-    return TermRatio(tuple((num - common).elements()), tuple((den - common).elements()), c, zeros)
+    chains = tuple((c_, gamma) for gamma, c_ in chains.items())
+    return TermRatio(tuple((num - common).elements()), tuple((den - common).elements()), c, zeros, chains)
 
 
-def _ratio(e: Expr, index: str, env: Env):
-    """(P factors, Q factors, constant) of e(n+1)/e(n); raises when `e` is
-    not hypergeometric in `index` by the rules of term_ratio."""
-    if index not in free_vars(e):
-        return [], [], Fraction(1)
+def _reading(e: Expr, index: str, reads: set) -> bool:
+    """Whether `e` reads Var(index); the id of each node of `e` that does
+    goes into `reads`."""
+    found = isinstance(e, Var) and e.name == index
+    for child in children(e):
+        found = _reading(child, index, reads) or found
+    if found:
+        reads.add(id(e))
+    return found
+
+
+def _ratio(e: Expr, index: str, env: Env, reads: set):
+    """(P factors, Q factors, constant, chains {gamma: c}) of e(n+1)/e(n),
+    `reads` holding the ids of the nodes that read `index`; raises when `e`
+    is not of the form of term_ratio."""
+    if id(e) not in reads:
+        return [], [], Fraction(1), _ONE_CHAIN
     if isinstance(e, Neg):
-        return _ratio(e.arg, index, env)
+        return _ratio(e.arg, index, env, reads)
     if isinstance(e, BinOp) and e.op in "*/":
-        ln, ld, lc = _ratio(e.left, index, env)
-        rn, rd, rc = _ratio(e.right, index, env)
+        ln, ld, lc, lch = _ratio(e.left, index, env, reads)
+        rn, rd, rc, rch = _ratio(e.right, index, env, reads)
         if e.op == "*":
-            return ln + rn, ld + rd, lc * rc
-        return ln + rd, ld + rn, lc / rc
+            return ln + rn, ld + rd, lc * rc, _chain_product(lch, rch)
+        if rch != _ONE_CHAIN:
+            raise ValueError(f"a Fibonacci or Lucas divisor: {e}")
+        return ln + rd, ld + rn, lc / rc, lch
     p = integer_poly(e)
     if p is not None:
         s, o = _linear(p, index, env)
-        return ([(s, o + s)], [(s, o)], Fraction(1)) if s else ([], [], Fraction(1))
-    if isinstance(e, Pow) and index in free_vars(e.exponent):
+        return ([(s, o + s)], [(s, o)], Fraction(1), _ONE_CHAIN) if s else ([], [], Fraction(1), _ONE_CHAIN)
+    if isinstance(e, Pow) and id(e.exponent) in reads:
         base = poly_constant(integer_poly(e.base))
         if base is None:
             raise ValueError(f"not a constant base: {e}")
         s = _linear(integer_poly(e.exponent), index, env)[0]
         _check_size(abs(s))
-        return [], [], Fraction(base) ** s
+        return [], [], Fraction(base) ** s, _ONE_CHAIN
     if isinstance(e, Pow):
         k = eval_exact_rational(e.exponent, env)
         if k is None or k.denominator != 1:
             raise ValueError(f"not an integer exponent: {e}")
-        num, den, c = _ratio(e.base, index, env)
+        num, den, c, chains = _ratio(e.base, index, env, reads)
         _check_size(abs(k) * (len(num) + len(den)))
+        power = _ONE_CHAIN
+        if chains != _ONE_CHAIN:
+            if k < 0:
+                raise ValueError(f"a Fibonacci or Lucas divisor: {e}")
+            _check_size(k)
+            for _ in range(int(k)):
+                power = _chain_product(power, chains)
         if k < 0:
             num, den, c, k = den, num, 1 / c, -k
-        return num * int(k), den * int(k), c ** int(k)
+        return num * int(k), den * int(k), c ** int(k), power
     if isinstance(e, SeqCall) and e.name == "binom":
-        return _binom_ratio(*(_linear(integer_poly(a), index, env) for a in e.args))
+        return (*_binom_ratio(*(_linear(integer_poly(a), index, env) for a in e.args)), _ONE_CHAIN)
     if isinstance(e, SeqCall) and e.name == "C":
         s, o = _linear(integer_poly(e.args[0]), index, env)
         num, den, c = _binom_ratio((2 * s, 2 * o), (s, o))
-        return (num + [(s, o + 1)], den + [(s, o + 1 + s)], c) if s else (num, den, c)
+        return (num + [(s, o + 1)], den + [(s, o + 1 + s)], c, _ONE_CHAIN) if s else (num, den, c, _ONE_CHAIN)
+    if isinstance(e, SeqCall) and e.name in ("F", "L"):
+        s, o = _linear(integer_poly(e.args[0]), index, env)
+        zero = [(s, o + s)] if e.name == "F" and s else []
+        return zero, zero, Fraction(1), _binet(e.name, s, o)
     raise ValueError(f"not hypergeometric: {e}")
+
+
+@functools.lru_cache(maxsize=256)
+def _binet(name: str, s: int, o: int) -> dict:
+    """The chains of F(s*n + o) or L(s*n + o); read only."""
+    a, b = qr_pow(exactnum.ALPHA, o), qr_pow(exactnum.BETA, o)
+    a, b = (a / exactnum.SQRT5, -b / exactnum.SQRT5) if name == "F" else (a, b)
+    return _merge([(qr_pow(exactnum.ALPHA, s), a), (qr_pow(exactnum.BETA, s), b)])
+
+
+def _chain_product(a: dict, b: dict) -> dict:
+    """The chains {gamma: c} of the product of two sums of chains."""
+    if a is _ONE_CHAIN or b is _ONE_CHAIN:
+        return b if a is _ONE_CHAIN else a
+    return _merge([(ga * gb, ca * cb) for ga, ca in a.items() for gb, cb in b.items()])
+
+
+def _merge(pairs) -> dict:
+    """{gamma: c} from (gamma, c) pairs, the c of one gamma added and a zero
+    c dropped; raises when no chain is left (the term is 0) or past the
+    limit."""
+    out: dict = {}
+    for g, c in pairs:
+        out[g] = out.get(g, _QSQRT5.zero) + c
+    out = {g: c for g, c in out.items() if not c.is_zero()}
+    if not out:
+        raise ValueError("the term is 0")
+    _check_size(len(out))
+    return out
+
+
+def _chain_steps(ratio: TermRatio, ctx: Context):
+    """[c_i], [gamma_i] (None for 1) and [fading_i] of a ratio's chains at
+    the precision of `ctx`, fading when another chain's |gamma| is larger."""
+    consts = [_qr_decimal(c, ctx) for c, _ in ratio.chains]
+    gammas = [None if g == ONE else _qr_decimal(g, ctx) for _, g in ratio.chains]
+    sizes = [Decimal(1) if g is None else g.copy_abs() for g in gammas]
+    return consts, gammas, [size < max(sizes) for size in sizes]
+
+
+def _split_chains(consts: list, gammas: list, t: Decimal, n: int, ctx: Context):
+    """[u_i(n)] with u_i(n) = t(n) * c_i gamma_i^n / sum_j c_j gamma_j^n;
+    None when that sum is 0."""
+    if len(consts) == 1:
+        return [t]
+    parts = [c if g is None else ctx.multiply(c, ctx.power(g, n)) for c, g in zip(consts, gammas)]
+    whole = functools.reduce(ctx.add, parts)
+    if not whole:
+        return None
+    h = ctx.divide(t, whole)
+    return [ctx.multiply(h, part) for part in parts]
+
+
+def _qr_decimal(v: QuadRat, ctx: Context) -> Decimal:
+    """a + b*sqrt5 at the precision of `ctx`."""
+    a = ctx.divide(Decimal(v.a.numerator), Decimal(v.a.denominator))
+    if not v.b:
+        return a
+    b = ctx.divide(Decimal(v.b.numerator), Decimal(v.b.denominator))
+    return ctx.add(a, ctx.multiply(b, _const.sqrt5_decimal(ctx.prec)))
 
 
 def _linear(p, index: str, env: Env):

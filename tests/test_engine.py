@@ -9,7 +9,7 @@ from fibcat import arbreal as ar
 from fibcat import engine
 from fibcat.arbreal import core
 from fibcat.errors import ConvergenceError, TailBoundViolation
-from fibcat.expr import BinOp, RatLit
+from fibcat.expr import BinOp, NumericEvaluator, RatLit
 from fibcat.seriesdsl import AlgebraicTail, GeometricTail, builtin_registry, parse_expression, parse_registry, parse_tail
 
 CTX = core.context(80)
@@ -235,8 +235,6 @@ def test_perturbed_rhs_fails(records):
 
 
 def test_cold_binom_far_out_matches_the_stepwise_warm_up():
-    from fibcat.expr import NumericEvaluator
-
     cold = NumericEvaluator(30).seq
     warm = NumericEvaluator(30).seq
     for m in range(0, 10001):
@@ -360,6 +358,87 @@ def test_a_pole_after_the_first_term_is_still_an_error_row(term, shown):
     assert (row.status, row.detail) == ("error", f"ZeroDivisionError: division by zero in {shown}")
 
 
+# ------------------------------------------------------------- the stepping loop
+
+
+def _per_term_sum(spec, binding, digits, terms):
+    """The first `terms` terms, each evaluated from its tree."""
+    evaluator = NumericEvaluator(digits)  # never told the index: nothing is stepped
+    total = Decimal(0)
+    for n in range(spec.start, spec.start + terms):
+        total = evaluator.ctx.add(total, evaluator.eval(spec.term, {**binding, spec.index: n}))
+    return total
+
+
+@pytest.mark.parametrize(
+    "rid, binding, chains",
+    [
+        ("s2.G.z15", {}, 1),  # hypergeometric
+        ("s2.thm.CF", {"s": -10}, 2),  # one F: F(2n - 10) = 0 at n = 5
+        ("s2.thm.CF", {"s": 0}, 2),
+        ("s2.thm.CF", {"s": 10}, 2),
+        ("s2.thm.CL", {"s": 0}, 2),  # one L
+        ("s3.sqF", {}, 3),  # F(n)^2
+        ("s3.sqL", {}, 3),  # L(n)^2
+    ],
+)
+def test_stepped_sums_match_per_term_sums(records, rid, binding, chains):
+    spec, digits = records[rid].lhs, 50
+    assert len(engine.term_ratio(spec.term, spec.index, binding).chains) == chains
+    res = engine.sum_series(spec, binding, records[rid].tail, digits)
+    direct = _per_term_sum(spec, binding, digits, res.terms_used)
+    assert CTX.subtract(res.value, direct).copy_abs() < Decimal(1).scaleb(-(digits + 5)), rid
+    # the declared rounding allowance sits in the bound, far below the target
+    assert Decimal(0) < res.tail_bound < Decimal(1).scaleb(-digits)
+
+
+def test_one_evaluator_sums_a_binding_again_alike(records):
+    # the second sum starts again from its first term with every chain, the
+    # beta chain dropped during the first sum included
+    record, binding = records["s2.thm.CF"], {"s": 3}
+    evaluator = NumericEvaluator(50)
+    first, again = (
+        engine.sum_series(record.lhs, binding, record.tail, 50, evaluator=evaluator) for _ in range(2)
+    )
+    alone = engine.sum_series(record.lhs, binding, record.tail, 50)
+    assert first.value == again.value == alone.value and first.terms_used == again.terms_used
+
+
+def test_a_zero_term_hands_the_next_term_to_the_evaluator():
+    # t(0) = t(1) = 0: stepping from a zero would give 0 for ever;
+    # sum binom(n, 2) x^n = x^2/(1 - x)^3 = 3/8 at x = 1/3
+    record = _series_record("binom(n,2)/3^n", "geometric ratio=7/10 from=3")
+    res = engine.sum_series(record.lhs, {}, record.tail, 40)
+    assert CTX.subtract(res.value, Decimal("0.375")).copy_abs() < Decimal("1E-40")
+    direct = _per_term_sum(record.lhs, {}, 40, res.terms_used)
+    assert CTX.subtract(res.value, direct).copy_abs() < Decimal("1E-45")
+
+
+def test_a_term_without_a_ratio_is_evaluated_term_by_term():
+    record = _series_record("1/(2^n+1)", "geometric ratio=2/3")
+    assert engine.term_ratio(record.lhs.term, "n", {}) is None
+    res = engine.sum_series(record.lhs, {}, record.tail, 30)
+    assert res.value == _per_term_sum(record.lhs, {}, 30, res.terms_used)
+    assert res.tail_bound < Decimal("1E-30")
+
+
+@pytest.mark.parametrize("rid", ["s2.G.z15", "s3.sqF", "s2.Gt.pi2"])
+def test_force_terms_is_honoured_by_both_tails(records, rid):
+    record = records[rid]
+    natural = engine.sum_series(record.lhs, {}, record.tail, 20)
+    forced = engine.sum_series(record.lhs, {}, record.tail, 20, force_terms=natural.terms_used + 37)
+    assert forced.terms_used == natural.terms_used + 37
+    if forced.strategy == "geometric":  # all of a geometric sum is terms
+        direct = _per_term_sum(record.lhs, {}, 20, forced.terms_used)
+        assert CTX.subtract(forced.value, direct).copy_abs() < Decimal("1E-25")
+
+
+def test_an_algebraic_tail_refuses_a_fibonacci_term():
+    (row,) = engine.verify_identity(_series_record("F(n)/(n+1)^2/4^n"))
+    assert row.status == "error"
+    assert row.detail.startswith("UnsupportedRecordError: an algebraic tail needs a hypergeometric term")
+
+
 # ------------------------------------------------------- asymptotic algebraic tail
 
 
@@ -440,10 +519,15 @@ def test_algebraic_tail_soundness_all_shipped(records):
 
 
 def test_digits_moves_algebraic_series_but_not_integrals(records):
-    config = engine.VerifyConfig(digits=40)
-    assert engine.target_digits(records["s2.Gt.pi2"], config) == 40
-    assert engine.target_digits(records["s7.thm13"], config) == engine.DIGITS_ALGEBRAIC
-    assert engine.target_digits(records["s7.wallis.odd"], config) == engine.DIGITS_INTEGRAL
+    config = engine.VerifyConfig(digits=40, param_ranges={"r": (0, 0), "n": (0, 0)})
+
+    def target(rid):
+        (row,) = engine.verify_identity(records[rid], config)
+        return row.digits_requested
+
+    assert target("s2.Gt.pi2") == 40
+    assert target("s7.thm13") == engine.DIGITS_ALGEBRAIC
+    assert target("s7.wallis.odd") == engine.DIGITS_INTEGRAL
 
 
 def test_rows_carry_strategy_and_tail_bound(records):

@@ -132,6 +132,40 @@ def test_a_nested_quadrature_binds_its_bounds_to_the_outer_variable():
     assert text == "quad(quad(x, 0, x), 0, 1)" and parse(text) == e
 
 
+@pytest.mark.parametrize(
+    "e, shown",
+    [
+        (BinOp("+", BoundVar(), IntLit(1)), "x + 1"),
+        (Quad(IntLit(1), IntLit(0), BoundVar()), "quad(1, 0, x)"),  # a bound is outside its body
+    ],
+)
+def test_the_quadrature_variable_outside_every_body_is_refused(e, shown):
+    with pytest.raises(UnboundVariableError, match=re.escape(f"unbound variable 'x' in '{shown}'")):
+        eval_numeric(e, {}, 10)
+
+
+def test_a_stepping_evaluator_is_freed_when_dropped():
+    # no reference cycle runs through a stepped term's closure, so the
+    # evaluator and its caches go at once, not at the next cyclic collection
+    import gc
+    import weakref
+
+    term = parse("C(n)*F(2*n+s)/4^n")
+    evaluator = NumericEvaluator(20)
+    evaluator.step(term, "n")
+    for n in range(5):
+        evaluator.eval(term, {"n": n, "s": 1})
+    gone = weakref.ref(evaluator)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del evaluator
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_children_and_map_children():
     e = parse("F(2*n+s) + quad(x^n, 0, z)")
     seq, quad = children(e)
@@ -449,10 +483,32 @@ def test_term_ratio_exposes_its_cancelled_factors():
     assert (ratio.num, ratio.den, ratio.const, ratio.zeros) == ((), (), 1, {2, 3})
 
 
+def test_term_ratio_splits_fibonacci_and_lucas_into_binet_chains():
+    alpha, beta, sqrt5 = exactnum.ALPHA, exactnum.BETA, exactnum.SQRT5
+    ratio = term_ratio(parse_expression("C(n)*F(2*n+1)/4^n"), "n", {})
+    assert set(ratio.chains) == {(alpha / sqrt5, alpha * alpha), (-beta / sqrt5, beta * beta)}
+    assert Fraction(*ratio(3)) == Fraction(exactnum.catalan(4), 4 * exactnum.catalan(3))
+    ratio = term_ratio(parse_expression("L(n+s)"), "n", {"s": 2})
+    assert set(ratio.chains) == {(alpha * alpha, alpha), (beta * beta, beta)} and ratio(7) == (1, 1)
+    # (alpha^n - beta^n)^2/5: three chains, alpha*beta = -1 in the middle one
+    ratio = term_ratio(parse_expression("F(n)^2"), "n", {})
+    assert dict((g, c) for c, g in ratio.chains) == {
+        alpha * alpha: QuadRat.of(Fraction(1, 5)), QuadRat.of(-1): QuadRat.of(Fraction(-2, 5)),
+        beta * beta: QuadRat.of(Fraction(1, 5)),
+    }
+    # F(n - 3) = 0 at n = 3: the step from 2 is left to the evaluator
+    ratio = term_ratio(parse_expression("F(n-3)/4^n"), "n", {})
+    assert ratio.zeros == {2} and ratio(2) == (0, 0) and ratio(4) == (1, 4)
+    # a sum of chains with one gamma merges: F(n - n) = 0, F(1 + n - n) = 1
+    assert term_ratio(parse_expression("F(n-n)"), "n", {}) is None
+    assert term_ratio(parse_expression("F(1+n-n)*2^n"), "n", {}).chains == ((QuadRat.of(1), QuadRat.of(1)),)
+
+
 @pytest.mark.parametrize(
     "term",
     [
-        "F(n)/4^n",  # Fibonacci numbers are not hypergeometric
+        "4^n/F(n)",  # a Fibonacci divisor is not a sum of Binet chains
+        "F(n)^(-2)",
         "n*n*n - 3*n*n + 2*n",  # reads 0, 0, 0 at n = 0, 1, 2 but is not linear
         "sqrt(n)",
         "2^(n*n)",

@@ -36,6 +36,20 @@ def test_writes_the_three_reports(small_registry, tmp_path, capsys):
     assert (tmp_path / "out" / "report.txt").exists() and (tmp_path / "out" / "report.csv").exists()
 
 
+def test_prints_the_row_seconds_of_each_class(small_registry, tmp_path, capsys):
+    assert script.main([str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("row seconds by class:")
+    table = {line[:25].strip(): line[25:].split() for line in lines[at + 1 : at + 1 + len(script.CLASSES)]}
+    assert list(table) == list(script.CLASSES)
+    rows = {name: int(cells[0]) for name, cells in table.items()}
+    assert rows == {
+        "finite": 3, "algebraic/radical": 0, "geometric series": 2, "algebraic-tail series": 0,
+        "integrals": 0, "constants": 0,
+    }
+    assert all(cells[1::2] == ["rows", "s"] and float(cells[2]) >= 0 for cells in table.values())
+
+
 def test_outdir_defaults_to_verification_out(small_registry, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert script.main([]) == 0

@@ -23,7 +23,13 @@ Exact kinds (finite, algebraic, radical) never compare floats: they reduce
 to Fraction or QuadRat equality.  An algebraic or radical record whose side
 leaves Q(sqrt5) has both sides squared into it and their signs checked
 numerically at 20 digits; a failed row's gap comes from those same values.
-A finite record keeps one running exact sum across its bindings.
+A finite record keeps one running exact sum across its bindings.  An
+integral or constant record without a series side is first tried exactly
+in Q[pi, 1/pi] (expr.eval_exact_pi), where a quadrature that is an Euler
+Beta integral has its exact value: when both sides lie there, pi being
+transcendental, they are equal iff their coefficients are, a proof, and
+the row's strategy is "beta".  Any other such record is evaluated
+numerically, its quadratures by tanh-sinh.
 `checker` is the one per-binding check behind `verify_identity` and
 `fibcat eval`, and `exit_code` their one exit-code rule; a numeric record
 keeps one evaluator per working precision across its bindings, so each of
@@ -50,6 +56,7 @@ from .expr import (
     NumericEvaluator,
     Quad,
     children,
+    eval_exact_pi,
     eval_exact_qsqrt5,
     eval_exact_rational,
     eval_numeric,
@@ -92,7 +99,7 @@ class VerificationResult:
     terms_used: int | None
     seconds: float
     detail: str = ""
-    strategy: str | None = None  # how a series lhs was summed
+    strategy: str | None = None  # how a series lhs was summed, or "beta" (see _pi_sides)
     tail_bound: Decimal | None = None  # its tail bound or gap estimate
 
     def binding_text(self) -> str:
@@ -376,6 +383,26 @@ def _fraction_gap(lhs: Fraction, rhs: Fraction) -> Decimal:
     return _core.context(30).divide(Decimal(gap.numerator), Decimal(gap.denominator))
 
 
+def _pi_sides(record: IdentityRecord, binding: dict):
+    """Sides of a non-series record when both sides are exact in Q[pi, 1/pi]
+    (a quadrature there is taken by Euler's Beta rule), else None.  pi is
+    transcendental, so the sides are equal iff their coefficients are; a
+    failed row's diff is their gap to 30 digits."""
+    lhs = eval_exact_pi(record.lhs, binding)
+    rhs = None if lhs is None else eval_exact_pi(record.rhs, binding)
+    if rhs is None:
+        return None
+    ok = lhs == rhs
+    diff = Decimal(0)
+    if not ok:
+        ctx, pi = _core.context(40), _core.const_pi(40)
+        for k, c in (lhs - rhs).items():
+            diff = ctx.add(diff, ctx.multiply(ctx.divide(c.numerator, c.denominator), ctx.power(pi, k)))
+        diff = _core.context(30).plus(diff.copy_abs())
+    strategy = "beta" if _has_quadrature(record.lhs) or _has_quadrature(record.rhs) else None
+    return Sides(lhs, rhs, diff=diff, exact=ok, strategy=strategy)
+
+
 # -------------------------------------------------------------- verification
 
 
@@ -434,7 +461,9 @@ class _NumericSides:
     """(binding, digits) -> Sides of a series, integral or constant record,
     with one NumericEvaluator per working precision for the whole record,
     so each tree is compiled once: it sums the series (first term and
-    stepped terms) and evaluates both sides at every binding."""
+    stepped terms) and evaluates both sides at every binding.  A record
+    without a series side is first tried exactly in Q[pi, 1/pi]
+    (_pi_sides)."""
 
     def __init__(self, record: IdentityRecord):
         self.record = record
@@ -453,6 +482,9 @@ class _NumericSides:
             if _has_quadrature(record.rhs):
                 digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
         else:
+            exact = _pi_sides(record, binding)
+            if exact is not None:
+                return exact
             lhs = _core.round_to(self._evaluator(digits).eval(record.lhs, binding), digits)
             terms = strategy = tail_bound = None
         rhs = _core.round_to(self._evaluator(digits).eval(record.rhs, binding), digits)

@@ -1,4 +1,5 @@
-"""Exact integer, rational and Q(sqrt5) arithmetic plus the sequence kernels.
+"""Exact integer, rational, Q(sqrt5) and Q[pi, 1/pi] arithmetic plus the
+sequence kernels.
 
 Rationals are the stdlib Fraction: it already guarantees lowest terms and a
 positive denominator, which is exactly the representation contract the rest
@@ -101,6 +102,70 @@ ONE = QuadRat.of(1)
 SQRT5 = QuadRat.of(0, 1)
 ALPHA = QuadRat(Fraction(1, 2), Fraction(1, 2))
 BETA = QuadRat(Fraction(1, 2), Fraction(-1, 2))
+
+
+class PiPoly(dict):
+    """A finite Laurent polynomial in pi over Q, {power: nonzero Fraction}.
+
+    pi is transcendental (Lindemann), so two such values are equal numbers
+    iff their coefficients are.  Division by a value that is not a monomial
+    gives None, and so does a negative power of one: the quotient is not a
+    Laurent polynomial."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def of(c, power: int = 0) -> "PiPoly":
+        c = Fraction(c)
+        return PiPoly({power: c} if c else {})
+
+    def __neg__(self) -> "PiPoly":
+        return PiPoly({k: -c for k, c in self.items()})
+
+    def __add__(self, other: "PiPoly") -> "PiPoly":
+        return _pi_poly([*self.items(), *other.items()])
+
+    def __sub__(self, other: "PiPoly") -> "PiPoly":
+        return self + -other
+
+    def __mul__(self, other: "PiPoly") -> "PiPoly":
+        return _pi_poly([(i + j, a * b) for i, a in self.items() for j, b in other.items()])
+
+    def __truediv__(self, other: "PiPoly"):
+        if len(other) != 1:
+            if not other:
+                raise ZeroDivisionError("division by zero in Q[pi, 1/pi]")
+            return None
+        ((j, b),) = other.items()
+        return PiPoly({i - j: a / b for i, a in self.items()})
+
+    def __pow__(self, n: int):
+        if len(self) == 1:
+            ((k, c),) = self.items()
+            return PiPoly({k * n: c**n})
+        if n < 0:
+            return None
+        out, base = PiPoly.of(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            base, n = base * base, n >> 1
+        return out
+
+    def __str__(self) -> str:
+        terms = [
+            str(c) if k == 0 else ("" if c == 1 else f"{c}*") + ("pi" if k == 1 else f"pi^{k}")
+            for k, c in sorted(self.items())
+        ]
+        return " + ".join(terms).replace("+ -", "- ") or "0"
+
+
+def _pi_poly(pairs) -> PiPoly:
+    """The PiPoly of (power, coefficient) pairs, like powers added."""
+    out: dict = {}
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c
+    return PiPoly({k: c for k, c in out.items() if c})
 
 
 def qr_pow(base: QuadRat, n: int) -> QuadRat:

@@ -1,9 +1,13 @@
 """Expression trees for closed forms and series terms.
 
 One exact walk evaluates a tree in a field given as a parameter: Q
-(`eval_exact_rational`, a Fraction or None when the value is not rational)
-or Q(sqrt5) (`eval_exact_qsqrt5`, a QuadRat or None); exponents and
-sequence arguments are read in Q either way.  The one-radical evaluator
+(`eval_exact_rational`, a Fraction or None when the value is not rational),
+Q(sqrt5) (`eval_exact_qsqrt5`, a QuadRat or None) or the Laurent
+polynomials in pi over Q (`eval_exact_pi`, a PiPoly or None); exponents and
+sequence arguments are read in Q in each.  In the pi field only, a
+quadrature whose body reads as r * x^a * (A - x^k)^b on [0, A^(1/k)] or
+r * sin(x)^m on [0, pi/2] is an Euler Beta integral, and `_beta` gives its
+exact value, Gamma taken at half-integers.  The one-radical evaluator
 puts an expression into the form u*sqrt(v) with u, v in Q(sqrt5), which is
 what the radical lemma checks need, in one pass: its leaves take the exact
 walk and its other nodes combine their children's forms.  One reading,
@@ -41,7 +45,7 @@ from .arbreal import constants as _const
 from .arbreal import core as _core
 from .arbreal import quadrature as _quad
 from .errors import DomainError, FibcatError, UnboundVariableError
-from .exactnum import ONE, QuadRat, qr_pow
+from .exactnum import ONE, PiPoly, QuadRat, qr_pow
 
 # name -> the function of arbreal.constants that gives the constant to a
 # number of digits; looked up when called, so a wrapper set on the module
@@ -126,6 +130,11 @@ class Quad(Expr):
     lower: Expr
     upper: Expr
 
+    def __post_init__(self):
+        # Var("x") in a body would print as the body's variable and parse back as it
+        if QUAD_VAR in free_vars(self.body):
+            raise ValueError(f"a quadrature body reads Var({QUAD_VAR!r}); its variable is BoundVar()")
+
 
 @dataclass(frozen=True)
 class Clausen(Expr):
@@ -170,7 +179,8 @@ def free_vars(e: Expr) -> frozenset:
 
 def substitute(e: Expr, name: str, value) -> Expr:
     """Replace Var(name) by `value`, an int or an Expr; a quadrature
-    variable is a BoundVar, so nothing is captured."""
+    variable is a BoundVar, so nothing is captured (a value that reads
+    Var("x") is refused inside a body, as Quad refuses such a body)."""
     if isinstance(value, int) and not isinstance(value, bool):
         value = IntLit(value)
     if isinstance(e, Var):
@@ -200,6 +210,7 @@ _QSQRT5 = _Field(
     QuadRat.of(0),
     qr_pow,
 )
+_QPI = _Field(PiPoly.of, {"pi": PiPoly.of(1, 1)}, PiPoly(), operator.pow)
 
 
 def eval_exact_rational(e: Expr, env: Env):
@@ -210,6 +221,13 @@ def eval_exact_rational(e: Expr, env: Env):
 def eval_exact_qsqrt5(e: Expr, env: Env):
     """Exact QuadRat value, or None when the expression leaves Q(sqrt5)."""
     return _exact(e, env, _QSQRT5)
+
+
+def eval_exact_pi(e: Expr, env: Env):
+    """Exact PiPoly value, a Laurent polynomial in pi over Q, or None when
+    the expression leaves Q[pi, 1/pi]; a quadrature has one when Euler's
+    Beta rule (_beta) gives it."""
+    return _exact(e, env, _QPI)
 
 
 def _exact(e: Expr, env: Env, field: _Field):
@@ -256,7 +274,9 @@ def _exact(e: Expr, env: Env, field: _Field):
                 return None
             args.append(v)
         return field.lift(_sequence(e.name)(*args))
-    return None  # BoundVar, Fn, Quad, Clausen
+    if t is Quad and field is _QPI:
+        return _beta(e, env)
+    return None  # BoundVar, Fn, Clausen, a Quad outside the pi field
 
 
 def _exact_int(e: Expr, env: Env):
@@ -270,6 +290,117 @@ def _sequence(name: str):
     if name not in SEQUENCES:
         raise ValueError(f"unknown sequence {name!r}")
     return getattr(exactnum, SEQUENCES[name][0])
+
+
+# ------------------------------------------------------- Euler's Beta rule
+
+# a body exponent whose numerator or denominator is larger is left to
+# tanh-sinh: the exact value would take factorials and powers that large
+BETA_MAX_EXPONENT = 10**4
+_X, _SIN = "x", "sin"  # factor keys of BoundVar and sin(BoundVar); A - x^k is the key (A, k)
+_HALF_PI = PiPoly.of(Fraction(1, 2), 1)
+
+
+def _beta(q: Quad, env: Env):
+    """The value of a quadrature by Euler's Beta integral, a PiPoly, or None
+    when its body and bounds fit neither rule (Gradshteyn & Ryzhik 3.251,
+    3.621):
+
+      r * x^a * (A - x^k)^b on [0, c], c > 0 rational with c^k = A (b may
+      be 0): r * c^(a+1+kb) / k * B((a+1)/k, b+1);
+      r * sin(x)^m on [0, pi/2]: r * B((m+1)/2, 1/2) / 2;
+
+    r rational and every exponent read in Q.  None also when the power of c
+    is irrational or B is not taken exactly (_beta_function)."""
+    read = _factors(q.body, env)
+    if read is None or _exact(q.lower, env, _Q) != 0:
+        return None
+    r, powers = read
+    upper = _exact(q.upper, env, _QPI)
+    if upper == _HALF_PI:
+        if set(powers) - {_SIN}:
+            return None
+        value = _beta_function((powers.get(_SIN, Fraction(0)) + 1) / 2, Fraction(1, 2))
+        return None if value is None else value * PiPoly.of(r / 2)
+    c = upper.get(0) if upper is not None and len(upper) == 1 else None
+    roots = [key for key in powers if key != _X]
+    if c is None or c < 0 or _SIN in powers or len(roots) > 1:
+        return None
+    a = powers.get(_X, Fraction(0))
+    (big_a, k), b = (roots[0], powers[roots[0]]) if roots else ((c, Fraction(1)), Fraction(0))
+    if k <= 0 or _rational_power(c, k) != big_a:
+        return None
+    value = _beta_function((a + 1) / k, b + 1)
+    scale = None if value is None else _rational_power(c, a + 1 + k * b)
+    return None if scale is None else value * PiPoly.of(r * scale / k)
+
+
+def _factors(e: Expr, env: Env):
+    """(r, {key: exponent}): a quadrature body as a rational r times powers
+    of x, sin(x) and A - x^k (A rational), exponents in Q, sqrt(u) read as
+    u^(1/2); None when it is no such product."""
+    t = type(e)
+    if t is BoundVar:
+        return Fraction(1), {_X: Fraction(1)}
+    if t is Fn and e.name == "sin" and type(e.arg) is BoundVar:
+        return Fraction(1), {_SIN: Fraction(1)}
+    if t is Neg:
+        got = _factors(e.arg, env)
+        return got and (-got[0], got[1])
+    if t is BinOp and e.op in "*/":
+        left, right = _factors(e.left, env), _factors(e.right, env)
+        if left is None or right is None or (e.op == "/" and not right[0]):
+            return None
+        sign = 1 if e.op == "*" else -1
+        powers = dict(left[1])
+        for key, p in right[1].items():
+            powers[key] = powers.get(key, 0) + sign * p
+        r = left[0] * right[0] if sign > 0 else left[0] / right[0]
+        return r, {key: p for key, p in powers.items() if p}
+    if t is Pow or (t is Fn and e.name == "sqrt"):
+        base, k = (e.base, _exact(e.exponent, env, _Q)) if t is Pow else (e.arg, Fraction(1, 2))
+        if k is None or max(abs(k.numerator), k.denominator) > BETA_MAX_EXPONENT:
+            return None
+        got = _factors(base, env)
+        r = got and _rational_power(got[0], k)
+        return None if r is None else (r, {key: p * k for key, p in got[1].items() if p * k})
+    if t is BinOp and e.op == "-":
+        big_a, right = _exact(e.left, env, _Q), _factors(e.right, env)
+        if big_a is not None and right is not None and right[0] == 1 and list(right[1]) == [_X]:
+            return Fraction(1), {(big_a, right[1][_X]): Fraction(1)}
+    r = _exact(e, env, _Q)
+    return None if r is None else (r, {})
+
+
+def _rational_power(c: Fraction, k: Fraction):
+    """c^k when it is rational, else None (also 0 to a power below 0)."""
+    if not c:
+        return None if k < 0 else Fraction(int(k == 0))
+    if k.denominator == 1:
+        return c ** int(k)
+    d = k.denominator
+    roots = [_core._int_nth_root(v, d) for v in (c.numerator, c.denominator)] if c > 0 else None
+    if roots is None or roots[0] ** d != c.numerator or roots[1] ** d != c.denominator:
+        return None
+    return Fraction(*roots) ** k.numerator
+
+
+def _beta_function(p: Fraction, q: Fraction):
+    """Euler's B(p, q) = G(p) G(q) / G(p+q) as a PiPoly for p, q > 0 in Z/2,
+    taken exactly: G(n) = (n-1)! and G(n + 1/2) = (2n)!/(4^n n!) sqrt(pi).
+    None when p or q is not positive (the integral diverges) or not in Z/2."""
+    if p <= 0 or q <= 0 or (2 * p).denominator != 1 or (2 * q).denominator != 1:
+        return None
+    (gp, hp), (gq, hq), (gs, hs) = map(_gamma, (p, q, p + q))
+    return PiPoly.of(gp * gq / gs, (hp + hq - hs) // 2)
+
+
+def _gamma(v: Fraction):
+    """(g, h) with G(v) = g * pi^(h/2), for v > 0 in Z/2."""
+    if v.denominator == 1:
+        return Fraction(math.factorial(int(v) - 1)), 0
+    n = int(v)  # v = n + 1/2
+    return Fraction(math.factorial(2 * n), 4**n * math.factorial(n)), 1
 
 
 def eval_one_radical(e: Expr, env: Env):

@@ -95,14 +95,17 @@ def test_criterion_4_exact_qsqrt5_suite(records, full_report):
 
 
 def test_criterion_5_integral_suite(records, full_report):
-    """Integral representations at 30 digits for n <= 20, the Clausen
-    identity at 20 digits, and both sine-moment identities."""
+    """The integral representations of C(n) and 1/C(n) and both sine-moment
+    identities for n <= 20, decided exactly by Euler's Beta rule (equal
+    Laurent polynomials in pi), and the Clausen identity at 20 digits by
+    tanh-sinh."""
     reps = {"s1.Cn.rep1", "s1.Cn.rep2", "s1.Cninv.rep", "s7.wallis.odd", "s7.wallis.even"}
     rows = rows_for(full_report, reps)
     assert len(rows) == 5 * 21
     for r in rows:
         assert r.status == "pass", (r.record_id, r.binding, r.detail)
         assert r.abs_diff < Decimal("1E-30"), (r.record_id, r.binding, str(r.abs_diff))
+        assert (r.strategy, r.abs_diff, r.digits_achieved) == ("beta", 0, None), (r.record_id, r.binding)
     clausen = rows_for(full_report, {"s7.lem7.pi6", "s7.lem7.pi4", "s7.lem7.pi2"})
     assert len(clausen) == 3
     for r in clausen:

@@ -164,10 +164,11 @@ def test_eval_with_param_binding(capsys):
         (["s7.id1", "--param", "n=3"], ["  exact match: True"]),
         (["s1.binet.F", "--param", "r=2"], ["  exact match: True"]),
         (["s2.lem3.sqrt.alpha"], ["  exact match (squares and signs): True"]),
-        (["s1.Cn.rep1", "--param", "n=2"], ["  |lhs - rhs| = ", "  verdict: pass"]),
+        (["s7.lem7.pi2"], ["  |lhs - rhs| = ", "  verdict: pass"]),
+        (["s1.Cn.rep1", "--param", "n=2"], ["  lhs = 2", "  rhs = 2", "  exact match: True"]),
         (["s1.G3.compact"], ["  |lhs - rhs| = ", "  verdict: pass"]),
     ],
-    ids=["finite", "algebraic", "radical", "integral", "constant"],
+    ids=["finite", "algebraic", "radical", "integral", "integral-exact", "constant"],
 )
 def test_eval_each_kind(capsys, argv, last_lines):
     code, out, _ = run(capsys, "eval", "--id", *argv)

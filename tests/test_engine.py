@@ -6,11 +6,19 @@ from fractions import Fraction
 import pytest
 
 from fibcat import arbreal as ar
-from fibcat import engine
+from fibcat import cli, engine
 from fibcat.arbreal import core
 from fibcat.errors import ConvergenceError, TailBoundViolation
 from fibcat.expr import BinOp, NumericEvaluator, RatLit
-from fibcat.seriesdsl import AlgebraicTail, GeometricTail, builtin_registry, parse_expression, parse_registry, parse_tail
+from fibcat.seriesdsl import (
+    AlgebraicTail,
+    GeometricTail,
+    builtin_registry,
+    format_expr,
+    parse_expression,
+    parse_registry,
+    parse_tail,
+)
 
 CTX = core.context(80)
 
@@ -537,7 +545,49 @@ def test_rows_carry_strategy_and_tail_bound(records):
     assert row.strategy == "geometric" and row.tail_bound < Decimal("1E-50")
     row = engine.verify_identity(records["s7.id1"], engine.VerifyConfig(param_ranges={"n": (2, 2)}))[0]
     assert row.strategy is None and row.tail_bound is None
+    row = engine.verify_identity(records["s1.Cn.rep1"], engine.VerifyConfig(param_ranges={"n": (2, 2)}))[0]
+    assert (row.status, row.strategy, row.tail_bound, row.digits_achieved, row.abs_diff) == ("pass", "beta", None, None, 0)
+    assert cli._result_json(row)["strategy"] == "beta"
 
+
+def _rewritten(record, side, old, new):
+    text = format_expr(getattr(record, side))
+    assert old in text, text
+    return dataclasses.replace(record, **{side: parse_expression(text.replace(old, new))})
+
+
+@pytest.mark.parametrize(
+    "rid, side, old, new, gap_at_1",
+    [
+        ("s1.Cn.rep1", "rhs", "/(2*pi)", "/pi", "1"),
+        ("s1.Cn.rep2", "rhs", "x^(2*n)", "x^(2*n + 2)", "1"),
+        ("s7.wallis.even", "lhs", "pi*binom(2*n, n)/2^(2*n + 1)", "2^(2*n)/((2*n + 1)*binom(2*n, n))",
+         "0.118731496730781642948994179153"),
+    ],
+)
+def test_a_wrong_beta_identity_fails_by_proof(records, rid, side, old, new, gap_at_1):
+    rows = engine.verify_identity(_rewritten(records[rid], side, old, new))
+    assert len(rows) == 21
+    # x^(2n+2) in place of x^(2n) is C(n+1) for C(n): right at n = 0 only
+    wrong = rows[1:] if rid == "s1.Cn.rep2" else rows
+    for row in wrong:
+        assert (row.status, row.strategy, row.digits_achieved) == ("fail", "beta", None), row
+        assert row.abs_diff > 0
+    assert str(rows[1].abs_diff) == gap_at_1
+
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        ("quad(sqrt(2-x), 0, 2)", "4*sqrt(2)/3"),
+        ("quad(sqrt(4-x^2), 0, 1)", "sqrt(3)/2 + pi/3"),
+        ("quad(x^2*sin(x)^5, 0, pi/2)", "-4144/3375 + 149*pi/225"),
+    ],
+)
+def test_a_quadrature_outside_the_beta_rule_stays_on_tanh_sinh(lhs, rhs):
+    (row,) = engine.verify_identity(_record(f'id = "t.q" kind = "integral" paper = "p" lhs = "{lhs}" rhs = "{rhs}"'))
+    assert (row.status, row.strategy, row.digits_achieved) == ("pass", None, 40), row
 
 def test_verdict_of_exact_and_numeric_sides():
     assert engine.verdict(engine.Sides(1, 1, exact=True), None) == ("pass", None)

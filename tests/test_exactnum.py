@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibcat.errors import DomainError
-from fibcat.exactnum import ALPHA, BETA, SQRT5, QuadRat, binomial, catalan, fibonacci, lucas, qr_pow
+from fibcat.exactnum import ALPHA, BETA, SQRT5, PiPoly, QuadRat, binomial, catalan, fibonacci, lucas, qr_pow
 
 
 def pascal_triangle(rows):
@@ -140,3 +140,19 @@ def test_alpha_beta_relations():
     assert ALPHA * BETA == QuadRat.of(-1)
     assert ALPHA + BETA == QuadRat.of(1)
     assert ALPHA - BETA == SQRT5
+
+
+def test_pi_laurent_polynomials():
+    pi, half = PiPoly.of(1, 1), PiPoly.of(Fraction(1, 2))
+    v = (pi + half) * (pi - half)  # pi^2 - 1/4
+    assert v == PiPoly({2: Fraction(1), 0: Fraction(-1, 4)})
+    assert v - v == PiPoly() and str(v - v) == "0"
+    assert v / pi == PiPoly({1: Fraction(1), -1: Fraction(-1, 4)})
+    assert str(v / pi) == "-1/4*pi^-1 + pi"
+    assert str(PiPoly.of(Fraction(5, 32), 1)) == "5/32*pi" and str(PiPoly.of(2)) == "2"
+    assert (pi / half) ** -2 == PiPoly.of(Fraction(1, 4), -2)
+    assert v**2 == v * v and v**0 == PiPoly.of(1)
+    # no Laurent polynomial is 1/(pi^2 - 1/4)
+    assert pi / v is None and v**-1 is None
+    with pytest.raises(ZeroDivisionError):
+        pi / PiPoly()

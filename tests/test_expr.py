@@ -12,7 +12,7 @@ from fibcat import exactnum
 from fibcat import expr as expr_module
 from fibcat.arbreal import core
 from fibcat.errors import DomainError, UnboundVariableError
-from fibcat.exactnum import QuadRat
+from fibcat.exactnum import PiPoly, QuadRat
 from fibcat.expr import (
     BinOp,
     BoundVar,
@@ -27,6 +27,7 @@ from fibcat.expr import (
     SeqCall,
     Var,
     children,
+    eval_exact_pi,
     eval_exact_qsqrt5,
     eval_exact_rational,
     eval_numeric,
@@ -165,6 +166,56 @@ def test_a_stepping_evaluator_is_freed_when_dropped():
         if enabled:
             gc.enable()
 
+
+
+def _nodes(e):
+    yield e
+    for child in children(e):
+        yield from _nodes(child)
+
+
+@pytest.mark.parametrize("rid", ["s1.Cn.rep1", "s1.Cn.rep2", "s1.Cninv.rep", "s7.wallis.odd", "s7.wallis.even"])
+def test_the_beta_rule_agrees_with_tanh_sinh_at_every_shipped_binding(rid):
+    record = {r.id: r for r in builtin_registry()}[rid]
+    (quad,) = [e for e in _nodes(record.rhs) if isinstance(e, Quad)]
+    ((name, lo, hi),) = record.params
+    pi = ar.const_pi(60)
+    for n in range(lo, hi + 1):
+        exact = eval_exact_pi(quad, {name: n})
+        value = Decimal(0)
+        for k, c in exact.items():
+            value = CTX.add(value, CTX.multiply(CTX.divide(c.numerator, c.denominator), CTX.power(pi, k)))
+        gap = CTX.subtract(value, eval_numeric(quad, {name: n}, 40)).copy_abs()
+        assert gap < value.scaleb(-39), (rid, n, str(exact), str(gap))
+
+
+@pytest.mark.parametrize(
+    "text, binding, want",
+    [
+        ("quad(sin(x)^6, 0, pi/2)", {}, PiPoly.of(Fraction(5, 32), 1)),
+        ("quad(x, 0, 1)", {"x": 3}, PiPoly.of(Fraction(1, 2))),  # the body's x, not the binding
+        ("2*quad(sqrt(x)*(1 - x), 0, 1)/pi", {}, PiPoly.of(Fraction(8, 15), -1)),
+    ],
+)
+def test_the_beta_rule_pinned_values(text, binding, want):
+    assert eval_exact_pi(parse(text), binding) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "quad(x^(-1)*sqrt(4-x^2), 0, 2)",  # B(0, 3/2): diverges at 0
+        "quad(sin(x)^(-1), 0, pi/2)",  # B(0, 1/2): diverges at 0
+        "quad(sqrt(2-x), 0, 2)",  # 2^(3/2) is irrational
+        "quad(sqrt(4-x^2), 0, 1)",  # the bound misses the root 2
+        "quad(x^2*sin(x)^5, 0, pi/2)",  # neither shape
+        "quad(sqrt(sin(x)), 0, pi/2)",  # G(3/4) is not taken exactly
+        "quad(x^x, 0, 1)",
+        "quad(x^10001, 0, 1)",  # past BETA_MAX_EXPONENT
+    ],
+)
+def test_the_beta_rule_leaves_other_quadratures_to_tanh_sinh(text):
+    assert eval_exact_pi(parse(text), {"x": 3}) is None
 
 def test_children_and_map_children():
     e = parse("F(2*n+s) + quad(x^n, 0, z)")

@@ -5,7 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibcat.errors import ParseError
-from fibcat.expr import BinOp, Expr, Pow, RatLit, SeqCall, free_vars
+from fibcat.expr import (
+    FUNCTION_NAMES,
+    BinOp,
+    BoundVar,
+    Clausen,
+    Const,
+    Expr,
+    Fn,
+    IntLit,
+    Neg,
+    Pow,
+    Quad,
+    RatLit,
+    SeqCall,
+    Var,
+    free_vars,
+)
 from fibcat.seriesdsl import (
     MAX_DEPTH,
     AlgebraicTail,
@@ -364,3 +380,56 @@ def test_expression_parser_total(text):
 def test_registry_parser_total(text):
     parsed = parse_registry(text)
     assert isinstance(parsed, ParsedRegistry)
+
+
+# trees as the parser builds them, nonnegative literals and a rational
+# literal only as an exponent, and every quadrature that can be built,
+# BoundVar and Var("x") at any depth
+_exponents = st.one_of(st.integers(0, 4).map(IntLit), st.just(Var("n")), st.just(RatLit(Fraction(1, 2))))
+
+
+def _quad(body, lower, upper):
+    try:
+        return Quad(body, lower, upper)
+    except ValueError:  # a body that reads Var("x")
+        return None
+
+
+def _tree_strategy(leaves, bodies=None):
+    """Trees over `leaves`, with quadratures over `bodies` when given."""
+
+    def extend(kids):
+        nodes = [
+            st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
+            st.builds(Neg, kids),
+            st.builds(Fn, st.sampled_from(FUNCTION_NAMES), kids),
+            st.builds(Pow, kids, _exponents),
+            st.builds(lambda name, a: SeqCall(name, (a,)), st.sampled_from("CFL"), kids),
+            st.builds(Clausen, kids),
+        ]
+        if bodies is not None:
+            nodes.append(st.builds(_quad, bodies, kids, kids).filter(lambda q: q is not None))
+        return st.one_of(nodes)
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+_names = st.one_of(st.integers(0, 9).map(IntLit), st.sampled_from(["n", "s", "x"]).map(Var), st.just(Const("pi")))
+_in_body = _names | st.just(BoundVar())
+# a quadrature nested in a body, whose bounds read the outer body's variable
+_trees = _tree_strategy(_names, _tree_strategy(_in_body, _tree_strategy(_in_body)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees)
+def test_a_printed_tree_parses_back_to_itself(e):
+    assert parse_expression(format_expr(e)) == e
+
+
+def test_a_quadrature_body_that_reads_var_x_is_refused():
+    # it would print as quad(x, 0, x) and parse back with the body's own x
+    with pytest.raises(ValueError, match="a quadrature body reads Var"):
+        Quad(Var("x"), IntLit(0), Var("x"))
+    with pytest.raises(ValueError, match="a quadrature body reads Var"):
+        Quad(Quad(BoundVar(), IntLit(0), Var("x")), IntLit(0), IntLit(1))
+    assert format_expr(Quad(BoundVar(), IntLit(0), Var("x"))) == "quad(x, 0, x)"

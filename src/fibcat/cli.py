@@ -136,7 +136,7 @@ def _report_text(report: engine.VerificationReport) -> str:
     buf = io.StringIO()
     wid = max((len(r.record_id) for r in report.results), default=8) + 2
     for r in report.results:
-        diff = "" if r.abs_diff is None else f" diff={r.abs_diff:.3E}"
+        diff = "" if r.abs_diff is None else " diff=0" if r.abs_diff == 0 else f" diff={r.abs_diff:.3E}"
         req = "" if r.digits_requested is None else f" want={r.digits_requested}"
         got = "" if r.digits_achieved is None else f" got={min(r.digits_achieved, 999)}"
         detail = f" {r.detail}" if r.detail else ""

@@ -25,11 +25,15 @@ leaves Q(sqrt5) has both sides squared into it and their signs checked
 numerically at 20 digits; a failed row's gap comes from those same values.
 A finite record keeps one running exact sum across its bindings.  An
 integral or constant record without a series side is first tried exactly
-in Q[pi, 1/pi] (expr.eval_exact_pi), where a quadrature that is an Euler
-Beta integral has its exact value: when both sides lie there, pi being
+in Q(sqrt2)[pi, 1/pi] (expr.eval_exact_pi), where a quadrature that is an
+Euler Beta integral or a sine moment x^j sin(x)^m sin(x/2)^a cos(x/2)^b
+on [0, pi/2] has its exact value: when both sides lie there, pi being
 transcendental, they are equal iff their coefficients are, a proof, and
-the row's strategy is "beta".  Any other such record is evaluated
-numerically, its quadratures by tanh-sinh.
+the row's strategy is "beta".  A series record whose rhs holds a
+quadrature tries its rhs there too: an exact rhs is rounded once to the
+working digits (expr.pi_poly_decimal), and the row's detail says so
+(EXACT_RHS).  A Beta form that diverges is a ConvergenceError at once.
+Any other such side is evaluated numerically, its quadratures by tanh-sinh.
 `checker` is the one per-binding check behind `verify_identity` and
 `fibcat eval`, and `exit_code` their one exit-code rule; a numeric record
 keeps one evaluator per working precision across its bindings, so each of
@@ -62,7 +66,7 @@ from .expr import (
     eval_numeric,
     eval_one_radical,
     free_vars,
-    term_ratio,
+    pi_poly_decimal,
 )
 from .seriesdsl import AlgebraicTail, FiniteSpec, GeometricTail, IdentityRecord, SeriesSpec
 
@@ -77,6 +81,7 @@ DIGITS_INTEGRAL = 30
 DIGITS_CONSTANT = 50
 RADICAL_SIGN_DIGITS = 20
 COMPARE_GUARD = 10  # both sides get this many digits beyond the pass threshold
+EXACT_RHS = "rhs exact in Q(sqrt2)[pi, 1/pi]"  # the detail of a series row whose quadrature rhs ran none
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ class VerificationResult:
     terms_used: int | None
     seconds: float
     detail: str = ""
-    strategy: str | None = None  # how a series lhs was summed, or "beta" (see _pi_sides)
+    strategy: str | None = None  # how a series lhs was summed, or "beta" for an exact quadrature (see _pi_sides)
     tail_bound: Decimal | None = None  # its tail bound or gap estimate
 
     def binding_text(self) -> str:
@@ -217,7 +222,7 @@ def _sum_geometric(spec, env, tail, evaluator, force_terms) -> SumResult:
 
 
 def _sum_algebraic(spec, env, evaluator, force_terms) -> SumResult:
-    ratio = term_ratio(spec.term, spec.index, env)
+    ratio = evaluator.ratio(spec.term, spec.index, env)
     if ratio is None or [gamma for _, gamma in ratio.chains] != [ONE]:
         raise UnsupportedRecordError(f"an algebraic tail needs a hypergeometric term: {spec.term}")
     # the expansion point N lies 8x past every root of a factor of the ratio
@@ -384,21 +389,17 @@ def _fraction_gap(lhs: Fraction, rhs: Fraction) -> Decimal:
 
 
 def _pi_sides(record: IdentityRecord, binding: dict):
-    """Sides of a non-series record when both sides are exact in Q[pi, 1/pi]
-    (a quadrature there is taken by Euler's Beta rule), else None.  pi is
-    transcendental, so the sides are equal iff their coefficients are; a
-    failed row's diff is their gap to 30 digits."""
+    """Sides of a non-series record when both sides are exact in
+    Q(sqrt2)[pi, 1/pi] (a quadrature there is taken by Euler's Beta rule or
+    as a sine moment), else None.  pi is transcendental, so the sides are
+    equal iff their coefficients are; a failed row's diff is their gap to 30
+    digits."""
     lhs = eval_exact_pi(record.lhs, binding)
     rhs = None if lhs is None else eval_exact_pi(record.rhs, binding)
     if rhs is None:
         return None
     ok = lhs == rhs
-    diff = Decimal(0)
-    if not ok:
-        ctx, pi = _core.context(40), _core.const_pi(40)
-        for k, c in (lhs - rhs).items():
-            diff = ctx.add(diff, ctx.multiply(ctx.divide(c.numerator, c.denominator), ctx.power(pi, k)))
-        diff = _core.context(30).plus(diff.copy_abs())
+    diff = Decimal(0) if ok else pi_poly_decimal(lhs - rhs, 30).copy_abs()
     strategy = "beta" if _has_quadrature(record.lhs) or _has_quadrature(record.rhs) else None
     return Sides(lhs, rhs, diff=diff, exact=ok, strategy=strategy)
 
@@ -462,8 +463,8 @@ class _NumericSides:
     with one NumericEvaluator per working precision for the whole record,
     so each tree is compiled once: it sums the series (first term and
     stepped terms) and evaluates both sides at every binding.  A record
-    without a series side is first tried exactly in Q[pi, 1/pi]
-    (_pi_sides)."""
+    without a series side is first tried exactly in Q(sqrt2)[pi, 1/pi]
+    (_pi_sides), and so is the quadrature rhs of a series record."""
 
     def __init__(self, record: IdentityRecord):
         self.record = record
@@ -476,20 +477,25 @@ class _NumericSides:
 
     def __call__(self, binding: dict, digits: int) -> Sides:
         record = self.record
+        rhs, detail = None, ""
         if isinstance(record.lhs, SeriesSpec):
             summed = sum_series(record.lhs, binding, record.tail, digits, evaluator=self._evaluator(digits))
             lhs, terms, strategy, tail_bound = summed.value, summed.terms_used, summed.strategy, summed.tail_bound
             if _has_quadrature(record.rhs):
                 digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
+                exact = eval_exact_pi(record.rhs, binding)
+                if exact is not None:
+                    rhs, detail = pi_poly_decimal(exact, digits), EXACT_RHS
         else:
             exact = _pi_sides(record, binding)
             if exact is not None:
                 return exact
             lhs = _core.round_to(self._evaluator(digits).eval(record.lhs, binding), digits)
             terms = strategy = tail_bound = None
-        rhs = _core.round_to(self._evaluator(digits).eval(record.rhs, binding), digits)
+        if rhs is None:
+            rhs = _core.round_to(self._evaluator(digits).eval(record.rhs, binding), digits)
         diff = _core.context(digits + 5).subtract(lhs, rhs).copy_abs()
-        return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy, tail_bound=tail_bound)
+        return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy, tail_bound=tail_bound, detail=detail)
 
 
 def verdict(sides: Sides, target: int | None):

@@ -1,5 +1,5 @@
-"""Exact integer, rational, Q(sqrt5) and Q[pi, 1/pi] arithmetic plus the
-sequence kernels.
+"""Exact integer, rational, Q(sqrt5) and Q(sqrt2)[pi, 1/pi] arithmetic plus
+the sequence kernels.
 
 Rationals are the stdlib Fraction: it already guarantees lowest terms and a
 positive denominator, which is exactly the representation contract the rest
@@ -105,19 +105,23 @@ BETA = QuadRat(Fraction(1, 2), Fraction(-1, 2))
 
 
 class PiPoly(dict):
-    """A finite Laurent polynomial in pi over Q, {power: nonzero Fraction}.
+    """A finite Laurent polynomial in pi over Q(sqrt2), {(power of pi, power
+    of sqrt2): nonzero Fraction}, the power of sqrt2 0 or 1 (sqrt2 * sqrt2
+    = 2).
 
-    pi is transcendental (Lindemann), so two such values are equal numbers
-    iff their coefficients are.  Division by a value that is not a monomial
-    gives None, and so does a negative power of one: the quotient is not a
-    Laurent polynomial."""
+    pi is transcendental (Lindemann), so the pi^k and sqrt2 * pi^k are
+    linearly independent over Q and two such values are equal numbers iff
+    their coefficients are.  Division by a value that is not a monomial
+    gives None, and so does a negative power of one: the quotient is not
+    held as such a polynomial."""
 
     __slots__ = ()
 
     @staticmethod
-    def of(c, power: int = 0) -> "PiPoly":
+    def of(c, power: int = 0, sqrt2: int = 0) -> "PiPoly":
+        """c * sqrt2^sqrt2 * pi^power, for sqrt2 0 or 1."""
         c = Fraction(c)
-        return PiPoly({power: c} if c else {})
+        return PiPoly({(power, sqrt2): c} if c else {})
 
     def __neg__(self) -> "PiPoly":
         return PiPoly({k: -c for k, c in self.items()})
@@ -129,20 +133,27 @@ class PiPoly(dict):
         return self + -other
 
     def __mul__(self, other: "PiPoly") -> "PiPoly":
-        return _pi_poly([(i + j, a * b) for i, a in self.items() for j, b in other.items()])
+        # sqrt2 * sqrt2 = 2
+        if len(self) == 1 == len(other):  # two monomials, the common case: no like terms to collect
+            (((i, s), a),), (((j, t), b),) = self.items(), other.items()
+            return PiPoly({(i + j, s ^ t): 2 * a * b if s & t else a * b})
+        return _pi_poly(
+            [((i + j, s ^ t), 2 * a * b if s & t else a * b) for (i, s), a in self.items() for (j, t), b in other.items()]
+        )
 
     def __truediv__(self, other: "PiPoly"):
         if len(other) != 1:
             if not other:
-                raise ZeroDivisionError("division by zero in Q[pi, 1/pi]")
+                raise ZeroDivisionError("division by zero in Q(sqrt2)[pi, 1/pi]")
             return None
-        ((j, b),) = other.items()
-        return PiPoly({i - j: a / b for i, a in self.items()})
+        (((j, t), b),) = other.items()
+        # a/(b sqrt2) = a sqrt2/(2b)
+        return PiPoly({(i - j, s ^ t): a / (2 * b if t > s else b) for (i, s), a in self.items()})
 
     def __pow__(self, n: int):
         if len(self) == 1:
-            ((k, c),) = self.items()
-            return PiPoly({k * n: c**n})
+            (((k, s), c),) = self.items()
+            return PiPoly({(k * n, n % 2): c**n * Fraction(2) ** (n // 2)} if s else {(k * n, 0): c**n})
         if n < 0:
             return None
         out, base = PiPoly.of(1), self
@@ -153,15 +164,15 @@ class PiPoly(dict):
         return out
 
     def __str__(self) -> str:
-        terms = [
-            str(c) if k == 0 else ("" if c == 1 else f"{c}*") + ("pi" if k == 1 else f"pi^{k}")
-            for k, c in sorted(self.items())
-        ]
+        terms = []
+        for (k, s), c in sorted(self.items()):
+            factors = ["sqrt(2)"] * s + ([] if k == 0 else ["pi" if k == 1 else f"pi^{k}"])
+            terms.append("*".join(([] if c == 1 and factors else [str(c)]) + factors))
         return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 def _pi_poly(pairs) -> PiPoly:
-    """The PiPoly of (power, coefficient) pairs, like powers added."""
+    """The PiPoly of (key, coefficient) pairs, like keys added."""
     out: dict = {}
     for k, c in pairs:
         out[k] = out.get(k, 0) + c

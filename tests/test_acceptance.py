@@ -113,6 +113,17 @@ def test_criterion_5_integral_suite(records, full_report):
     print(f"criterion 5 integral suite: PASS ({len(rows) + len(clausen)} checks)")
 
 
+def test_criterion_5_sine_moment_rhs_taken_exactly(full_report):
+    """28 of the 30 rows of s7.thm10-thm14 take their sine-moment rhs
+    exactly in Q(sqrt2)[pi, 1/pi] and say so; x^2/sin(x) (thm12, r = -1)
+    and x/sin(x) (thm13, r = 0) stay on tanh-sinh.  All 30 pass."""
+    rows = rows_for(full_report, {"s7.thm10", "s7.thm11", "s7.thm12", "s7.thm13", "s7.thm14"})
+    assert len(rows) == 30 and all(r.status == "pass" for r in rows)
+    on_tanh_sinh = {(r.record_id, r.binding) for r in rows if r.detail != engine.EXACT_RHS}
+    assert on_tanh_sinh == {("s7.thm12", (("r", -1),)), ("s7.thm13", (("r", 0),))}
+    assert {r.detail for r in rows} == {engine.EXACT_RHS, ""}
+
+
 def test_criterion_6_constant_cross_checks():
     """pi, G, zeta(3) and ln(alpha) from two independent in-module routes
     agree to 50 digits."""

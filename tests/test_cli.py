@@ -37,6 +37,16 @@ def test_verify_single_record_exit_zero(capsys):
     assert "summary: 1 pass, 0 fail, 0 error" in out
 
 
+def test_verify_prints_an_exact_zero_gap_as_zero(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "s7.wallis.odd", "--param", "n=3")
+    assert code == 0
+    line = out.splitlines()[0]
+    assert line.startswith("PASS  s7.wallis.odd") and line.endswith(" diff=0"), line
+    # a nonzero gap keeps its three decimals
+    code, out, _ = run(capsys, "verify", "--id", "s2.G2t.pi3.printed")
+    assert " diff=1.000E+0" in out
+
+
 def test_verify_printed_glob_exit_one(capsys):
     code, out, _ = run(capsys, "verify", "--id", "s2.G2t.pi3.printed")
     assert code == 1

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from fibcat import arbreal as ar
-from fibcat import cli, engine
+from fibcat import cli, engine, expr
 from fibcat.arbreal import core
 from fibcat.errors import ConvergenceError, TailBoundViolation
-from fibcat.expr import BinOp, NumericEvaluator, RatLit
+from fibcat.expr import BinOp, NumericEvaluator, RatLit, term_ratio
 from fibcat.seriesdsl import (
     AlgebraicTail,
     GeometricTail,
@@ -392,7 +392,7 @@ def _per_term_sum(spec, binding, digits, terms):
 )
 def test_stepped_sums_match_per_term_sums(records, rid, binding, chains):
     spec, digits = records[rid].lhs, 50
-    assert len(engine.term_ratio(spec.term, spec.index, binding).chains) == chains
+    assert len(term_ratio(spec.term, spec.index, binding).chains) == chains
     res = engine.sum_series(spec, binding, records[rid].tail, digits)
     direct = _per_term_sum(spec, binding, digits, res.terms_used)
     assert CTX.subtract(res.value, direct).copy_abs() < Decimal(1).scaleb(-(digits + 5)), rid
@@ -424,7 +424,7 @@ def test_a_zero_term_hands_the_next_term_to_the_evaluator():
 
 def test_a_term_without_a_ratio_is_evaluated_term_by_term():
     record = _series_record("1/(2^n+1)", "geometric ratio=2/3")
-    assert engine.term_ratio(record.lhs.term, "n", {}) is None
+    assert term_ratio(record.lhs.term, "n", {}) is None
     res = engine.sum_series(record.lhs, {}, record.tail, 30)
     assert res.value == _per_term_sum(record.lhs, {}, 30, res.terms_used)
     assert res.tail_bound < Decimal("1E-30")
@@ -477,7 +477,7 @@ def test_algebraic_tail_far_offset_sums_past_its_factors():
 
 
 def _coefficients(term, count):
-    ratio = engine.term_ratio(parse_expression(term), "n", {})
+    ratio = term_ratio(parse_expression(term), "n", {})
     return dict(itertools.islice(engine.tail_coefficients(ratio), count))
 
 
@@ -582,12 +582,91 @@ def test_a_wrong_beta_identity_fails_by_proof(records, rid, side, old, new, gap_
     [
         ("quad(sqrt(2-x), 0, 2)", "4*sqrt(2)/3"),
         ("quad(sqrt(4-x^2), 0, 1)", "sqrt(3)/2 + pi/3"),
-        ("quad(x^2*sin(x)^5, 0, pi/2)", "-4144/3375 + 149*pi/225"),
+        ("quad(x*cos(x), 0, pi/2)", "pi/2 - 1"),
     ],
 )
 def test_a_quadrature_outside_the_beta_rule_stays_on_tanh_sinh(lhs, rhs):
     (row,) = engine.verify_identity(_record(f'id = "t.q" kind = "integral" paper = "p" lhs = "{lhs}" rhs = "{rhs}"'))
     assert (row.status, row.strategy, row.digits_achieved) == ("pass", None, 40), row
+
+
+def _no_tanh_sinh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tanh-sinh ran")
+
+    monkeypatch.setattr(ar.quadrature, "tanh_sinh", refuse)
+
+
+@pytest.mark.parametrize(
+    "rhs, status",
+    [("-4144/3375 + 149*pi/225", "pass"), ("-4144/3375 + 149*pi/225 + 1/10^40", "fail")],
+    ids=["right", "off-by-1e-40"],
+)
+def test_a_sine_moment_integral_row_is_decided_exactly(monkeypatch, rhs, status):
+    _no_tanh_sinh(monkeypatch)
+    text = f'id = "t.q" kind = "integral" paper = "p" lhs = "quad(x^2*sin(x)^5, 0, pi/2)" rhs = "{rhs}"'
+    (row,) = engine.verify_identity(_record(text))
+    assert (row.status, row.strategy, row.digits_achieved) == (status, "beta", None), row
+    assert str(row.abs_diff) == ("0" if status == "pass" else "1E-40")
+
+
+def test_a_quadrature_with_a_zero_coefficient_is_exactly_zero(monkeypatch):
+    _no_tanh_sinh(monkeypatch)
+    zero = "quad(0*x*sin(x)^3, 0, pi/2)"
+    (row,) = engine.verify_identity(_record(f'id = "t.q" kind = "integral" paper = "p" lhs = "{zero}" rhs = "0"'))
+    assert (row.status, row.strategy, str(row.abs_diff)) == ("pass", "beta", "0"), row
+    series = 'index = "n" start = 1 term = "1/n^2" tail = "algebraic"'
+    (row,) = engine.verify_identity(_record(f'id = "t.s" kind = "integral" paper = "p" {series} rhs = "pi^2/6 + {zero}"'))
+    assert (row.status, row.detail) == ("pass", engine.EXACT_RHS), row
+
+
+def test_the_sine_moment_series_rows_take_no_quadrature(monkeypatch, records):
+    _no_tanh_sinh(monkeypatch)
+    config = engine.VerifyConfig(param_ranges={"r": (2, 2)})
+    for rid in ("s7.thm10", "s7.thm11", "s7.thm12", "s7.thm13", "s7.thm14"):
+        (row,) = engine.verify_identity(records[rid], config)
+        assert (row.status, row.strategy, row.detail) == ("pass", "algebraic", engine.EXACT_RHS), row
+        assert row.digits_achieved >= engine.DIGITS_ALGEBRAIC
+        assert engine.EXACT_RHS in cli._report_text(engine.VerificationReport((row,)))
+        assert cli._result_json(row)["detail"] == engine.EXACT_RHS
+
+
+def test_a_series_row_with_a_quadrature_outside_both_rules_keeps_tanh_sinh(records):
+    config = engine.VerifyConfig(param_ranges={"r": (0, 0)})
+    (row,) = engine.verify_identity(records["s7.thm13"], config)  # x/sin(x)
+    assert (row.status, row.detail) == ("pass", ""), row
+
+
+@pytest.mark.parametrize(
+    "lhs",
+    ["quad(x^(-1)*sqrt(4-x^2), 0, 2)", "quad(sin(x)^(-1), 0, pi/2)"],
+    ids=["B(0,3/2)", "B(0,1/2)"],
+)
+def test_a_divergent_euler_form_is_a_convergence_error_row_at_once(monkeypatch, lhs):
+    _no_tanh_sinh(monkeypatch)
+    rows = engine.verify_identity(_record(f'id = "t.d" kind = "integral" paper = "p" lhs = "{lhs}" rhs = "1"'))
+    assert rows[0].status == "error" and rows[0].detail.startswith("ConvergenceError: "), rows[0]
+    assert "diverges" in rows[0].detail and engine.exit_code(rows) == 3
+    # a series record whose rhs is such a quadrature gives the same row
+    series = 'index = "n" start = 1 term = "1/n^2" tail = "algebraic"'
+    text = f'id = "t.s" kind = "integral" paper = "p" {series} rhs = "{lhs}"'
+    (row,) = engine.verify_identity(_record(text))
+    assert row.status == "error" and row.detail.startswith("ConvergenceError: ") and "diverges" in row.detail
+
+
+def test_an_algebraic_tail_derives_its_term_ratio_once_per_binding(monkeypatch, records):
+    calls = []
+    real = expr.term_ratio
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expr, "term_ratio", counted)
+    rows = engine.verify_identity(records["s7.thm13"], engine.VerifyConfig(param_ranges={"r": (1, 3)}))
+    assert [row.status for row in rows] == ["pass"] * 3
+    assert [args[2] for args in calls] == [{"r": 1}, {"r": 2}, {"r": 3}]
+
 
 def test_verdict_of_exact_and_numeric_sides():
     assert engine.verdict(engine.Sides(1, 1, exact=True), None) == ("pass", None)

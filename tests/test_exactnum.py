@@ -145,9 +145,9 @@ def test_alpha_beta_relations():
 def test_pi_laurent_polynomials():
     pi, half = PiPoly.of(1, 1), PiPoly.of(Fraction(1, 2))
     v = (pi + half) * (pi - half)  # pi^2 - 1/4
-    assert v == PiPoly({2: Fraction(1), 0: Fraction(-1, 4)})
+    assert v == PiPoly({(2, 0): Fraction(1), (0, 0): Fraction(-1, 4)})
     assert v - v == PiPoly() and str(v - v) == "0"
-    assert v / pi == PiPoly({1: Fraction(1), -1: Fraction(-1, 4)})
+    assert v / pi == PiPoly({(1, 0): Fraction(1), (-1, 0): Fraction(-1, 4)})
     assert str(v / pi) == "-1/4*pi^-1 + pi"
     assert str(PiPoly.of(Fraction(5, 32), 1)) == "5/32*pi" and str(PiPoly.of(2)) == "2"
     assert (pi / half) ** -2 == PiPoly.of(Fraction(1, 4), -2)
@@ -156,3 +156,23 @@ def test_pi_laurent_polynomials():
     assert pi / v is None and v**-1 is None
     with pytest.raises(ZeroDivisionError):
         pi / PiPoly()
+
+
+def test_pi_polynomials_over_q_sqrt2():
+    root2, pi = PiPoly.of(1, 0, 1), PiPoly.of(1, 1)
+    v = PiPoly.of(Fraction(256, 315)) - PiPoly.of(Fraction(107, 315), 0, 1)
+    assert v == PiPoly({(0, 0): Fraction(256, 315), (0, 1): Fraction(-107, 315)})
+    assert str(v) == "256/315 - 107/315*sqrt(2)"
+    assert root2 * root2 == PiPoly.of(2) and root2**3 == PiPoly.of(2, 0, 1)
+    # (1 + sqrt2 pi)(1 - sqrt2 pi) = 1 - 2 pi^2
+    assert (PiPoly.of(1) + root2 * pi) * (PiPoly.of(1) - root2 * pi) == PiPoly({(0, 0): 1, (2, 0): Fraction(-2)})
+    # division by a sqrt2 monomial: 1/(3 sqrt2 pi) = sqrt2/6 pi^-1
+    assert PiPoly.of(1) / PiPoly.of(3, 1, 1) == PiPoly.of(Fraction(1, 6), -1, 1)
+    assert v / root2 == PiPoly({(0, 1): Fraction(128, 315), (0, 0): Fraction(-107, 315)})
+    assert (v / root2) * root2 == v
+    assert root2**-1 == PiPoly.of(Fraction(1, 2), 0, 1) and (root2 * pi) ** -2 == PiPoly.of(Fraction(1, 2), -2)
+    assert str(PiPoly.of(-3, 2, 1) + root2 * pi) == "sqrt(2)*pi - 3*sqrt(2)*pi^2"
+    # sqrt2 is not rational and pi not in Q(sqrt2): no equal values with other coefficients
+    assert root2 != PiPoly.of(Fraction(99, 70)) and root2 * pi != PiPoly.of(Fraction(4, 9), 1)
+    # the field does not invert a value that is not a monomial
+    assert PiPoly.of(1) / (PiPoly.of(1) + root2) is None and (PiPoly.of(1) + root2) ** -1 is None

@@ -11,7 +11,7 @@ from fibcat import arbreal as ar
 from fibcat import exactnum
 from fibcat import expr as expr_module
 from fibcat.arbreal import core
-from fibcat.errors import DomainError, UnboundVariableError
+from fibcat.errors import ConvergenceError, DomainError, UnboundVariableError
 from fibcat.exactnum import PiPoly, QuadRat
 from fibcat.expr import (
     BinOp,
@@ -35,6 +35,7 @@ from fibcat.expr import (
     free_vars,
     integer_poly,
     map_children,
+    pi_poly_decimal,
     substitute,
     term_ratio,
 )
@@ -179,14 +180,31 @@ def test_the_beta_rule_agrees_with_tanh_sinh_at_every_shipped_binding(rid):
     record = {r.id: r for r in builtin_registry()}[rid]
     (quad,) = [e for e in _nodes(record.rhs) if isinstance(e, Quad)]
     ((name, lo, hi),) = record.params
-    pi = ar.const_pi(60)
     for n in range(lo, hi + 1):
         exact = eval_exact_pi(quad, {name: n})
-        value = Decimal(0)
-        for k, c in exact.items():
-            value = CTX.add(value, CTX.multiply(CTX.divide(c.numerator, c.denominator), CTX.power(pi, k)))
+        value = pi_poly_decimal(exact, 60)
         gap = CTX.subtract(value, eval_numeric(quad, {name: n}, 40)).copy_abs()
         assert gap < value.scaleb(-39), (rid, n, str(exact), str(gap))
+
+
+_SINE_MOMENT_RECORDS = ["s7.thm10", "s7.thm11", "s7.thm12", "s7.thm13", "s7.thm14"]
+
+
+@pytest.mark.parametrize("rid", _SINE_MOMENT_RECORDS)
+def test_the_sine_moment_rhs_agrees_with_tanh_sinh_at_every_shipped_binding(rid):
+    record = {r.id: r for r in builtin_registry()}[rid]
+    ((name, lo, hi),) = record.params
+    exact_rows = 0
+    for r in range(lo, hi + 1):
+        exact = eval_exact_pi(record.rhs, {name: r})
+        if exact is None:  # x^2/sin(x) at r = -1, x/sin(x) at r = 0
+            assert (rid, r) in (("s7.thm12", -1), ("s7.thm13", 0))
+            continue
+        exact_rows += 1
+        value = pi_poly_decimal(exact, 40)
+        gap = CTX.subtract(value, eval_numeric(record.rhs, {name: r}, 40)).copy_abs()
+        assert gap <= value.copy_abs().scaleb(-39), (rid, r, str(exact), str(gap))
+    assert exact_rows == {"s7.thm12": 6, "s7.thm13": 5}.get(rid, hi - lo + 1)
 
 
 @pytest.mark.parametrize(
@@ -202,14 +220,65 @@ def test_the_beta_rule_pinned_values(text, binding, want):
 
 
 @pytest.mark.parametrize(
+    "text, want",
+    [
+        ("quad(sin(x)^4*sin(x/2), 0, pi/2)", "256/315 - 107/315*sqrt(2)"),
+        ("quad(sin(x)^3*cos(x/2), 0, pi/2)", "32/35 - 9/35*sqrt(2)"),
+        ("quad(x^2*sin(x)^5, 0, pi/2)", "-4144/3375 + 149/225*pi"),
+        ("quad(x*sin(x)^3, 0, pi/2)", "7/9"),
+        ("quad(x^2, 0, pi/2)", "1/24*pi^3"),
+        ("quad(-3*x*cos(x/2)^3*sin(x/2), 0, pi/2)", "-3/4 - 3/32*pi"),
+        ("quad(0*x*sin(x)^3, 0, pi/2)", "0"),
+        ("quad(x*sin(x)^3, 0, 0)", "0"),
+    ],
+    ids=["sin4-sinhalf", "sin3-coshalf", "x2-sin5", "x-sin3", "x2", "x-cos3half-sinhalf", "zero", "empty"],
+)
+def test_the_sine_moment_pinned_values(text, want):
+    value = eval_exact_pi(parse(text), {})
+    assert str(value) == want and all(value.values())  # a zero coefficient is never kept
+
+
+@given(
+    j=st.integers(0, 2),
+    m=st.integers(0, 8),
+    half=st.sampled_from(["", "*sin(x/2)", "*cos(x/2)"]),
+    r=st.fractions(max_denominator=50).filter(lambda r: r != 0 and abs(r) < 100),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_sine_moments_agree_with_tanh_sinh(j, m, half, r):
+    e = parse(f"quad(({r})*x^{j}*sin(x)^{m}{half}, 0, pi/2)")
+    exact = eval_exact_pi(e, {})
+    assert exact is not None
+    value, numeric = pi_poly_decimal(exact, 30), eval_numeric(e, {}, 30)
+    assert abs(CTX.subtract(value, numeric)) <= value.copy_abs().scaleb(-29), (str(e), str(exact))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["quad(x^(-1)*sqrt(4-x^2), 0, 2)", "quad(sin(x)^(-1), 0, pi/2)", "2*quad(x^3*(1-x)^(-3/2), 0, 1)"],
+    ids=["B(0,3/2)", "B(0,1/2)", "B(4,-1/2)"],
+)
+def test_a_divergent_euler_form_raises_convergence_error(text):
+    with pytest.raises(ConvergenceError, match="diverges"):
+        eval_exact_pi(parse(text), {})
+    # but not with r = 0, whose integrand is 0, nor on an empty interval
+    assert eval_exact_pi(parse(text.replace("quad(", "quad(0*", 1)), {}) == PiPoly()
+    assert eval_exact_pi(parse(re.sub(r", ([^,]*)\)$", ", 0)", text)), {}) == PiPoly()
+
+
+@pytest.mark.parametrize(
     "text",
     [
-        "quad(x^(-1)*sqrt(4-x^2), 0, 2)",  # B(0, 3/2): diverges at 0
-        "quad(sin(x)^(-1), 0, pi/2)",  # B(0, 1/2): diverges at 0
         "quad(sqrt(2-x), 0, 2)",  # 2^(3/2) is irrational
         "quad(sqrt(4-x^2), 0, 1)",  # the bound misses the root 2
-        "quad(x^2*sin(x)^5, 0, pi/2)",  # neither shape
         "quad(sqrt(sin(x)), 0, pi/2)",  # G(3/4) is not taken exactly
+        "quad(x/sin(x), 0, pi/2)",  # converges, but not a sine moment: x/sin(x) of s7.thm13 at r = 0
+        "quad(x^2*sin(x)^(-1), 0, pi/2)",  # s7.thm12 at r = -1
+        "quad(x/sin(x), 0, pi/6)",  # the Clausen rows
+        "quad(x*sin(x)^3, 0, pi/3)",  # a sine moment on another interval
+        "quad(x*cos(x), 0, pi/2)",  # cos(x) is not read
+        "quad(sin(x)^(1/2)*cos(x/2), 0, pi/2)",  # not an integer power
+        "quad(x*sin(x)^300, 0, pi/2)",  # past SINE_MOMENT_MAX_DEGREE
         "quad(x^x, 0, 1)",
         "quad(x^10001, 0, 1)",  # past BETA_MAX_EXPONENT
     ],

@@ -2,7 +2,7 @@
 
 pi       : Machin arccot combination (core), checked against a Gauss one.
 G        : central-binomial series plus (pi/8) ln(2 + sqrt3) on integers,
-           checked against the Clausen integral Cl2(pi/2).
+           checked against Cl2(pi/2) from its Bernoulli series.
 zeta(3)  : alternating central-binomial series on integers, checked against
            direct summation with an Euler-Maclaurin integral tail.
 ln(alpha): atanh series through core's ln, checked against the stdlib
@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
-from functools import lru_cache
 
-from ..exactnum import binomial
 from . import core
 from .core import _atan_fixed, _bits, _cached, _fixed, _from_fixed, const_pi, context, guard_digits, round_to
 
@@ -92,7 +90,7 @@ def const_catalan_g(digits: int) -> Decimal:
 
 
 def catalan_g_check(digits: int) -> Decimal:
-    """Independent route: Cl2(pi/2) by tanh-sinh quadrature."""
+    """Independent route: Cl2(pi/2) by its Bernoulli series."""
     from .quadrature import clausen2
 
     def compute():
@@ -122,18 +120,6 @@ def const_zeta3(digits: int) -> Decimal:
     return _cached("zeta3", digits, compute)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_upto(m: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_m by the defining recurrence, exact."""
-    bs: list[Fraction] = [Fraction(1)]
-    for k in range(1, m + 1):
-        acc = Fraction(0)
-        for j in range(k):
-            acc += binomial(k + 1, j) * bs[j]
-        bs.append(-acc / (k + 1))
-    return tuple(bs)
-
-
 def zeta3_check(digits: int) -> Decimal:
     """Independent route: direct summation of 1/n^3 with the integral tail
     int_N^inf x^-3 dx and its Euler-Maclaurin corrections,
@@ -154,10 +140,10 @@ def zeta3_check(digits: int) -> Decimal:
             total = ctx.add(total, ctx.divide(1, Decimal(n**3)))
         total = ctx.add(total, ctx.divide(1, Decimal(2 * big_n**2)))
         total = ctx.add(total, ctx.divide(1, Decimal(2 * big_n**3)))
-        bs = _bernoulli_upto(2 * big_n)
         prev = None
-        for k in range(1, big_n):
-            b = bs[2 * k] * (2 * k + 1) / 2
+        for k, tangent in zip(range(1, big_n), core.tangent_numbers()):
+            # B_2k (2k + 1) / 2 with B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+            b = Fraction((-1) ** (k - 1) * k * (2 * k + 1) * tangent, 4**k * (4**k - 1))
             term = ctx.multiply(
                 ctx.divide(Decimal(b.numerator), Decimal(b.denominator)),
                 ctx.power(Decimal(big_n), -(2 * k + 2)),

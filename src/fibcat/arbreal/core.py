@@ -10,7 +10,8 @@ precision.  Every series runs in integer fixed point (v stands for
 v / 2^bits) and is rounded once: one arctan/atanh kernel gives pi, ln 2 and
 ln 10 from arccot sums, and ln and arctan on x's exact integer ratio; sin
 and cos retry with more bits when the reduction modulo 2 pi cancels leading
-bits (Ziv).  nth roots are integer roots of the exact ratio.
+bits (Ziv).  nth roots are integer roots of the exact ratio.  The integer
+tangent numbers, which give the Bernoulli numbers, are built on first use.
 """
 
 from __future__ import annotations
@@ -58,6 +59,34 @@ def _cached(name: str, digits: int, compute):
             _const_cache.setdefault(key, val)
             val = _const_cache[key]
     return val
+
+
+def _tangent_table(n: int) -> tuple[int, ...]:
+    """T_1 .. T_top for the least power of two top >= max(n, 32), by Brent &
+    Harvey's integer recurrence, cached."""
+    top = max(32, 1 << (n - 1).bit_length())
+
+    def compute():
+        t = [0, 1]
+        for k in range(2, top + 1):
+            t.append((k - 1) * t[k - 1])
+        for k in range(2, top + 1):
+            for j in range(k, top + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        return tuple(t[1:])
+
+    return _cached("tangent_numbers", top, compute)
+
+
+def tangent_numbers():
+    """Yield the tangent numbers T_1, T_2, ... = 1, 2, 16, 272, ..., with
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), from a table built on first
+    use and doubled whenever a caller reads past its end."""
+    n = 0
+    while True:
+        table = _tangent_table(n + 1)
+        yield from table[n:]
+        n = len(table)
 
 
 def _int_nth_root(a: int, n: int) -> int:

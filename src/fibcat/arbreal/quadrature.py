@@ -1,19 +1,21 @@
-"""Tanh-sinh (double exponential) quadrature and the Clausen function Cl2.
+"""Tanh-sinh (double exponential) quadrature, and the Clausen function Cl2
+from its Bernoulli series.
 
 The substitution x = mid + half*tanh((pi/2) sinh t) pushes endpoint
 singularities to t = +-inf where the weights die double-exponentially, so
 integrable algebraic or logarithmic endpoint behaviour costs nothing.
 Node positions are stored as offsets from the endpoints (1 - |tanh u|),
-which keeps x accurate right next to a singular endpoint.
+which keeps x accurate right next to a singular endpoint.  Cl2 takes no
+quadrature: its series runs in integer fixed point, as core's kernels do.
 """
 
 from __future__ import annotations
 
-from decimal import ROUND_FLOOR, Decimal
+from decimal import Decimal
 
 from ..errors import ConvergenceError
 from . import core
-from .core import _cached, const_pi, context, guard_digits, round_to
+from .core import _bits, _cached, _fixed, _from_fixed, const_pi, context, guard_digits, round_to
 
 LEVEL_CAP = 12
 
@@ -103,22 +105,57 @@ def tanh_sinh(f, a: Decimal, b: Decimal, digits: int) -> Decimal:
 
 
 def clausen2(theta: Decimal, digits: int) -> Decimal:
-    """Cl2(theta) = -int_0^theta log|2 sin(x/2)| dx.
+    """Cl2(theta) = -int_0^theta ln|2 sin(x/2)| dx = sum_{n>=1} sin(n theta) / n^2.
 
-    Reduced by 2 pi periodicity into [0, 2 pi) and evaluated by tanh-sinh;
-    the logarithmic endpoint singularity is integrable.
+    theta is reduced modulo 2 pi against an integer pi into [-pi, pi] (Cl2
+    is odd and 2 pi periodic), with more bits when the reduction cancels
+    leading bits (Ziv) or theta is small, so that Cl2(t) ~ t (1 - ln t)
+    keeps its relative accuracy.  On 0 < t <= pi
+
+        Cl2(t) = t (1 - ln t) + sum_{k>=1} |B_2k| t^(2k+1) / (2k (2k+1)!),
+
+    whose terms shrink by (t / 2 pi)^2 <= 1/4 or faster (Lewin 1981, ch. 4).
+    |B_2k| / 2k = T_k / (4^k (4^k - 1)) from the tangent numbers, and each
+    term is that integer ratio times t^(2k+1) in fixed point, so the large
+    T_k multiply no floored digits.
     """
+    if not theta:
+        return Decimal(0)
     w = digits + guard_digits(digits)
     ctx = context(w)
-    pi = const_pi(w)
-    tau = ctx.multiply(2, pi)
-    turns = ctx.divide(theta, tau).to_integral_value(rounding=ROUND_FLOOR)
-    t = ctx.subtract(theta, ctx.multiply(turns, tau))
-    if t == 0:
-        return Decimal(0)
-
-    def integrand(x: Decimal) -> Decimal:
-        s = core.sin(ctx.divide(x, 2), w)
-        return ctx.minus(core.ln(ctx.multiply(2, s).copy_abs(), w))
-
-    return round_to(tanh_sinh(integrand, Decimal(0), t, digits), digits)
+    need = _bits(w + 10)
+    p, q = theta.as_integer_ratio()
+    # theta's digits above the point (the error of n * 2 pi) or below it (a small t)
+    bits = need + _bits(abs(theta.adjusted())) + 16
+    while True:
+        r, n = (p << bits) // q, 0
+        if abs(r) > 3 << bits:  # near pi or past it: subtract the nearest multiple of 2 pi
+            pi = _fixed("pi", bits)
+            n = (r + pi) // (2 * pi)
+            r -= 2 * n * pi
+        # r carries at most 2|n| + 3 units of error; keep `need` bits past them
+        short = need + abs(n).bit_length() + 3 - abs(r).bit_length()
+        if short <= 0:
+            break
+        bits += short + 16
+    # the series needs `need` bits below t's leading bit, not the bits that
+    # covered theta's integer part
+    drop = min(abs(r).bit_length(), bits) - need - 16
+    if drop > 0:
+        r, bits = r >> drop, bits - drop
+    neg, r = r < 0, abs(r)
+    r2 = r * r >> bits
+    power = r * r2 >> bits  # t^(2k+1)
+    four, factorial = 4, 6  # 4^k, (2k+1)!
+    total = 0
+    for k, tangent in enumerate(core.tangent_numbers(), 1):
+        term = tangent * power // (four * (four - 1) * factorial)
+        if not term:
+            break
+        total += term
+        power = power * r2 >> bits
+        four <<= 2
+        factorial *= (2 * k + 2) * (2 * k + 3)
+    t = _from_fixed(r, bits, w)
+    v = ctx.add(ctx.multiply(t, ctx.subtract(1, core.ln(t, w))), _from_fixed(total, bits, w))
+    return round_to(ctx.minus(v) if neg else v, digits)

@@ -393,10 +393,11 @@ def _pi_sides(record: IdentityRecord, binding: dict):
     Q(sqrt2)[pi, 1/pi] (a quadrature there is taken by Euler's Beta rule or
     as a sine moment), else None.  pi is transcendental, so the sides are
     equal iff their coefficients are; a failed row's diff is their gap to 30
-    digits."""
+    digits.  Both sides are tried whatever the other gives, so a Beta form
+    that diverges on either side raises its ConvergenceError at once."""
     lhs = eval_exact_pi(record.lhs, binding)
-    rhs = None if lhs is None else eval_exact_pi(record.rhs, binding)
-    if rhs is None:
+    rhs = eval_exact_pi(record.rhs, binding)
+    if lhs is None or rhs is None:
         return None
     ok = lhs == rhs
     diff = Decimal(0) if ok else pi_poly_decimal(lhs - rhs, 30).copy_abs()

@@ -97,8 +97,8 @@ def test_criterion_4_exact_qsqrt5_suite(records, full_report):
 def test_criterion_5_integral_suite(records, full_report):
     """The integral representations of C(n) and 1/C(n) and both sine-moment
     identities for n <= 20, decided exactly by Euler's Beta rule (equal
-    Laurent polynomials in pi), and the Clausen identity at 20 digits by
-    tanh-sinh."""
+    Laurent polynomials in pi), and the Clausen identity at 20 digits, its
+    x/sin(x) side by tanh-sinh and its Cl2 values by their Bernoulli series."""
     reps = {"s1.Cn.rep1", "s1.Cn.rep2", "s1.Cninv.rep", "s7.wallis.odd", "s7.wallis.even"}
     rows = rows_for(full_report, reps)
     assert len(rows) == 5 * 21

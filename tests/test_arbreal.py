@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -144,7 +145,7 @@ def test_sin_cos_at_large_arguments_and_near_zeros(f, x, want):
 
 
 def test_sin_of_tiny_argument_keeps_relative_accuracy():
-    # tanh-sinh endpoint offsets reach below 1e-100; clausen2 takes ln of sin
+    # tanh-sinh endpoint offsets reach below 1e-100, where x/sin(x) needs sin's relative accuracy
     assert ar.sin(Decimal("1e-100"), 40) == Decimal("1e-100")
 
 
@@ -360,11 +361,111 @@ def test_clausen_values():
     ctx = core.context(40)
     got = ar.clausen2(ctx.divide(pi, 2), 20)
     assert close(got, ar.const_catalan_g(25), "1E-19")
-    # defining series vanishes termwise at theta = pi... the integral route
-    # must come back to zero as well
+    # the defining series sum sin(n theta)/n^2 vanishes termwise at theta = pi
     assert ar.clausen2(pi, 20).copy_abs() < Decimal("1E-19")
     minus_g = ar.clausen2(ctx.multiply(pi, ctx.divide(3, 2)), 20)
     assert close(minus_g, CTX.minus(ar.const_catalan_g(25)), "1E-19")
+
+
+def _bernoulli_by_recurrence(m: int) -> list[Fraction]:
+    """B_0 .. B_m from sum_{j<=k} binom(k+1, j) B_j = 0, exact."""
+    bs = [Fraction(1)]
+    for k in range(1, m + 1):
+        bs.append(-sum(math.comb(k + 1, j) * bs[j] for j in range(k)) / (k + 1))
+    return bs
+
+
+def test_tangent_numbers_give_the_bernoulli_numbers():
+    tangent = list(itertools.islice(core.tangent_numbers(), 70))  # reads past the first table of 32
+    assert tangent[:6] == [1, 2, 16, 272, 7936, 353792]
+    bs = _bernoulli_by_recurrence(140)
+    for k, t in enumerate(tangent, 1):
+        assert Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1)) == bs[2 * k], k
+
+
+def _pi_times(num: int, den: int, digits: int = 60) -> Decimal:
+    ctx = core.context(digits)
+    return ctx.divide(ctx.multiply(ar.const_pi(digits), num), den)
+
+
+def _clausen_by_tanh_sinh(theta: Decimal, digits: int) -> Decimal:
+    """The defining integral -int_0^theta ln|2 sin(x/2)| dx, 0 < theta < 2 pi."""
+    w = digits + core.guard_digits(digits)
+    ctx = core.context(w)
+
+    def integrand(x):
+        return ctx.minus(ar.ln(ctx.multiply(2, ar.sin(ctx.divide(x, 2), w)).copy_abs(), w))
+
+    return ar.round_to(ar.tanh_sinh(integrand, Decimal(0), theta, digits), digits)
+
+
+def test_clausen_at_rational_multiples_of_pi():
+    want = Decimal("1.014941606409653625021202554274520285942")
+    assert ar.clausen2(_pi_times(1, 3), 40) == want
+    assert ar.clausen2(_pi_times(1, 2), 40) == ar.const_catalan_g(40)
+    # Cl2(2 pi/3) = (2/3) Cl2(pi/3), from the duplication formula at pi/3
+    two_thirds = CTX.divide(CTX.multiply(2, ar.clausen2(_pi_times(1, 3), 45)), 3)
+    assert within_units(ar.clausen2(_pi_times(2, 3), 40), two_thirds, 40)
+
+
+@pytest.mark.parametrize("num, den", [(1, 7), (1, 2), (2, 3), (5, 6), (7, 5)])
+def test_clausen_is_odd_and_2pi_periodic(num, den):
+    theta = _pi_times(num, den)
+    value = ar.clausen2(theta, 40)
+    assert within_units(ar.clausen2(CTX.minus(theta), 40), CTX.minus(value), 40)
+    for turns in (1, -1, 3):
+        assert within_units(ar.clausen2(CTX.add(theta, _pi_times(2 * turns, 1)), 40), value, 40)
+
+
+@pytest.mark.parametrize("turns", [1, 2, -1, 5])
+def test_clausen_vanishes_at_multiples_of_pi(turns):
+    assert ar.clausen2(_pi_times(turns, 1), 40).copy_abs() < Decimal("1E-50")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**12 - 1))
+def test_clausen_duplication_formula(m):
+    # Cl2(2t) = 2 Cl2(t) - 2 Cl2(pi - t) for 0 < t < pi
+    t = _pi_times(m, 10**12)
+    rhs = CTX.multiply(2, CTX.subtract(ar.clausen2(t, 40), ar.clausen2(CTX.subtract(ar.const_pi(60), t), 40)))
+    assert close(ar.clausen2(CTX.multiply(2, t), 40), rhs, "1E-38")
+
+
+@pytest.mark.parametrize("x", ["1e-30", "-1e-30"])
+def test_clausen_of_a_tiny_argument_keeps_relative_accuracy(x):
+    # Cl2(t) = t (1 - ln t) + t^3/72 + t^5/14400 + ...; the t^5 term lies below 1e-150
+    t = Decimal(x)
+    ctx = Context(prec=100)
+    want = ctx.add(ctx.multiply(t, ctx.subtract(1, ctx.ln(t.copy_abs()))), ctx.divide(ctx.power(t, 3), 72))
+    assert within_units(ar.clausen2(t, 40), want, 40)
+
+
+def test_clausen_of_a_large_and_a_negative_argument():
+    # 10^6 less its nearest multiple of 2 pi, reduced against a 100-digit pi
+    ctx = core.context(100)
+    tau = ctx.multiply(2, ar.const_pi(100))
+    turns = ctx.divide(Decimal(10**6), tau).to_integral_value()
+    reduced = ctx.subtract(Decimal(10**6), ctx.multiply(turns, tau))
+    assert reduced < 0
+    want = _clausen_by_tanh_sinh(ctx.add(reduced, tau), 40)
+    assert within_units(ar.clausen2(Decimal(10**6), 40), want, 40)
+    assert within_units(ar.clausen2(Decimal(-2), 40), _clausen_by_tanh_sinh(ctx.subtract(tau, 2), 40), 40)
+
+
+@pytest.mark.parametrize("num, den", [(1, 100), (1, 6), (1, 4), (1, 2), (3, 4), (5, 6), (7, 5), (11, 6)])
+def test_clausen_series_matches_the_defining_integral(num, den):
+    theta = _pi_times(num, den)
+    assert close(ar.clausen2(theta, 40), _clausen_by_tanh_sinh(theta, 40), "1E-40")
+
+
+def test_clausen_and_catalan_check_take_no_quadrature(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tanh-sinh ran")
+
+    monkeypatch.setattr(quadrature, "tanh_sinh", refuse)
+    for num, den in ((1, 6), (1, 2), (5, 3)):
+        ar.clausen2(_pi_times(num, den), 40)
+    ar.catalan_g_check(43)  # a precision no other test asks for, so not cached
 
 
 def test_quadrature_contract_examples():

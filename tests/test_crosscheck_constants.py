@@ -25,6 +25,17 @@ def test_a_route_off_by_1e_40_fails(monkeypatch, capsys):
     assert "NOT below 1E-49" in capsys.readouterr().out
 
 
+def test_a_clausen_route_off_by_1e_40_fails_its_row(monkeypatch, capsys):
+    series = ar.clausen2
+    monkeypatch.setattr(ar, "clausen2", lambda t, d: core.context(d).add(series(t, d), Decimal("1e-40")))
+    assert crosscheck.main(["50"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("Cl2(pi/3)"))
+    assert lines[row + 1].split()[:2] == ["tanh-sinh", "integral"]
+    assert Decimal(lines[row + 2].split()[-1]) == Decimal("1e-40")
+    assert "NOT below 1E-49" in lines[-1]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["abc"], "invalid int value: 'abc'"), (["0"], "at least 1"), (["-3"], "at least 1"), (["5", "6"], "unrecognized")],

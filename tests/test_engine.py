@@ -654,6 +654,16 @@ def test_a_divergent_euler_form_is_a_convergence_error_row_at_once(monkeypatch, 
     assert row.status == "error" and row.detail.startswith("ConvergenceError: ") and "diverges" in row.detail
 
 
+def test_a_divergent_euler_form_on_the_rhs_fails_at_once_beside_a_numeric_lhs(monkeypatch):
+    # x/sin(x) lies outside Q(sqrt2)[pi, 1/pi]; the rhs is still read there first
+    _no_tanh_sinh(monkeypatch)
+    sides = 'lhs = "quad(x/sin(x), 0, pi/2)" rhs = "quad(sin(x)^(-1), 0, pi/2)"'
+    text = f'id = "t.d" kind = "integral" paper = "p" digits = 5 {sides}'
+    rows = engine.verify_identity(_record(text))
+    assert rows[0].status == "error" and rows[0].detail.startswith("ConvergenceError: "), rows[0]
+    assert "Euler Beta form B(0, 1/2)" in rows[0].detail and engine.exit_code(rows) == 3
+
+
 def test_an_algebraic_tail_derives_its_term_ratio_once_per_binding(monkeypatch, records):
     calls = []
     real = expr.term_ratio

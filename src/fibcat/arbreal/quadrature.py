@@ -108,9 +108,50 @@ def clausen2(theta: Decimal, digits: int) -> Decimal:
     """Cl2(theta) = -int_0^theta ln|2 sin(x/2)| dx = sum_{n>=1} sin(n theta) / n^2.
 
     theta is reduced modulo 2 pi against an integer pi into [-pi, pi] (Cl2
-    is odd and 2 pi periodic), with more bits when the reduction cancels
-    leading bits (Ziv) or theta is small, so that Cl2(t) ~ t (1 - ln t)
-    keeps its relative accuracy.  On 0 < t <= pi
+    is odd and 2 pi periodic).  A reduced t in (pi/2, pi] is taken as
+    Cl2(t) = Cl2(u) - Cl2(2u)/2 with u = pi - t, the duplication formula,
+    so that next to an odd multiple of pi, where Cl2 crosses zero, the
+    value keeps its relative accuracy as it does next to an even one,
+    where Cl2(t) ~ t (1 - ln t).  The reduction takes more bits while the
+    kept t or u has too few above its error (Ziv), or is small.  Cl2 of t,
+    u and 2u comes from the series of _clausen_fixed.
+    """
+    if not theta:
+        return Decimal(0)
+    w = digits + guard_digits(digits)
+    need = _bits(w + 10)
+    p, q = theta.as_integer_ratio()
+    # theta's digits above the point (the error of n * 2 pi) or below it (a small t)
+    bits = need + _bits(abs(theta.adjusted())) + 16
+    while True:
+        r, n, fold = (p << bits) // q, 0, False
+        if abs(r) > 1 << bits:  # pi reduces r past pi, or folds it past pi/2
+            pi = _fixed("pi", bits)
+            n = (r + pi) // (2 * pi)
+            r -= 2 * n * pi
+            fold = 2 * abs(r) > pi
+            if fold:  # u = pi - |r|, with r's sign
+                r = pi - r if r > 0 else -pi - r
+        # r carries at most 4|n| + 3 units of error; keep `need` bits past them
+        short = need + abs(n).bit_length() + 3 - abs(r).bit_length()
+        if short <= 0:
+            break
+        bits += max(short, bits // 2) + 16  # by half at least: theta may lie within 10^-d of k pi, d large
+    # the series needs `need` bits below the leading bit of t or u, not the
+    # bits that covered theta's integer part
+    drop = min(abs(r).bit_length(), bits) - need - 16
+    if drop > 0:
+        r, bits = r >> drop, bits - drop
+    ctx = context(w)
+    neg, r = r < 0, abs(r)
+    v = _clausen_fixed(r, bits, w)
+    if fold:  # the two cancel to u ln 2 + O(u^3): log10(ln(1/u)) digits, within the guard
+        v = ctx.subtract(v, ctx.divide(_clausen_fixed(2 * r, bits, w), 2))
+    return round_to(ctx.minus(v) if neg else v, digits)
+
+
+def _clausen_fixed(r: int, bits: int, w: int) -> Decimal:
+    """Cl2(t) to `w` digits for t = r / 2^bits in (0, pi], from
 
         Cl2(t) = t (1 - ln t) + sum_{k>=1} |B_2k| t^(2k+1) / (2k (2k+1)!),
 
@@ -119,31 +160,7 @@ def clausen2(theta: Decimal, digits: int) -> Decimal:
     term is that integer ratio times t^(2k+1) in fixed point, so the large
     T_k multiply no floored digits.
     """
-    if not theta:
-        return Decimal(0)
-    w = digits + guard_digits(digits)
     ctx = context(w)
-    need = _bits(w + 10)
-    p, q = theta.as_integer_ratio()
-    # theta's digits above the point (the error of n * 2 pi) or below it (a small t)
-    bits = need + _bits(abs(theta.adjusted())) + 16
-    while True:
-        r, n = (p << bits) // q, 0
-        if abs(r) > 3 << bits:  # near pi or past it: subtract the nearest multiple of 2 pi
-            pi = _fixed("pi", bits)
-            n = (r + pi) // (2 * pi)
-            r -= 2 * n * pi
-        # r carries at most 2|n| + 3 units of error; keep `need` bits past them
-        short = need + abs(n).bit_length() + 3 - abs(r).bit_length()
-        if short <= 0:
-            break
-        bits += short + 16
-    # the series needs `need` bits below t's leading bit, not the bits that
-    # covered theta's integer part
-    drop = min(abs(r).bit_length(), bits) - need - 16
-    if drop > 0:
-        r, bits = r >> drop, bits - drop
-    neg, r = r < 0, abs(r)
     r2 = r * r >> bits
     power = r * r2 >> bits  # t^(2k+1)
     four, factorial = 4, 6  # 4^k, (2k+1)!
@@ -157,5 +174,4 @@ def clausen2(theta: Decimal, digits: int) -> Decimal:
         four <<= 2
         factorial *= (2 * k + 2) * (2 * k + 3)
     t = _from_fixed(r, bits, w)
-    v = ctx.add(ctx.multiply(t, ctx.subtract(1, core.ln(t, w))), _from_fixed(total, bits, w))
-    return round_to(ctx.minus(v) if neg else v, digits)
+    return ctx.add(ctx.multiply(t, ctx.subtract(1, core.ln(t, w))), _from_fixed(total, bits, w))

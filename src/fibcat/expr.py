@@ -18,8 +18,9 @@ walk and its other nodes combine their children's forms.  One reading,
 `integer_poly`, turns literals, names, negation, + - * and division by a
 constant into a polynomial: the numeric evaluator, which compiles a tree
 once into closures, runs such subtrees on Python ints, `term_ratio` reads
-its linear factors s*n + o from them and the parser its exponents.  C,
-binom and constant powers step through the evaluator's NumericSeqCache.
+its linear factors s*n + o from them and the parser its exponents.  The
+numeric evaluator reads C, binom, F and L alike, as exactnum's exact
+integer rounded once.
 `term_ratio` writes a series term as a hypergeometric part h(n), whose
 ratio h(n+1)/h(n) is a quotient of integer products, times Binet chains
 c*gamma^n split from its F and L factors (c, gamma exact in Q(sqrt5)).
@@ -577,88 +578,12 @@ def eval_one_radical(e: Expr, env: Env):
 # -------------------------------------------------------------- numeric path
 
 
-class NumericSeqCache:
-    """Incremental Decimal values of C, binom and literal powers, one cache
-    per NumericEvaluator.
-
-    Catalan numbers and binomials are carried as working-precision decimals
-    through their one-step ratio recurrences, so a series term at n = 10^5
-    costs O(1) decimal operations instead of exact 10^5-digit integers.
-    Literal powers are advanced by small-exponent steps for the same reason.
-    """
-
-    def __init__(self, ctx: Context):
-        self.ctx = ctx
-        self._cat = [Decimal(1)]
-        self._binom: dict = {}
-        self._pow: dict = {}
-
-    def catalan(self, n: int) -> Decimal:
-        if n < 0:
-            raise DomainError(f"catalan: n must be non-negative, got {n}")
-        ctx = self.ctx
-        cat = self._cat
-        while len(cat) <= n:
-            m = len(cat) - 1
-            cat.append(ctx.divide(ctx.multiply(cat[-1], 2 * (2 * m + 1)), m + 2))
-        return cat[n]
-
-    def binom(self, a: int, b: int) -> Decimal:
-        if a < 0:  # as exactnum.binomial
-            raise DomainError(f"binomial: n must be non-negative, got {a}")
-        if b < 0 or b > a:
-            return Decimal(0)
-        # walk down the diagonal (a, b) -> (a-2, b-1) to a cached entry, an
-        # edge or a small exact entry, step back up and keep only the ends
-        cache, key, path = self._binom, (a, b), []
-        while a > 400 and 0 < b < a and (a, b) not in cache:
-            path.append((a, b))
-            a, b = a - 2, b - 1
-        val = cache.get((a, b))
-        if val is None:
-            val = cache[(a, b)] = self.ctx.plus(Decimal(exactnum.binomial(a, b)))
-        for a, b in reversed(path):
-            val = self.ctx.divide(self.ctx.multiply(val, a * (a - 1)), b * (a - b))
-        cache[key] = val
-        return val
-
-    def powers(self, base: Fraction):
-        """k -> base**k at working precision, one int-keyed table per base.
-
-        A power one to eight steps above a cached one is that power times
-        base**step; any other is computed directly.
-        """
-        got = self._pow.get(base)
-        if got is not None:
-            return got
-        ctx = self.ctx
-        base_dec = ctx.divide(Decimal(base.numerator), Decimal(base.denominator))
-        table: dict = {}
-
-        def power(k: int) -> Decimal:
-            got = table.get(k)
-            if got is not None:
-                return got
-            for step in range(1, 9):
-                prev = table.get(k - step)
-                if prev is not None:
-                    val = ctx.multiply(prev, ctx.power(base_dec, step))
-                    break
-            else:
-                val = ctx.power(base_dec, k)
-            table[k] = val
-            return val
-
-        self._pow[base] = power
-        return power
-
-
 class NumericEvaluator:
     """Compiles trees into closures bound to one working precision.
 
     `eval` compiles a tree on first sight and reuses the closures, so the
-    terms of a series share the context, the constants, the sequence cache
-    and the compiled code; values come back at the working precision
+    terms of a series share the context, the constants and the compiled
+    code; values come back at the working precision
     (target digits plus guard), callers round.
 
     After `step(term, index)`, it steps that series term from the one
@@ -678,7 +603,6 @@ class NumericEvaluator:
         self.digits = digits
         self.w = digits + _core.guard_digits(digits)
         self.ctx = _core.context(self.w)
-        self.seq = NumericSeqCache(self.ctx)
         self._compiled: dict = {}  # id(e) -> (e, closure, series index or None); holding e keeps its id
         self._bodies = 0  # quadrature bodies around the node being compiled
 
@@ -855,12 +779,6 @@ class NumericEvaluator:
         if isinstance(e, SeqCall):
             _sequence(e.name)  # refuse an unknown name now
             args = [_seq_arg(a, e, polys) for a in e.args]
-            if e.name == "C":
-                (n,), catalan = args, self.seq.catalan
-                return lambda env, x: catalan(n(env))
-            if e.name == "binom":
-                (a, b), binom = args, self.seq.binom
-                return lambda env, x: binom(a(env), b(env))
             name, plus = e.name, ctx.plus
             return lambda env, x: plus(Decimal(_sequence(name)(*[a(env) for a in args])))
         if isinstance(e, Quad):
@@ -883,17 +801,12 @@ class NumericEvaluator:
         raise TypeError(f"not an expression: {e!r}")
 
     def _pow(self, e: Pow, polys: dict):
-        # the exponent sees the binding only, as in eval_exact_rational; a
-        # nonzero constant base takes the sequence cache's power table
+        # the exponent sees the binding only, as in eval_exact_rational
         base = self._num(e.base, polys)
-        lit = poly_constant(integer_poly(e.base, polys))
-        table = self.seq.powers(lit) if lit else None
         w = self.w
         p = integer_poly(e.exponent, polys)
         if p is not None and poly_integral(p):
             k = _poly_fn(p)
-            if table is not None:
-                return lambda env, x: table(k(env))
 
             def int_power(env, x):
                 n, v = k(env), base(env, x)
@@ -909,8 +822,6 @@ class NumericEvaluator:
             ex = exponent(env)
             if ex is None:
                 raise DomainError(f"exponent is not an exact rational in {e}")
-            if ex.denominator == 1 and table is not None:
-                return table(int(ex))
             v = base(env, x)
             try:
                 return _core.pow_rational(v, ex, w)

@@ -422,6 +422,20 @@ def test_clausen_vanishes_at_multiples_of_pi(turns):
     assert ar.clausen2(_pi_times(turns, 1), 40).copy_abs() < Decimal("1E-50")
 
 
+@pytest.mark.parametrize(
+    "theta, want",
+    [
+        (ar.const_pi(60), "3.183145215205416241237081179676464264098E-60"),
+        (core.context(80).multiply(ar.const_pi(60), 3), "9.549435645616248723711243539029392792294E-60"),
+        (CTX.subtract(ar.const_pi(80), Decimal("1E-20")), "6.931471805599453094172321214581765680755E-21"),
+    ],
+    ids=["pi60", "3pi60", "pi80-1e-20"],
+)
+def test_clausen_next_to_an_odd_multiple_of_pi_keeps_relative_accuracy(theta, want):
+    # Cl2(pi - u) = u ln 2 - u^3/24 + ...: the value is as small as theta's distance from pi
+    assert within_units(ar.clausen2(theta, 40), Decimal(want), 40)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10**12 - 1))
 def test_clausen_duplication_formula(m):

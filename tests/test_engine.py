@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fibcat import arbreal as ar
-from fibcat import cli, engine, expr
+from fibcat import cli, engine, exactnum, expr
 from fibcat.arbreal import core
 from fibcat.errors import ConvergenceError, TailBoundViolation
 from fibcat.expr import BinOp, NumericEvaluator, RatLit, term_ratio
@@ -242,16 +242,25 @@ def test_perturbed_rhs_fails(records):
         assert all(r.status == "fail" for r in res), rid
 
 
-def test_cold_binom_far_out_matches_the_stepwise_warm_up():
-    cold = NumericEvaluator(30).seq
-    warm = NumericEvaluator(30).seq
-    for m in range(0, 10001):
-        warm.binom(2 * m, m)
-    assert cold.binom(20000, 10000) == warm.binom(20000, 10000)
-    assert str(cold.binom(20000, 10000)) == str(warm.binom(20000, 10000))
-    # a diagonal that meets the edge b = 0 above the exact cutoff
-    assert cold.binom(1000, 3) == Decimal(166167000)
-    assert cold.binom(500, 0) == cold.binom(500, 500) == 1
+def test_binom_and_catalan_far_out_are_the_exact_integers_rounded_once():
+    evaluator = NumericEvaluator(30)
+
+    def rounded_once(n):
+        return evaluator.ctx.plus(Decimal(n))
+
+    far = evaluator.eval(parse_expression("binom(2*m, m)"), {"m": 10000})
+    assert far == rounded_once(exactnum.binomial(20000, 10000))
+    assert str(expr.eval_numeric(parse_expression("binom(20000, 10000)"), {}, 30)) == str(
+        core.round_to(Decimal(exactnum.binomial(20000, 10000)), 30)
+    )
+    assert evaluator.eval(parse_expression("binom(1000, 3)"), {}) == Decimal(166167000)
+    edges = [evaluator.eval(parse_expression(f"binom(500, {b})"), {}) for b in (0, 500)]
+    assert edges == [1, 1]
+    cold = evaluator.eval(parse_expression("C(n)"), {"n": 20000})
+    assert cold == rounded_once(exactnum.catalan(20000))
+    assert expr.eval_numeric(parse_expression("C(20000)"), {}, 30) == core.round_to(
+        Decimal(exactnum.catalan(20000)), 30
+    )
 
 
 def test_evaluate_sides_numeric_and_exact(records):

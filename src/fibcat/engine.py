@@ -1,12 +1,13 @@
 """Series summation with sound tail control, exact checks, verification.
 
-One summation loop, `_terms`, serves both tails: it asks one
-NumericEvaluator for t(start), t(start+1), ..., and the evaluator, told
-the series' index, steps each term from the last as Binet chains by the
-ratio of expr.term_ratio, u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i, and
-evaluates the tree only for the first term, any term after a zero t, P or
-Q, and every term of a term without a ratio.  The tails differ in where
-they stop:
+`sum_series` derives the term's ratio (expr.term_ratio) once per binding
+and hands it to the evaluator and to an algebraic tail's expansion.  One
+summation loop, `_terms`, serves both tails: it asks one NumericEvaluator
+for t(start), t(start+1), ..., and the evaluator steps each term from the
+last as Binet chains by that ratio, u_i(n+1) = u_i(n) * P(n)/Q(n) *
+gamma_i, and evaluates the tree only for the first term, any term after a
+zero t, P or Q, and every term of a term without a ratio.  The tails
+differ in where they stop:
 
 * geometric -- sum until |t_n| * rho/(1-rho) drops under the target,
   validating the declared ratio bound against every term pair; a violated
@@ -21,8 +22,8 @@ they stop:
 
 Exact kinds (finite, algebraic, radical) never compare floats: they reduce
 to Fraction or QuadRat equality.  An algebraic or radical record whose side
-leaves Q(sqrt5) has both sides squared into it and their signs checked
-numerically at 20 digits; a failed row's gap comes from those same values.
+leaves Q(sqrt5) has both sides squared into it and their exact signs
+compared; only a failed row evaluates its sides, for the gap, at 20 digits.
 A finite record keeps one running exact sum across its bindings.  An
 integral or constant record without a series side is first tried exactly
 in Q(sqrt2)[pi, 1/pi] (expr.eval_exact_pi), where a quadrature that is an
@@ -51,6 +52,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
+from . import expr
 from .arbreal import core as _core
 from .errors import ConvergenceError, TailBoundViolation, UnsupportedRecordError
 from .exactnum import ONE, qr_pow
@@ -172,18 +174,19 @@ def sum_series(
     a NumericEvaluator at `digits`, lets a caller that sums one record at
     many bindings compile its term once."""
     evaluator = evaluator or NumericEvaluator(digits)
+    # derived once per binding, for the steps and an algebraic tail's expansion
+    ratio = expr.term_ratio(spec.term, spec.index, env)
+    evaluator.step(spec.term, spec.index, ratio)
     if isinstance(tail, GeometricTail):
         return _sum_geometric(spec, env, tail, evaluator, force_terms)
     if isinstance(tail, AlgebraicTail):
-        return _sum_algebraic(spec, env, evaluator, force_terms)
+        return _sum_algebraic(spec, env, evaluator, ratio, force_terms)
     raise TypeError(f"unknown tail strategy {tail!r}")
 
 
 def _terms(spec, env, evaluator):
-    """t(start), t(start + 1), ...: the one loop of both tails.  The
-    evaluator steps each term from the last as Binet chains
-    (NumericEvaluator.step)."""
-    evaluator.step(spec.term, spec.index)
+    """t(start), t(start + 1), ...: the one loop of both tails, each term
+    stepped from the last by the evaluator (NumericEvaluator.step)."""
     env, term, index, evaluate = dict(env), spec.term, spec.index, evaluator.eval
     for n in itertools.count(spec.start):
         env[index] = n
@@ -221,8 +224,7 @@ def _sum_geometric(spec, env, tail, evaluator, force_terms) -> SumResult:
         prev = now
 
 
-def _sum_algebraic(spec, env, evaluator, force_terms) -> SumResult:
-    ratio = evaluator.ratio(spec.term, spec.index, env)
+def _sum_algebraic(spec, env, evaluator, ratio, force_terms) -> SumResult:
     if ratio is None or [gamma for _, gamma in ratio.chains] != [ONE]:
         raise UnsupportedRecordError(f"an algebraic tail needs a hypergeometric term: {spec.term}")
     # the expansion point N lies 8x past every root of a factor of the ratio
@@ -363,21 +365,22 @@ def _exact_int(e: Expr, env, what: str) -> int:
 
 def _exact_sides(record: IdentityRecord, binding: dict, digits=None) -> Sides:
     """Sides of an algebraic or radical record: exact in Q(sqrt5) when both
-    sides lie in it, else the squares of their u*sqrt(v) forms with the signs
-    of the sides compared at RADICAL_SIGN_DIGITS.  A failed row's diff is the
-    gap of those same values, each side evaluated once."""
+    sides lie in it, else the squares of their u*sqrt(v) forms (v >= 0, so
+    the sign of a side is that of u, or 0 when v is) with their exact signs.
+    A failed row's diff is the gap of the sides evaluated once each at
+    RADICAL_SIGN_DIGITS."""
     sides = (record.lhs, record.rhs)
     lhs, rhs = (eval_exact_qsqrt5(side, binding) for side in sides)
     squared = lhs is None or rhs is None
+    ok = lhs == rhs
     if squared:
         forms = [eval_one_radical(side, binding) for side in sides]
         if None in forms:
             raise UnsupportedRecordError(f"{record.id}: sides do not square into Q(sqrt5)")
         lhs, rhs = (qr_pow(u, 2) * v for u, v in forms)
-    ok = lhs == rhs
-    if squared or not ok:
-        values = [eval_numeric(side, binding, RADICAL_SIGN_DIGITS) for side in sides]
-        ok = ok and values[0].compare(0) == values[1].compare(0)
+        signs = [0 if v.is_zero() else u.sign() for u, v in forms]
+        ok = lhs == rhs and signs[0] == signs[1]
+    values = () if ok else [eval_numeric(side, binding, RADICAL_SIGN_DIGITS) for side in sides]
     diff = Decimal(0) if ok else _core.context(30).subtract(*values).copy_abs()
     detail = "routed to radical check" if squared and record.kind == "algebraic" else ""
     return Sides(lhs, rhs, diff=diff, exact=ok, squared=squared, detail=detail)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # the exact workload reads 301 distinct (n, k), each many times
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); zero when k lies outside [0, n]."""
     if n < 0:
@@ -23,7 +23,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k) if k >= 0 else 0
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     """n-th Catalan number, binom(2n, n)/(n+1)."""
     if n < 0:
@@ -31,23 +30,29 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
 def fibonacci(n: int) -> int:
     """Fibonacci number, extended to negative index by F(-n) = (-1)^(n+1) F(n)."""
-    if n < 0:
-        f = fibonacci(-n)
-        return f if n % 2 else -f
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    f = _fibonacci_pair(abs(n))[0]
+    return -f if n < 0 and n % 2 == 0 else f
 
 
-@lru_cache(maxsize=None)
 def lucas(n: int) -> int:
-    """Lucas number L(n) = F(n-1) + F(n+1), which extends it to negative
-    index by L(-n) = (-1)^n L(n)."""
-    return fibonacci(n - 1) + fibonacci(n + 1)
+    """Lucas number L(n) = 2F(n+1) - F(n), extended to negative index by
+    L(-n) = (-1)^n L(n)."""
+    f, g = _fibonacci_pair(abs(n))
+    l = 2 * g - f
+    return -l if n < 0 and n % 2 else l
+
+
+def _fibonacci_pair(n: int):
+    """(F(n), F(n+1)) for n >= 0 by fast doubling, one bit of n at a time:
+    F(2k) = F(k) (2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,6 @@ class QuadRat:
     def __truediv__(self, other: "QuadRat") -> "QuadRat":
         return self * other.inverse()
 
-    def conjugate(self) -> "QuadRat":
-        return QuadRat(self.a, -self.b)
-
     def norm(self) -> Fraction:
         return self.a * self.a - 5 * self.b * self.b
 
@@ -93,6 +95,14 @@ class QuadRat:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
+
+    def sign(self) -> int:
+        """The exact sign of a + b*sqrt5: where a and b have opposite signs,
+        the larger of a^2 and 5b^2 (the sign of the norm) decides."""
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if self.norm() > 0 else sb
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt5"

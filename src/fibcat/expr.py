@@ -24,9 +24,11 @@ integer rounded once.
 `term_ratio` writes a series term as a hypergeometric part h(n), whose
 ratio h(n+1)/h(n) is a quotient of integer products, times Binet chains
 c*gamma^n split from its F and L factors (c, gamma exact in Q(sqrt5)).
-An evaluator told a series' index (`NumericEvaluator.step`) steps each
-term from the last through them, and the engine expands an algebraic
-tail from the factors.
+The engine derives it once per binding: an evaluator handed it with the
+series' index (`NumericEvaluator.step`) steps each term from the last
+through the chains, and the engine expands an algebraic tail from the
+factors.  The one-radical form u*sqrt(v) has v >= 0, so the engine reads
+the sign of a side exactly.
 
 alpha and beta are primitive constants rather than spelled-out surds so
 the exact Q(sqrt5) evaluator can recognise them; the numeric evaluator
@@ -526,7 +528,9 @@ def eval_one_radical(e: Expr, env: Env):
     radicals, sums of unlike radicals, transcendental parts).  The tree is
     walked once: literals, names, constants and sequence calls take the
     exact Q(sqrt5) walk and give (value, 1); every other node combines the
-    forms of its children.
+    forms of its children.  A radicand whose exact sign is negative raises
+    DomainError, so every form has v >= 0 and the sign of u times [v != 0]
+    is the sign of its value.
     """
     t = type(e)
     if t is Neg:
@@ -534,7 +538,11 @@ def eval_one_radical(e: Expr, env: Env):
         return None if r is None else (-r[0], r[1])
     if t is Fn:
         inner = eval_one_radical(e.arg, env) if e.name == "sqrt" else None
-        return None if inner is None or inner[1] != ONE else (ONE, inner[0])
+        if inner is None or inner[1] != ONE:
+            return None
+        if inner[0].sign() < 0:
+            raise DomainError(f"sqrt of negative value {inner[0]} in {e}")
+        return (ONE, inner[0])
     if t is BinOp:
         l = eval_one_radical(e.left, env)
         r = eval_one_radical(e.right, env)
@@ -586,8 +594,9 @@ class NumericEvaluator:
     code; values come back at the working precision
     (target digits plus guard), callers round.
 
-    After `step(term, index)`, it steps that series term from the one
-    before it (see _stepper) instead of evaluating it again.
+    After `step(term, index, ratio)`, it steps that series term from the
+    one before it by the TermRatio its caller derived (see _stepper)
+    instead of evaluating it again.
 
     A subtree that integer_poly reads as a polynomial with integer
     coefficients (exponents, sequence arguments, polynomial factors) runs on
@@ -603,27 +612,23 @@ class NumericEvaluator:
         self.digits = digits
         self.w = digits + _core.guard_digits(digits)
         self.ctx = _core.context(self.w)
-        self._compiled: dict = {}  # id(e) -> (e, closure, series index or None); holding e keeps its id
+        self._compiled: dict = {}  # id(e) -> (e, closure eval runs, compiled closure); e keeps its id
         self._bodies = 0  # quadrature bodies around the node being compiled
 
     def eval(self, e: Expr, env: Env) -> Decimal:
         got = self._compiled.get(id(e))
         if got is None:
-            got = self._compiled[id(e)] = (e, self.compile(e), None)
+            run = self.compile(e)
+            got = self._compiled[id(e)] = (e, run, run)
         return got[1](env)
 
-    def step(self, term: Expr, index: str) -> None:
+    def step(self, term: Expr, index: str, ratio) -> None:
         """Make `eval(term, env)` step `term` as a series term in `index`
-        from the call before it (see _stepper)."""
+        from the call before it by `ratio`, its term_ratio at the binding of
+        the calls that follow (see _stepper); the tree is compiled once."""
         got = self._compiled.get(id(term))
-        if got is None or got[2] != index:
-            self._compiled[id(term)] = (term, self._stepper(term, index, self.compile(term)), index)
-
-    def ratio(self, term: Expr, index: str, env: Env):
-        """term_ratio(term, index, env), derived once per values of the
-        term's other names and shared with the steps of `term` (step)."""
-        self.step(term, index)
-        return self._compiled[id(term)][1].ratio(env)
+        run = got[2] if got else self.compile(term)
+        self._compiled[id(term)] = (term, self._stepper(index, ratio, run), run)
 
     def compile(self, e: Expr):
         """The closure env -> Decimal that evaluates `e`."""
@@ -640,53 +645,30 @@ class NumericEvaluator:
 
         return run
 
-    def _stepper(self, term: Expr, index: str, run):
+    def _stepper(self, index: str, ratio, run):
         """env -> t(n) for a series term t in `index`, stepped as Binet
-        chains.  With R = P/Q and the chains (c_i, gamma_i) of
-        term_ratio(term), t(n) = sum u_i(n), u_i(n) = c_i h(n) gamma_i^n, and
+        chains.  With R = P/Q and the chains (c_i, gamma_i) of `ratio`,
+        t(n) = sum u_i(n), u_i(n) = c_i h(n) gamma_i^n, and
         u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i: a call for n steps the
-        chains of the last call when that call was for n - 1 at the same
-        values of the term's other names.  `run` takes the first term, any
-        term after a zero t, P or Q, and every term of a term without a
-        ratio; its value is split into chains, u_i(n) = t(n) * c_i
-        gamma_i^n / sum_j c_j gamma_j^n, with each c and gamma rounded once
-        per binding of the other names.  A chain whose |gamma| is below
-        another's is dropped once it falls under 10^-w of |t|: it only
-        shrinks from there, against the chain of the largest |gamma|.  The
-        chains are updated in place, so a step allocates no container.  Its
-        attribute `ratio(env)` gives the TermRatio it steps by, derived once
-        per values of the other names for both (NumericEvaluator.ratio)."""
+        chains of the last call when that call was for n - 1.  `run` takes
+        the first term, any term after a zero t, P or Q, and every term of a
+        term without a ratio; its value is split into chains,
+        u_i(n) = t(n) * c_i gamma_i^n / sum_j c_j gamma_j^n, with each c and
+        gamma rounded once.  A chain whose |gamma| is below another's is
+        dropped once it falls under 10^-w of |t|: it only shrinks from
+        there, against the chain of the largest |gamma|.  The chains are
+        updated in place, so a step allocates no container."""
         ctx, w = self.ctx, self.w
         multiply, divide, add = ctx.multiply, ctx.divide, ctx.add
-        others = sorted(free_vars(term) - {index})
-        read = others and operator.itemgetter(*others)
-        key = ratio = steps = None  # the other names' values, their TermRatio and its _chain_steps
+        steps = ratio and _chain_steps(ratio, ctx)
         us = gammas = fading = last = None  # the chains kept at `last`, or us None
-
-        def derive(values, env):
-            """Take the TermRatio at new `values` of the other names."""
-            nonlocal key, ratio, steps, us
-            key, us = values, None
-            ratio = term_ratio(term, index, env)
-            steps = ratio and _chain_steps(ratio, ctx)
-
-        def ratio_of(env):
-            try:
-                values = others and read(env)
-            except KeyError:
-                return term_ratio(term, index, env)
-            if values != key:
-                derive(values, env)
-            return ratio
 
         def stepped(env):
             nonlocal us, gammas, fading, last
             try:
-                n, values = env[index], others and read(env)
+                n = env[index]
             except KeyError:
                 return run(env)  # raises UnboundVariableError
-            if values != key:
-                derive(values, env)
             before, last = last, n
             if us is not None and n == before + 1:
                 p, q = ratio(before)
@@ -716,7 +698,6 @@ class NumericEvaluator:
                 us = _split_chains(consts, gammas, t, n, ctx)
             return t
 
-        stepped.ratio = ratio_of
         return stepped
 
     def _num(self, e: Expr, polys: dict):

@@ -163,9 +163,26 @@ def test_failed_radical_row_evaluates_each_side_once(records, monkeypatch):
     monkeypatch.setattr(engine, "eval_numeric", counting)
     (row,) = engine.verify_identity(corrupted)
     assert row.status == "fail"
-    assert calls == [engine.RADICAL_SIGN_DIGITS] * 2  # the sign check and the gap share them
+    assert calls == [engine.RADICAL_SIGN_DIGITS] * 2  # the gap's values, one per side
     lhs = evaluate(corrupted.lhs, {}, engine.RADICAL_SIGN_DIGITS)
     assert row.abs_diff == core.context(30).subtract(lhs, -lhs).copy_abs()
+    assert str(row.abs_diff) == "2.5440392990281379286"  # 2*sqrt(alpha) at 20 digits
+
+
+def test_the_radical_rows_are_decided_without_a_numeric_value(records, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a passing radical row evaluated a side numerically")
+
+    monkeypatch.setattr(engine, "eval_numeric", refused)
+    for rid in ("s2.lem3.sqrt.alpha", "s2.lem3.sqrt.alpha.sqrt5"):
+        (row,) = engine.verify_identity(records[rid])
+        assert (row.status, row.abs_diff) == ("pass", 0), rid
+
+
+def test_a_negative_radicand_is_an_error_row_that_names_it():
+    (row,) = engine.verify_identity(_record('id = "t.neg" kind = "radical" paper = "p" lhs = "sqrt(-alpha)" rhs = "alpha"'))
+    assert row.status == "error"
+    assert row.detail == "DomainError: sqrt of negative value -1/2 + -1/2*sqrt5 in sqrt(-alpha)"
 
 
 def test_verify_identity_euler_at_50(records):
@@ -674,6 +691,7 @@ def test_a_divergent_euler_form_on_the_rhs_fails_at_once_beside_a_numeric_lhs(mo
 
 
 def test_an_algebraic_tail_derives_its_term_ratio_once_per_binding(monkeypatch, records):
+    # and so does a geometric tail: sum_series derives it for both
     calls = []
     real = expr.term_ratio
 
@@ -682,9 +700,11 @@ def test_an_algebraic_tail_derives_its_term_ratio_once_per_binding(monkeypatch, 
         return real(*args)
 
     monkeypatch.setattr(expr, "term_ratio", counted)
-    rows = engine.verify_identity(records["s7.thm13"], engine.VerifyConfig(param_ranges={"r": (1, 3)}))
-    assert [row.status for row in rows] == ["pass"] * 3
-    assert [args[2] for args in calls] == [{"r": 1}, {"r": 2}, {"r": 3}]
+    for rid, name in (("s7.thm13", "r"), ("s2.thm.CF", "s")):
+        calls.clear()
+        rows = engine.verify_identity(records[rid], engine.VerifyConfig(param_ranges={name: (1, 3)}))
+        assert [row.status for row in rows] == ["pass"] * 3, rid
+        assert [args[2] for args in calls] == [{name: 1}, {name: 2}, {name: 3}], rid
 
 
 def test_verdict_of_exact_and_numeric_sides():

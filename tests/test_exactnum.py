@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 
@@ -76,14 +77,52 @@ def test_recurrences_both_directions():
 
 
 def test_negative_index_extension_rules():
-    for n in range(0, 60):
+    for n in [*range(0, 2001), 10**5]:
         assert fibonacci(-n) == (-1) ** (n + 1) * fibonacci(n)
         assert lucas(-n) == (-1) ** n * lucas(n)
 
 
 def test_lucas_fibonacci_norm_identity():
-    for n in range(-200, 201):
-        assert lucas(n) ** 2 - 5 * fibonacci(n) ** 2 == 4 * (-1) ** n
+    for n in [*range(-2000, 2001), 10**5, -(10**5)]:
+        assert lucas(n) ** 2 - 5 * fibonacci(n) ** 2 == 4 * (-1 if n % 2 else 1)
+
+
+def test_fibonacci_doubling_identity():
+    for n in [*range(-2000, 2001), 10**5, -(10**5)]:
+        assert fibonacci(2 * n) == fibonacci(n) * lucas(n), n
+
+
+def test_reading_c_f_and_l_keeps_no_memory_per_read():
+    import tracemalloc
+
+    # C is read at fewer n: math.comb runs slowly under tracemalloc
+    for read, count in ((catalan, 600), (fibonacci, 3000), (lucas, 3000)):
+        tracemalloc.start()
+        try:
+            read(5000)  # any one-off allocation of the reader
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(count):
+                read(n)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16_000, (read.__name__, grown)  # a cache of the values holds 90 kB or more
+
+
+def test_quadrat_sign_is_exact():
+    rng = random.Random(20261019)
+    ctx = decimal.Context(prec=50)
+    root5 = ctx.sqrt(5)
+    for _ in range(2000):
+        x = _random_quadrat(rng)
+        a, b = (ctx.divide(f.numerator, f.denominator) for f in (x.a, x.b))
+        value = ctx.add(a, ctx.multiply(b, root5))
+        assert x.sign() == value.compare(0), x
+    assert QuadRat.of(0).sign() == 0
+    assert (ALPHA.sign(), BETA.sign(), (-BETA).sign()) == (1, -1, 1)
+    # a^2 and 5b^2 as close as small integers get: 9^2 - 5*4^2 = 1
+    assert (QuadRat.of(9, -4).sign(), QuadRat.of(-9, 4).sign()) == (1, -1)
+    assert (QuadRat.of(161, -72).sign(), QuadRat.of(-161, 72).sign()) == (1, -1)
 
 
 def test_qr_pow_examples():
@@ -131,8 +170,9 @@ def test_field_axioms_on_random_triples():
 def test_conjugate_product_is_norm(a, b, c, d):
     x = QuadRat.of(Fraction(a, 7), Fraction(b, 5))
     y = QuadRat.of(Fraction(c, 3), Fraction(d, 11))
-    assert (x * x.conjugate()).b == 0
-    assert (x * x.conjugate()).a == x.norm()
+    conjugate = QuadRat(x.a, -x.b)
+    assert (x * conjugate).b == 0
+    assert (x * conjugate).a == x.norm()
     assert (x * y).norm() == x.norm() * y.norm()
 
 

@@ -154,7 +154,7 @@ def test_a_stepping_evaluator_is_freed_when_dropped():
 
     term = parse("C(n)*F(2*n+s)/4^n")
     evaluator = NumericEvaluator(20)
-    evaluator.step(term, "n")
+    evaluator.step(term, "n", term_ratio(term, "n", {"s": 1}))
     for n in range(5):
         evaluator.eval(term, {"n": n, "s": 1})
     gone = weakref.ref(evaluator)

@@ -53,7 +53,12 @@ def _make_nodes(w: int, level: int):
 
 def tanh_sinh(f, a: Decimal, b: Decimal, digits: int) -> Decimal:
     """Integrate f over [a, b], doubling the node level until two successive
-    levels agree to 10^-digits.  Returns the last level's value."""
+    levels agree to 10^-digits.  Returns the last level's value.
+
+    The value is an estimate: two levels that agree bound nothing.  An
+    integrand whose mass the nodes miss converges to a wrong value, as
+    x^1000000000 on [0, 1] does at 10 digits: 2.45E-10 where the integral
+    is 1E-9."""
     w = digits + guard_digits(digits)
     ctx = context(w)
     a = ctx.plus(a)

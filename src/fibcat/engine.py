@@ -47,7 +47,6 @@ import itertools
 import math
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -71,6 +70,7 @@ from .expr import (
     pi_poly_decimal,
 )
 from .seriesdsl import AlgebraicTail, FiniteSpec, GeometricTail, IdentityRecord, SeriesSpec
+from .value import Value
 
 GEOMETRIC_TERM_CAP = 10**6
 ALGEBRAIC_TERM_CAP = 10**5
@@ -86,36 +86,26 @@ COMPARE_GUARD = 10  # both sides get this many digits beyond the pass threshold
 EXACT_RHS = "rhs exact in Q(sqrt2)[pi, 1/pi]"  # the detail of a series row whose quadrature rhs ran none
 
 
-@dataclass(frozen=True)
-class SumResult:
-    value: Decimal
-    terms_used: int
-    tail_bound: Decimal
-    strategy: str
+class SumResult(Value):
+    __slots__ = ("value", "terms_used", "tail_bound", "strategy")
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    record_id: str
-    binding: tuple  # ((name, value), ...)
-    kind: str
-    status: str  # pass | fail | error
-    abs_diff: Decimal | None
-    digits_requested: int | None
-    digits_achieved: int | None
-    terms_used: int | None
-    seconds: float
-    detail: str = ""
-    strategy: str | None = None  # how a series lhs was summed, or "beta" for an exact quadrature (see _pi_sides)
-    tail_bound: Decimal | None = None  # its tail bound or gap estimate
+class VerificationResult(Value):
+    # binding: ((name, value), ...); status: pass | fail | error; strategy:
+    # how a series lhs was summed, or "beta" for an exact quadrature (see
+    # _pi_sides); tail_bound: its tail bound or gap estimate
+    __slots__ = (
+        "record_id", "binding", "kind", "status", "abs_diff", "digits_requested", "digits_achieved",
+        "terms_used", "seconds", "detail", "strategy", "tail_bound",
+    )
+    _defaults = {"detail": "", "strategy": None, "tail_bound": None}
 
     def binding_text(self) -> str:
         return ",".join(f"{k}={v}" for k, v in self.binding)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    results: tuple
+class VerificationReport(Value):
+    __slots__ = ("results",)
 
     @property
     def counts(self) -> dict:
@@ -128,34 +118,34 @@ class VerificationReport:
         return [r for r in self.results if r.status != "pass"]
 
 
-@dataclass(frozen=True)
-class Sides:
+class Sides(Value):
     """Both sides of one binding: Decimals with |lhs - rhs| in `diff`, or
     exact values (squares when `squared`) with their verdict in `exact` and
-    `diff` 0 on a match, else their gap to 20 digits or more."""
+    `diff` 0 on a match, else their gap to 20 digits or more.  `terms`,
+    `strategy` and `tail_bound` (the tail bound or algebraic-tail gap
+    estimate) describe a series side; `detail` is a note for the row, such
+    as the radical route of an algebraic record."""
 
-    lhs: object
-    rhs: object
-    diff: Decimal | None = None
-    exact: bool | None = None
-    squared: bool = False
-    terms: int | None = None
-    strategy: str | None = None
-    tail_bound: Decimal | None = None  # the series' tail bound or algebraic-tail gap estimate
-    detail: str = ""  # a note for the row, such as the radical route of an algebraic record
+    __slots__ = ("lhs", "rhs", "diff", "exact", "squared", "terms", "strategy", "tail_bound", "detail")
+    _defaults = {
+        "diff": None, "exact": None, "squared": False, "terms": None, "strategy": None, "tail_bound": None,
+        "detail": "",
+    }
 
 
-@dataclass
-class VerifyConfig:
+class VerifyConfig(Value):
     """Knobs for a verification run.
 
     `digits` overrides the target for series (geometric and algebraic
     tails) and constants; integral records keep their own per-record
     targets, since their quadrature runs at a fixed 40 digits.
+    `param_ranges` maps a parameter name to the (lo, hi) it is clipped to.
     """
 
-    digits: int | None = None
-    param_ranges: dict = field(default_factory=dict)
+    __slots__ = ("digits", "param_ranges")
+
+    def __init__(self, digits: int | None = None, param_ranges: dict | None = None):
+        super().__init__(digits, {} if param_ranges is None else param_ranges)
 
 
 # ------------------------------------------------------------------ summation

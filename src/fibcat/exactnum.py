@@ -9,11 +9,12 @@ of the package relies on for structural equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
+from .value import Value
+
 
 @lru_cache(maxsize=1024)  # the exact workload reads 301 distinct (n, k), each many times
 def binomial(n: int, k: int) -> int:
@@ -55,12 +56,10 @@ def _fibonacci_pair(n: int):
     return a, b
 
 
-@dataclass(frozen=True)
-class QuadRat:
-    """Element a + b*sqrt(5) of the field Q(sqrt5)."""
+class QuadRat(Value):
+    """Element a + b*sqrt(5) of the field Q(sqrt5), a and b Fractions."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
     @staticmethod
     def of(a, b=0) -> "QuadRat":

@@ -11,10 +11,12 @@ body that reads as r * x^a * (A - x^k)^b on [0, A^(1/k)] or r * sin(x)^m on
 half-integers, a divergent one a ConvergenceError), and any other
 r * x^j * sin(x)^m * sin(x/2)^a * cos(x/2)^b on [0, pi/2] with integer
 j, m, a, b >= 0 is a sine moment (`_sine_moment`, finite integration by
-parts); `pi_poly_decimal` rounds such a value once.  The one-radical evaluator
-puts an expression into the form u*sqrt(v) with u, v in Q(sqrt5), which is
-what the radical lemma checks need, in one pass: its leaves take the exact
-walk and its other nodes combine their children's forms.  One reading,
+parts); `pi_poly_decimal` rounds such a value once, and the numeric
+evaluator takes a quadrature so before it runs tanh-sinh.  The
+one-radical evaluator puts an expression into the form u*sqrt(v) with u, v
+in Q(sqrt5), which is what the radical lemma checks need, in one pass: its
+leaves take the exact walk and its other nodes combine their children's
+forms.  One reading,
 `integer_poly`, turns literals, names, negation, + - * and division by a
 constant into a polynomial: the numeric evaluator, which compiles a tree
 once into closures, runs such subtrees on Python ints, `term_ratio` reads
@@ -43,7 +45,6 @@ import functools
 import math
 import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -53,6 +54,7 @@ from .arbreal import core as _core
 from .arbreal import quadrature as _quad
 from .errors import ConvergenceError, DomainError, FibcatError, UnboundVariableError
 from .exactnum import ONE, PiPoly, QuadRat, qr_pow
+from .value import Value
 
 # name -> the function of arbreal.constants that gives the constant to a
 # number of digits; looked up when called, so a wrapper set on the module
@@ -67,7 +69,7 @@ SEQUENCES = {"C": ("catalan", 1), "F": ("fibonacci", 1), "L": ("lucas", 1), "bin
 QUAD_VAR = "x"  # the spelling of BoundVar
 
 
-class Expr:
+class Expr(Value):
     __slots__ = ()
 
     def __str__(self) -> str:
@@ -76,76 +78,60 @@ class Expr:
         return format_expr(self)
 
 
-@dataclass(frozen=True)
 class IntLit(Expr):
-    value: int
+    __slots__ = ("value",)  # int
 
 
-@dataclass(frozen=True)
 class RatLit(Expr):
-    value: Fraction
+    __slots__ = ("value",)  # Fraction
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class BoundVar(Expr):
     """The variable of the innermost quadrature body around this node."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Fn(Expr):
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg")
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * /
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: one of + - * /
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: Expr  # integer-valued expression or rational literal
+    __slots__ = ("base", "exponent")  # exponent: integer-valued expression or rational literal
 
 
-@dataclass(frozen=True)
 class SeqCall(Expr):
-    name: str
-    args: tuple
+    __slots__ = ("name", "args")  # args: a tuple
 
 
-@dataclass(frozen=True)
 class Quad(Expr):
-    body: Expr  # its variable is BoundVar()
-    lower: Expr
-    upper: Expr
+    __slots__ = ("body", "lower", "upper")  # the body's variable is BoundVar()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # Var("x") in a body would print as the body's variable and parse back as it
         if QUAD_VAR in free_vars(self.body):
             raise ValueError(f"a quadrature body reads Var({QUAD_VAR!r}); its variable is BoundVar()")
 
 
-@dataclass(frozen=True)
 class Clausen(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
 Env = dict  # variable name -> int
@@ -175,7 +161,7 @@ def map_children(e: Expr, fn) -> Expr:
     fields = _CHILD_FIELDS[type(e)]
     if fields is None:
         return SeqCall(e.name, tuple(map(fn, e.args)))
-    return replace(e, **{f: fn(getattr(e, f)) for f in fields}) if fields else e
+    return e.replace(**{f: fn(getattr(e, f)) for f in fields}) if fields else e
 
 
 def free_vars(e: Expr) -> frozenset:
@@ -201,7 +187,8 @@ def substitute(e: Expr, name: str, value) -> Expr:
 class _Field:
     """A number field of the exact walk: `lift` takes an int or a Fraction
     into it, `consts` names the constants it holds, `power` raises an
-    element to an int.  (A plain class: see TermRatio.)"""
+    element to an int.  (A plain slotted class, not a value.Value: no
+    caller compares two fields.)"""
 
     __slots__ = ("lift", "consts", "zero", "power")
 
@@ -772,6 +759,10 @@ class NumericEvaluator:
             digits = self.digits
 
             def integral(env, x):
+                # an exact rule first (its bounds read no enclosing body's x)
+                exact = _exact_quad(e, env)
+                if exact is not None:
+                    return pi_poly_decimal(exact, w)
                 a, b = lo(env, x), hi(env, x)
                 return _quad.tanh_sinh(lambda xv: body(env, xv), a, b, digits)
 
@@ -938,8 +929,9 @@ class TermRatio:
     integer coefficients of P and Q, highest power first, and `zeros` the n
     where a cancelled factor vanishes.  Calling it with n gives (P, Q),
     Python ints with P/Q = h(n+1)/h(n) wherever t(n), P and Q are nonzero,
-    and P = Q = 0 at the `zeros`.  (A plain class, not a dataclass: it
-    keeps the import of fibcat, which every run pays, short.)"""
+    and P = Q = 0 at the `zeros`.  (A plain slotted class, not a
+    value.Value: `p` and `q` are derived from the other fields, not given,
+    and no caller compares two ratios.)"""
 
     __slots__ = ("num", "den", "const", "zeros", "chains", "p", "q")
 

@@ -28,10 +28,8 @@ registry problem, as is a tail other than `geometric ratio=R [from=N]` or
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import ParseError
 from .expr import (
@@ -52,12 +50,12 @@ from .expr import (
     RatLit,
     SeqCall,
     Var,
-    free_vars,
     integer_poly,
     poly_constant,
     poly_integral,
     substitute,
 )
+from .value import Value
 
 KINDS = ("series", "finite", "algebraic", "radical", "integral", "constant")
 MAX_DEPTH = 100  # expression tree levels; the shipped registry reaches 10
@@ -65,16 +63,10 @@ MAX_DEPTH = 100  # expression tree levels; the shipped registry reaches 10
 
 # ----------------------------------------------------------------- tokenizer
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
-_TOKEN_KINDS = (None, "int", "ident", "symbol")  # by the group that matched
+# a token is a plain tuple (kind, text, offset), kind int | ident | symbol | end
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>[-+*/^(),])")
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_+\-*/^(),]")  # a character that starts no token
 _SYMBOL_MAP = str.maketrans("−×÷", "-*/")
-_SYMBOLS = set("+-*/^(),")
-
-
-class _Token(NamedTuple):
-    kind: str  # int | ident | symbol | end
-    text: str
-    offset: int
 
 
 def _location(text: str, offset: int) -> tuple[int, int]:
@@ -83,36 +75,40 @@ def _location(text: str, offset: int) -> tuple[int, int]:
 
 
 class _Parser:
-    """Recursive descent; each rule returns (node, height of its tree)."""
+    """Recursive descent; each rule returns (node, height of its tree).
+    `free` collects the names of the tree's Var nodes as they are built,
+    but not x inside a quadrature body, which becomes BoundVar there."""
 
     def __init__(self, text: str):
         self.text = text.translate(_SYMBOL_MAP)  # one character for one: offsets stay
-        self.tokens = [_Token(_TOKEN_KINDS[m.lastindex], m.group(), m.start()) for m in _TOKEN_RE.finditer(self.text)]
-        self.tokens.append(_Token("end", "", len(text)))
-        for tok in self.tokens:
-            if tok.kind == "symbol" and tok.text not in _SYMBOLS:
-                raise self.error(f"unexpected character {tok.text!r}", tok)
+        bad = _BAD_RE.search(self.text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", *_location(self.text, bad.start()))
+        self.tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(self.text)]
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
         self.nesting = 0  # open unary() calls: every recursion passes there
+        self.bodies = 0  # open quadrature bodies
+        self.free: set = set()
 
-    def error(self, message: str, tok: _Token, expected=()) -> ParseError:
-        return ParseError(message, *_location(self.text, tok.offset), expected=expected)
+    def error(self, message: str, tok: tuple, expected=()) -> ParseError:
+        return ParseError(message, *_location(self.text, tok[2]), expected=expected)
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> tuple:
         tok = self.next()
-        if tok.text != text:
-            raise self.error(f"got {tok.text or 'end of input'!r}", tok, expected={text})
+        if tok[1] != text:
+            raise self.error(f"got {tok[1] or 'end of input'!r}", tok, expected={text})
         return tok
 
-    def deeper(self, height: int, tok: _Token) -> int:
+    def deeper(self, height: int, tok: tuple) -> int:
         if height > MAX_DEPTH:
             raise self.error(f"expression nests deeper than {MAX_DEPTH} levels", tok)
         return height
@@ -120,31 +116,31 @@ class _Parser:
     def parse(self) -> Expr:
         e, _ = self.expr()
         tok = self.peek()
-        if tok.kind != "end":
-            raise self.error(f"trailing input {tok.text!r}", tok, expected={"end of input"})
+        if tok[0] != "end":
+            raise self.error(f"trailing input {tok[1]!r}", tok, expected={"end of input"})
         return e
 
     def expr(self) -> tuple[Expr, int]:
         e, h = self.term()
-        while self.peek().text in ("+", "-"):
+        while self.peek()[1] in ("+", "-"):
             op = self.next()
             right, rh = self.term()
-            e, h = BinOp(op.text, e, right), self.deeper(1 + max(h, rh), op)
+            e, h = BinOp(op[1], e, right), self.deeper(1 + max(h, rh), op)
         return e, h
 
     def term(self) -> tuple[Expr, int]:
         e, h = self.unary()
-        while self.peek().text in ("*", "/"):
+        while self.peek()[1] in ("*", "/"):
             op = self.next()
             right, rh = self.unary()
-            e, h = BinOp(op.text, e, right), self.deeper(1 + max(h, rh), op)
+            e, h = BinOp(op[1], e, right), self.deeper(1 + max(h, rh), op)
         return e, h
 
     def unary(self) -> tuple[Expr, int]:
         tok = self.peek()
         self.nesting = self.deeper(self.nesting + 1, tok)
         try:
-            if tok.text == "-":
+            if tok[1] == "-":
                 self.next()
                 arg, h = self.unary()
                 return Neg(arg), self.deeper(h + 1, tok)
@@ -154,13 +150,13 @@ class _Parser:
 
     def power(self) -> tuple[Expr, int]:
         base, h = self.atom()
-        if self.peek().text == "^":
+        if self.peek()[1] == "^":
             caret = self.next()
             exponent, eh = self.unary()  # right associative, binds tighter than unary minus on the left
             return Pow(base, self.exponent(exponent, caret)), self.deeper(1 + max(h, eh), caret)
         return base, h
 
-    def exponent(self, e: Expr, caret: _Token) -> Expr:
+    def exponent(self, e: Expr, caret: tuple) -> Expr:
         p = integer_poly(e)
         if p is not None and poly_integral(p):
             return e
@@ -170,33 +166,39 @@ class _Parser:
 
     def atom(self) -> tuple[Expr, int]:
         tok = self.next()
-        if tok.kind == "int":
+        kind, text = tok[0], tok[1]
+        if kind == "int":
             try:
-                return IntLit(int(tok.text)), 1
+                return IntLit(int(text)), 1
             except ValueError as exc:  # more digits than int() converts
                 raise self.error(str(exc), tok) from None
-        if tok.text == "(":
+        if text == "(":
             e = self.expr()
             self.expect(")")
             return e
-        if tok.kind == "ident":
-            if self.peek().text == "(":
+        if kind == "ident":
+            if self.peek()[1] == "(":
                 return self.call(tok)
-            if tok.text in CONSTANTS:
-                return Const(tok.text), 1
-            return Var(tok.text), 1
-        raise self.error(f"got {tok.text or 'end of input'!r}", tok, expected={"integer", "identifier", "("})
+            if text in CONSTANTS:
+                return Const(text), 1
+            if not (self.bodies and text == QUAD_VAR):
+                self.free.add(text)
+            return Var(text), 1
+        raise self.error(f"got {text or 'end of input'!r}", tok, expected={"integer", "identifier", "("})
 
-    def call(self, name: _Token) -> tuple[Expr, int]:
+    def call(self, name: tuple) -> tuple[Expr, int]:
+        ident = name[1]
         self.expect("(")
+        body = ident == "quad"  # the first argument is a quadrature body
+        self.bodies += body
         args = [self.expr()]
-        while self.peek().text == ",":
+        self.bodies -= body
+        while self.peek()[1] == ",":
             self.next()
             args.append(self.expr())
         self.expect(")")
         h = self.deeper(1 + max(ah for _, ah in args), name)
         args = [a for a, _ in args]
-        ident = name.text
         if ident in FUNCTION_NAMES:
             if len(args) != 1:
                 raise self.error(f"{ident} takes one argument", name)
@@ -224,71 +226,60 @@ def parse_expression(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def _parse_free(text: str) -> tuple[Expr, set]:
+    """The expression and the names of its free variables (free_vars)."""
+    parser = _Parser(text)
+    return parser.parse(), parser.free
+
+
 # ------------------------------------------------------------------- records
 
 
-@dataclass(frozen=True)
-class GeometricTail:
-    ratio: Fraction
-    start: int  # validate the term ratio from this index on
+class GeometricTail(Value):
+    __slots__ = ("ratio", "start")  # a Fraction; validate the term ratio from `start` on
 
     def __str__(self) -> str:
         return f"geometric ratio={self.ratio} from={self.start}"
 
 
-@dataclass(frozen=True)
-class AlgebraicTail:
+class AlgebraicTail(Value):
     """Summed by its term ratio plus an asymptotic tail (engine._sum_algebraic);
     the tail text `algebraic` takes no keys."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "algebraic"
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    index: str
-    start: int
-    term: Expr
+class SeriesSpec(Value):
+    __slots__ = ("index", "start", "term")
 
 
-@dataclass(frozen=True)
-class FiniteSpec:
-    index: str
-    lower: Expr
-    upper: Expr
-    summand: Expr
+class FiniteSpec(Value):
+    __slots__ = ("index", "lower", "upper", "summand")
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    id: str
-    kind: str
-    paper_ref: str
-    lhs: object  # SeriesSpec | FiniteSpec | Expr
-    rhs: Expr
-    params: tuple  # ((name, lo, hi), ...)
-    tail: object = None  # GeometricTail | AlgebraicTail | None
-    as_printed: bool = False
-    note: str = ""
-    digits: int | None = None
+class IdentityRecord(Value):
+    # lhs: SeriesSpec | FiniteSpec | Expr; params: ((name, lo, hi), ...);
+    # tail: GeometricTail | AlgebraicTail | None
+    __slots__ = ("id", "kind", "paper_ref", "lhs", "rhs", "params", "tail", "as_printed", "note", "digits")
+    _defaults = {"tail": None, "as_printed": False, "note": "", "digits": None}
 
 
-@dataclass(frozen=True)
-class RegistryProblem:
-    line: int
-    record_id: str
-    message: str
+class RegistryProblem(Value):
+    __slots__ = ("line", "record_id", "message")
 
     def __str__(self) -> str:
         where = f"record {self.record_id!r}" if self.record_id else "registry"
         return f"line {self.line}: {where}: {self.message}"
 
 
-@dataclass
-class ParsedRegistry:
-    records: list = field(default_factory=list)
-    problems: list = field(default_factory=list)
+class ParsedRegistry(Value):
+    __slots__ = ("records", "problems")
+
+    def __init__(self, records=None, problems=None):
+        super().__init__([] if records is None else records, [] if problems is None else problems)
 
 
 _TAIL_KEYS = {"geometric": ("ratio", "from"), "algebraic": ()}
@@ -438,7 +429,7 @@ def _build_record(block: dict) -> IdentityRecord:
     if unknown:
         raise ValueError(f"{kind} records take no key {unknown[0]!r}")
     paper = _expect_str(block, "paper")
-    rhs = parse_expression(_expect_str(block, "rhs"))
+    rhs, rhs_free = _parse_free(_expect_str(block, "rhs"))
     params = parse_params(_expect_str(block, "params")) if "params" in block else ()
     as_printed = block.get("as_printed", False)
     if not isinstance(as_printed, bool):
@@ -450,37 +441,36 @@ def _build_record(block: dict) -> IdentityRecord:
     tail = parse_tail(_expect_str(block, "tail")) if "tail" in block else None
     param_names = {p[0] for p in params}
 
-    def check_free(expr: Expr, allowed: set, what: str):
-        extra = free_vars(expr) - allowed
+    def check_free(free: set, allowed: set, what: str):
+        extra = free - allowed
         if extra:
             raise ValueError(f"{what} has undeclared variables {sorted(extra)}")
 
     if kind == "finite":
         index = _expect_str(block, "index")
-        lower = parse_expression(_expect_str(block, "lower"))
-        upper = parse_expression(_expect_str(block, "upper"))
-        summand = parse_expression(_expect_str(block, "term"))
+        lower, lower_free = _parse_free(_expect_str(block, "lower"))
+        upper, upper_free = _parse_free(_expect_str(block, "upper"))
+        summand, summand_free = _parse_free(_expect_str(block, "term"))
         if not params:
             raise ValueError("finite records need a params range for the outer variable")
-        check_free(lower, param_names, "lower bound")
-        check_free(upper, param_names, "upper bound")
-        check_free(summand, param_names | {index}, "summand")
-        check_free(rhs, param_names, "rhs")
+        check_free(lower_free, param_names, "lower bound")
+        check_free(upper_free, param_names, "upper bound")
+        check_free(summand_free, param_names | {index}, "summand")
+        check_free(rhs_free, param_names, "rhs")
         lhs: object = FiniteSpec(index, lower, upper, summand)
     elif series:
         index = _expect_str(block, "index")
         start = _expect_int(block, "start")
-        term = parse_expression(_expect_str(block, "term"))
+        term, term_free = _parse_free(_expect_str(block, "term"))
         if tail is None:
             raise ValueError("series records need a tail strategy")
-        check_free(term, param_names | {index}, "term")
-        check_free(rhs, param_names, "rhs")
+        check_free(term_free, param_names | {index}, "term")
+        check_free(rhs_free, param_names, "rhs")
         lhs = SeriesSpec(index, start, term)
     else:
-        lhs_expr = parse_expression(_expect_str(block, "lhs"))
-        check_free(lhs_expr, param_names, "lhs")
-        check_free(rhs, param_names, "rhs")
-        lhs = lhs_expr
+        lhs, lhs_free = _parse_free(_expect_str(block, "lhs"))
+        check_free(lhs_free, param_names, "lhs")
+        check_free(rhs_free, param_names, "rhs")
     return IdentityRecord(
         id=rid,
         kind=kind,

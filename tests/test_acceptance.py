@@ -5,7 +5,6 @@ shipped registry (as-printed records included); criteria then assert
 against its rows.  Run with -s to watch the per-criterion lines.
 """
 
-import dataclasses
 from decimal import Decimal
 from fractions import Fraction
 
@@ -182,20 +181,18 @@ def test_criterion_8_negative_controls(records):
     }
     for rid, ranges in additive.items():
         record = records[rid]
-        hurt = dataclasses.replace(record, rhs=BinOp("+", record.rhs, bump))
+        hurt = record.replace(rhs=BinOp("+", record.rhs, bump))
         config = engine.VerifyConfig(param_ranges={k: v for k, v in ranges.items()})
         rows = engine.verify_identity(hurt, config)
         assert rows and all(r.status == "fail" for r in rows), rid
     # radical records must stay in one-radical form: perturb multiplicatively
     record = records["s2.lem3.sqrt.alpha"]
     scale = BinOp("+", RatLit(Fraction(1)), bump)
-    hurt = dataclasses.replace(record, rhs=BinOp("*", record.rhs, scale))
+    hurt = record.replace(rhs=BinOp("*", record.rhs, scale))
     rows = engine.verify_identity(hurt)
     assert all(r.status == "fail" for r in rows)
 
-    declared_low = dataclasses.replace(
-        records["s2.G.z15"], tail=GeometricTail(Fraction(1, 2), 1)
-    )
+    declared_low = records["s2.G.z15"].replace(tail=GeometricTail(Fraction(1, 2), 1))
     with pytest.raises(TailBoundViolation):
         engine.sum_series(declared_low.lhs, {}, declared_low.tail, 30)
     rows = engine.verify_identity(declared_low)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from decimal import Decimal
 from fractions import Fraction
@@ -112,7 +111,7 @@ def test_algebraic_check_lemma_instances(records):
 
 def test_algebraic_routes_to_radical_when_not_representable(records):
     record = records["s2.lem4.plus"]
-    surd = dataclasses.replace(record, rhs=parse_expression("sqrt((alpha*F(r-2) + F(r+1))^2)"))
+    surd = record.replace(rhs=parse_expression("sqrt((alpha*F(r-2) + F(r+1))^2)"))
     sides = engine.evaluate_sides(surd, {"r": 2})
     assert sides.squared and sides.exact and sides.detail == "routed to radical check"
     results = engine.verify_identity(surd, engine.VerifyConfig(param_ranges={"r": (2, 2)}))
@@ -124,20 +123,18 @@ def test_radical_check_lemma_and_sign_control(records):
     for rid in ("s2.lem3.sqrt.alpha", "s2.lem3.sqrt.alpha.sqrt5"):
         sides = engine.evaluate_sides(records[rid], {})
         assert sides.squared and sides.exact and sides.lhs == sides.rhs and sides.detail == "", rid
-    corrupted = dataclasses.replace(
-        records["s2.lem3.sqrt.alpha"], rhs=parse_expression("-(alpha*sqrt(-beta))")
-    )
+    corrupted = records["s2.lem3.sqrt.alpha"].replace(rhs=parse_expression("-(alpha*sqrt(-beta))"))
     sides = engine.evaluate_sides(corrupted, {})
     assert sides.squared and sides.lhs == sides.rhs and not sides.exact  # squares agree, signs disagree
 
 
 def test_a_radical_record_inside_q_sqrt5_is_compared_exactly(records):
     binet = records["s1.binet.F"]
-    record = dataclasses.replace(binet, id="t.radical", kind="radical")
+    record = binet.replace(id="t.radical", kind="radical")
     sides = engine.evaluate_sides(record, {"r": 4})
     assert (sides.exact, sides.squared, sides.diff) == (True, False, 0)
     assert sides.lhs == sides.rhs == engine.evaluate_sides(binet, {"r": 4}).lhs
-    off = dataclasses.replace(record, rhs=BinOp("+", record.rhs, RatLit(Fraction(1, 10**6))))
+    off = record.replace(rhs=BinOp("+", record.rhs, RatLit(Fraction(1, 10**6))))
     sides = engine.evaluate_sides(off, {"r": 4})
     assert (sides.exact, sides.squared) == (False, False)
     assert abs(sides.diff - Decimal("1E-6")) < Decimal("1E-18")  # the gap at RADICAL_SIGN_DIGITS
@@ -151,9 +148,7 @@ def test_a_radical_division_by_zero_names_the_expression():
 
 
 def test_failed_radical_row_evaluates_each_side_once(records, monkeypatch):
-    corrupted = dataclasses.replace(
-        records["s2.lem3.sqrt.alpha"], rhs=parse_expression("-(alpha*sqrt(-beta))")
-    )
+    corrupted = records["s2.lem3.sqrt.alpha"].replace(rhs=parse_expression("-(alpha*sqrt(-beta))"))
     calls, evaluate = [], engine.eval_numeric
 
     def counting(e, env, digits):
@@ -217,7 +212,7 @@ def test_verify_all_deterministic(records):
     two = engine.verify_all(subset, config)
 
     def strip(report):
-        return [dataclasses.replace(r, seconds=0.0) for r in report.results]
+        return [r.replace(seconds=0.0) for r in report.results]
 
     assert strip(one) == strip(two)
     ids = [r.record_id for r in one.results]
@@ -234,7 +229,7 @@ def test_param_subrange_filter(records):
 
 def test_errors_become_rows_not_crashes(records):
     record = records["s5.Y.euler"]
-    divergent = dataclasses.replace(record, tail=GeometricTail(Fraction(1, 5), 1))
+    divergent = record.replace(tail=GeometricTail(Fraction(1, 5), 1))
     res = engine.verify_identity(divergent)
     assert res[0].status == "error"
     assert "TailBoundViolation" in res[0].detail
@@ -254,7 +249,7 @@ def test_perturbed_rhs_fails(records):
     bump = RatLit(Fraction(1, 10**6))
     for rid in ("s2.G.z15", "s5.Y.euler", "s1.lem1.sin.pi10"):
         record = records[rid]
-        hurt = dataclasses.replace(record, rhs=BinOp("+", record.rhs, bump))
+        hurt = record.replace(rhs=BinOp("+", record.rhs, bump))
         res = engine.verify_identity(hurt)
         assert all(r.status == "fail" for r in res), rid
 
@@ -579,7 +574,7 @@ def test_rows_carry_strategy_and_tail_bound(records):
 def _rewritten(record, side, old, new):
     text = format_expr(getattr(record, side))
     assert old in text, text
-    return dataclasses.replace(record, **{side: parse_expression(text.replace(old, new))})
+    return record.replace(**{side: parse_expression(text.replace(old, new))})
 
 
 @pytest.mark.parametrize(

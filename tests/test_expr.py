@@ -107,8 +107,9 @@ def test_free_vars_and_substitute():
     ],
 )
 def test_a_binding_does_not_shadow_the_quadrature_variable(text, binding, want):
-    got = eval_numeric(parse(text), binding, 20)
-    assert abs(got - Decimal(want)) < Decimal("1E-19")
+    for evaluate in (eval_numeric, _by_tanh_sinh):  # by the Beta rule, and by tanh-sinh
+        got = evaluate(parse(text), binding, 20)
+        assert abs(got - Decimal(want)) < Decimal("1E-19")
 
 
 @pytest.mark.parametrize(
@@ -175,6 +176,14 @@ def _nodes(e):
         yield from _nodes(child)
 
 
+def _by_tanh_sinh(e, env, digits):
+    """eval_numeric with the exact quadrature rules refused, so that every
+    quadrature runs tanh-sinh: the oracle of the exact rules' tests."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr_module, "_exact_quad", lambda quad, env: None)
+        return eval_numeric(e, env, digits)
+
+
 @pytest.mark.parametrize("rid", ["s1.Cn.rep1", "s1.Cn.rep2", "s1.Cninv.rep", "s7.wallis.odd", "s7.wallis.even"])
 def test_the_beta_rule_agrees_with_tanh_sinh_at_every_shipped_binding(rid):
     record = {r.id: r for r in builtin_registry()}[rid]
@@ -183,7 +192,7 @@ def test_the_beta_rule_agrees_with_tanh_sinh_at_every_shipped_binding(rid):
     for n in range(lo, hi + 1):
         exact = eval_exact_pi(quad, {name: n})
         value = pi_poly_decimal(exact, 60)
-        gap = CTX.subtract(value, eval_numeric(quad, {name: n}, 40)).copy_abs()
+        gap = CTX.subtract(value, _by_tanh_sinh(quad, {name: n}, 40)).copy_abs()
         assert gap < value.scaleb(-39), (rid, n, str(exact), str(gap))
 
 
@@ -202,7 +211,7 @@ def test_the_sine_moment_rhs_agrees_with_tanh_sinh_at_every_shipped_binding(rid)
             continue
         exact_rows += 1
         value = pi_poly_decimal(exact, 40)
-        gap = CTX.subtract(value, eval_numeric(record.rhs, {name: r}, 40)).copy_abs()
+        gap = CTX.subtract(value, _by_tanh_sinh(record.rhs, {name: r}, 40)).copy_abs()
         assert gap <= value.copy_abs().scaleb(-39), (rid, r, str(exact), str(gap))
     assert exact_rows == {"s7.thm12": 6, "s7.thm13": 5}.get(rid, hi - lo + 1)
 
@@ -249,7 +258,7 @@ def test_the_sine_moments_agree_with_tanh_sinh(j, m, half, r):
     e = parse(f"quad(({r})*x^{j}*sin(x)^{m}{half}, 0, pi/2)")
     exact = eval_exact_pi(e, {})
     assert exact is not None
-    value, numeric = pi_poly_decimal(exact, 30), eval_numeric(e, {}, 30)
+    value, numeric = pi_poly_decimal(exact, 30), _by_tanh_sinh(e, {}, 30)
     assert abs(CTX.subtract(value, numeric)) <= value.copy_abs().scaleb(-29), (str(e), str(exact))
 
 
@@ -264,6 +273,26 @@ def test_a_divergent_euler_form_raises_convergence_error(text):
     # but not with r = 0, whose integrand is 0, nor on an empty interval
     assert eval_exact_pi(parse(text.replace("quad(", "quad(0*", 1)), {}) == PiPoly()
     assert eval_exact_pi(parse(re.sub(r", ([^,]*)\)$", ", 0)", text)), {}) == PiPoly()
+
+
+def test_eval_numeric_takes_the_exact_quadrature_rules_before_tanh_sinh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tanh-sinh ran")
+
+    monkeypatch.setattr(ar.quadrature, "tanh_sinh", refuse)
+    with pytest.raises(ConvergenceError, match="diverges"):  # at once, not after 12 tanh-sinh levels
+        eval_numeric(parse("quad(x^(-1)*sqrt(4-x^2), 0, 2)"), {}, 30)
+    for text, binding in [("quad(x^2*sin(x)^5, 0, pi/2)", {}), ("n + 2*quad(sqrt(x)*(1 - x)^n, 0, 1)/pi", {"n": 3})]:
+        e = parse(text)
+        want = pi_poly_decimal(eval_exact_pi(e, binding), 40)
+        assert abs(CTX.subtract(eval_numeric(e, binding, 40), want)) <= want.scaleb(-39), text
+    monkeypatch.undo()
+    # a body that fits no rule still runs tanh-sinh: x/sin(x), as in s7.lem7 and s7.thm13 at r = 0
+    calls = []
+    real = ar.quadrature.tanh_sinh
+    monkeypatch.setattr(ar.quadrature, "tanh_sinh", lambda *args: calls.append(args) or real(*args))
+    got = eval_numeric(parse("quad(x/sin(x), 0, pi/2)"), {}, 20)
+    assert len(calls) == 1 and abs(got - Decimal("1.8319311883544380301")) < Decimal("1E-18")
 
 
 @pytest.mark.parametrize(

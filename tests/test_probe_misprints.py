@@ -1,5 +1,4 @@
 import importlib.util
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +30,7 @@ def test_shipped_misprints_fail_and_their_siblings_pass(capsys):
 
 def test_a_sibling_with_a_perturbed_rhs_fails_the_probe(monkeypatch, capsys):
     bump = RatLit(Fraction(1, 10**6))
-    _registry(monkeypatch, lambda r: r if r.as_printed else replace(r, rhs=BinOp("+", r.rhs, bump)))
+    _registry(monkeypatch, lambda r: r if r.as_printed else r.replace(rhs=BinOp("+", r.rhs, bump)))
     assert probe.main([]) == 1
     assert "PROBLEM: s2.ex.CF0 does not pass" in capsys.readouterr().out
 
@@ -44,7 +43,7 @@ def test_a_missing_sibling_fails_the_probe(monkeypatch, capsys):
 
 def test_a_misprint_that_passes_fails_the_probe(monkeypatch, capsys):
     fixed = {r.id: r for r in builtin_registry()}["s2.ex.CF0"]
-    _registry(monkeypatch, lambda r: replace(fixed, id=r.id, as_printed=True) if r.as_printed else r)
+    _registry(monkeypatch, lambda r: fixed.replace(id=r.id, as_printed=True) if r.as_printed else r)
     assert probe.main([]) == 1
     assert "PROBLEM: s2.ex.CF0.printed does not fail" in capsys.readouterr().out
 

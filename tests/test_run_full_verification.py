@@ -1,6 +1,5 @@
 import importlib.util
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +20,7 @@ _IDS = ("s2.ex.CF0.printed", "s2.ex.CF0", "s7.id1")
 def small_registry(monkeypatch):
     """Give the script only the records named in _IDS, s7.id1 cut to n <= 3."""
     records = [r for r in builtin_registry() if r.id in _IDS]
-    records = [replace(r, params=(("n", 1, 3),)) if r.id == "s7.id1" else r for r in records]
+    records = [r.replace(params=(("n", 1, 3),)) if r.id == "s7.id1" else r for r in records]
     monkeypatch.setattr(script, "builtin_registry", lambda: records)
     return records
 
@@ -58,7 +57,7 @@ def test_outdir_defaults_to_verification_out(small_registry, tmp_path, monkeypat
 
 def test_an_unexpected_failure_exits_one(small_registry, monkeypatch, tmp_path, capsys):
     bump = RatLit(Fraction(1, 10**6))
-    records = [replace(r, rhs=BinOp("+", r.rhs, bump)) if r.id == "s2.ex.CF0" else r for r in small_registry]
+    records = [r.replace(rhs=BinOp("+", r.rhs, bump)) if r.id == "s2.ex.CF0" else r for r in small_registry]
     monkeypatch.setattr(script, "builtin_registry", lambda: records)
     assert script.main([str(tmp_path / "out")]) == 1
     assert "UNEXPECTED failures:\n  s2.ex.CF0" in capsys.readouterr().out

@@ -28,6 +28,7 @@ from fibcat.seriesdsl import (
     GeometricTail,
     ParsedRegistry,
     SeriesSpec,
+    _parse_free,
     builtin_registry,
     format_expr,
     parse_expression,
@@ -424,6 +425,14 @@ _trees = _tree_strategy(_names, _tree_strategy(_in_body, _tree_strategy(_in_body
 @given(_trees)
 def test_a_printed_tree_parses_back_to_itself(e):
     assert parse_expression(format_expr(e)) == e
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_the_parser_collects_the_free_names_of_its_tree(e):
+    # what the registry checks against its declared names, without a walk
+    tree, free = _parse_free(format_expr(e))
+    assert tree == e and free == free_vars(e)
 
 
 def test_a_quadrature_body_that_reads_var_x_is_refused():

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import engine
 from .arbreal.core import round_to
 from .errors import FibcatError
-from .seriesdsl import builtin_registry, format_params, parse_registry
+from .seriesdsl import builtin_registry, format_params, parse_params, parse_registry
 
 _CSV_HEADER = ["id", "binding", "kind", "status", "digits_requested", "digits_achieved", "terms", "seconds"]
 
@@ -91,20 +91,14 @@ def _select(records, args) -> list:
 
 
 def _parse_param_ranges(specs) -> dict:
-    out = {}
-    for spec in specs:
-        name, eq, rng = spec.partition("=")
-        if not eq:
-            raise SystemExit2(f"bad --param {spec!r}: expected NAME=A..B or NAME=V")
-        try:
-            if ".." in rng:
-                lo, hi = rng.split("..", 1)
-                out[name] = (int(lo), int(hi))
-            else:
-                out[name] = (int(rng), int(rng))
-        except ValueError:
-            raise SystemExit2(f"bad --param {spec!r}: bounds must be integers") from None
-    return out
+    """{name: (lo, hi)} of the --param specs, read as a registry reads its
+    `params` (parse_params): a reversed range or a repeated name is a usage
+    error."""
+    try:
+        params = parse_params(" ".join(specs))
+    except ValueError as exc:
+        raise SystemExit2(f"bad --param: {exc}") from None
+    return {name: (lo, hi) for name, lo, hi in params}
 
 
 def _config(records, args, digits=None) -> engine.VerifyConfig:

@@ -36,9 +36,9 @@ working digits (expr.pi_poly_decimal), and the row's detail says so
 (EXACT_RHS).  A Beta form that diverges is a ConvergenceError at once.
 Any other such side is evaluated numerically, its quadratures by tanh-sinh.
 `checker` is the one per-binding check behind `verify_identity` and
-`fibcat eval`, and `exit_code` their one exit-code rule; a numeric record
-keeps one evaluator per working precision across its bindings, so each of
-its trees is compiled once.
+`fibcat eval`, and `exit_code` their one exit-code rule.  A numeric side
+other than a series is evaluated by one walk of its tree
+(expr.NumericEvaluator) at each binding.
 """
 
 from __future__ import annotations
@@ -151,19 +151,9 @@ class VerifyConfig(Value):
 # ------------------------------------------------------------------ summation
 
 
-def sum_series(
-    spec: SeriesSpec,
-    env: dict,
-    tail,
-    digits: int,
-    force_terms: int | None = None,
-    *,
-    evaluator: NumericEvaluator | None = None,
-) -> SumResult:
-    """Sum a series to `digits` with the given tail strategy.  `evaluator`,
-    a NumericEvaluator at `digits`, lets a caller that sums one record at
-    many bindings compile its term once."""
-    evaluator = evaluator or NumericEvaluator(digits)
+def sum_series(spec: SeriesSpec, env: dict, tail, digits: int, force_terms: int | None = None) -> SumResult:
+    """Sum a series to `digits` with the given tail strategy."""
+    evaluator = NumericEvaluator(digits)
     # derived once per binding, for the steps and an algebraic tail's expansion
     ratio = expr.term_ratio(spec.term, spec.index, env)
     evaluator.step(spec.term, spec.index, ratio)
@@ -421,7 +411,7 @@ def _kind(record: IdentityRecord, config: VerifyConfig):
         target = config.digits or record.digits or DIGITS_CONSTANT
     else:
         raise UnsupportedRecordError(f"{record.id}: unknown kind {kind!r}")
-    return target, _NumericSides(record)
+    return target, partial(_numeric_sides, record)
 
 
 def _has_quadrature(e: Expr) -> bool:
@@ -452,44 +442,31 @@ def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = N
     return _kind(record, VerifyConfig())[1](binding, digits)
 
 
-class _NumericSides:
-    """(binding, digits) -> Sides of a series, integral or constant record,
-    with one NumericEvaluator per working precision for the whole record,
-    so each tree is compiled once: it sums the series (first term and
-    stepped terms) and evaluates both sides at every binding.  A record
-    without a series side is first tried exactly in Q(sqrt2)[pi, 1/pi]
-    (_pi_sides), and so is the quadrature rhs of a series record."""
-
-    def __init__(self, record: IdentityRecord):
-        self.record = record
-        self.evaluators = {}  # digits -> NumericEvaluator
-
-    def _evaluator(self, digits: int) -> NumericEvaluator:
-        if digits not in self.evaluators:
-            self.evaluators[digits] = NumericEvaluator(digits)
-        return self.evaluators[digits]
-
-    def __call__(self, binding: dict, digits: int) -> Sides:
-        record = self.record
-        rhs, detail = None, ""
-        if isinstance(record.lhs, SeriesSpec):
-            summed = sum_series(record.lhs, binding, record.tail, digits, evaluator=self._evaluator(digits))
-            lhs, terms, strategy, tail_bound = summed.value, summed.terms_used, summed.strategy, summed.tail_bound
-            if _has_quadrature(record.rhs):
-                digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
-                exact = eval_exact_pi(record.rhs, binding)
-                if exact is not None:
-                    rhs, detail = pi_poly_decimal(exact, digits), EXACT_RHS
-        else:
-            exact = _pi_sides(record, binding)
+def _numeric_sides(record: IdentityRecord, binding: dict, digits: int) -> Sides:
+    """Sides of a series, integral or constant record at `digits` working
+    digits: the series summed (first term and stepped terms) and each other
+    side evaluated.  A record without a series side is first tried exactly
+    in Q(sqrt2)[pi, 1/pi] (_pi_sides), and so is the quadrature rhs of a
+    series record."""
+    rhs, detail = None, ""
+    if isinstance(record.lhs, SeriesSpec):
+        summed = sum_series(record.lhs, binding, record.tail, digits)
+        lhs, terms, strategy, tail_bound = summed.value, summed.terms_used, summed.strategy, summed.tail_bound
+        if _has_quadrature(record.rhs):
+            digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
+            exact = eval_exact_pi(record.rhs, binding)
             if exact is not None:
-                return exact
-            lhs = _core.round_to(self._evaluator(digits).eval(record.lhs, binding), digits)
-            terms = strategy = tail_bound = None
-        if rhs is None:
-            rhs = _core.round_to(self._evaluator(digits).eval(record.rhs, binding), digits)
-        diff = _core.context(digits + 5).subtract(lhs, rhs).copy_abs()
-        return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy, tail_bound=tail_bound, detail=detail)
+                rhs, detail = pi_poly_decimal(exact, digits), EXACT_RHS
+    else:
+        exact = _pi_sides(record, binding)
+        if exact is not None:
+            return exact
+        lhs = eval_numeric(record.lhs, binding, digits)
+        terms = strategy = tail_bound = None
+    if rhs is None:
+        rhs = eval_numeric(record.rhs, binding, digits)
+    diff = _core.context(digits + 5).subtract(lhs, rhs).copy_abs()
+    return Sides(lhs, rhs, diff=diff, terms=terms, strategy=strategy, tail_bound=tail_bound, detail=detail)
 
 
 def verdict(sides: Sides, target: int | None):

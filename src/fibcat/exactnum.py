@@ -104,7 +104,7 @@ class QuadRat(Value):
         return sa if self.norm() > 0 else sb
 
     def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt5"
+        return _sum_text([(self.a, []), (self.b, ["sqrt5"])])
 
 
 ONE = QuadRat.of(1)
@@ -173,11 +173,18 @@ class PiPoly(dict):
         return out
 
     def __str__(self) -> str:
-        terms = []
-        for (k, s), c in sorted(self.items()):
-            factors = ["sqrt(2)"] * s + ([] if k == 0 else ["pi" if k == 1 else f"pi^{k}"])
-            terms.append("*".join(([] if c == 1 and factors else [str(c)]) + factors))
-        return " + ".join(terms).replace("+ -", "- ") or "0"
+        return _sum_text(
+            (c, ["sqrt(2)"] * s + ([] if k == 0 else ["pi" if k == 1 else f"pi^{k}"]))
+            for (k, s), c in sorted(self.items())
+        )
+
+
+def _sum_text(terms) -> str:
+    """The text of a sum of (coefficient, [factor, ...]) terms: a zero term
+    left out, a unit coefficient left out before its factors, "+ -" read as
+    "- ", and "0" for no term."""
+    parts = ["*".join(([] if c == 1 and factors else [str(c)]) + factors) for c, factors in terms if c]
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def _pi_poly(pairs) -> PiPoly:

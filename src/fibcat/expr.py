@@ -16,13 +16,14 @@ evaluator takes a quadrature so before it runs tanh-sinh.  The
 one-radical evaluator puts an expression into the form u*sqrt(v) with u, v
 in Q(sqrt5), which is what the radical lemma checks need, in one pass: its
 leaves take the exact walk and its other nodes combine their children's
-forms.  One reading,
-`integer_poly`, turns literals, names, negation, + - * and division by a
-constant into a polynomial: the numeric evaluator, which compiles a tree
-once into closures, runs such subtrees on Python ints, `term_ratio` reads
-its linear factors s*n + o from them and the parser its exponents.  The
-numeric evaluator reads C, binom, F and L alike, as exactnum's exact
-integer rounded once.
+forms.  The numeric evaluator is one recursive walk over the same nodes in
+Decimal at a working precision: a subtree of literals, names, negation
+and + - * / is exact in Q and rounded once, C, binom, F and L are
+exactnum's exact integer rounded once, and exponents and sequence
+arguments are read in Q.  One reading, `integer_poly`, turns literals,
+names, negation, + - * and division by a constant into a polynomial:
+`term_ratio` reads its linear factors s*n + o from them and the parser its
+exponents.
 `term_ratio` writes a series term as a hypergeometric part h(n), whose
 ratio h(n+1)/h(n) is a quotient of integer products, times Binet chains
 c*gamma^n split from its F and L factors (c, gamma exact in Q(sqrt5)).
@@ -574,241 +575,201 @@ def eval_one_radical(e: Expr, env: Env):
 
 
 class NumericEvaluator:
-    """Compiles trees into closures bound to one working precision.
+    """Evaluates trees at one working precision, target digits plus guard;
+    values come back at that precision, callers round.
 
-    `eval` compiles a tree on first sight and reuses the closures, so the
-    terms of a series share the context, the constants and the compiled
-    code; values come back at the working precision
-    (target digits plus guard), callers round.
-
-    After `step(term, index, ratio)`, it steps that series term from the
-    one before it by the TermRatio its caller derived (see _stepper)
-    instead of evaluating it again.
-
-    A subtree that integer_poly reads as a polynomial with integer
-    coefficients (exponents, sequence arguments, polynomial factors) runs on
-    Python ints and becomes one Decimal; other exponents and sequence
-    arguments keep the exact-rational semantics of eval_exact_rational.
-    Each compile reads every subtree once.  Errors are raised when a closure
-    runs, at the failing term; only a malformed tree (an unknown constant,
+    `eval` walks the tree once per call (_numeric).  A subtree of
+    literals, names, negation and + - * / is exact in Q and is rounded once
+    where a Decimal meets it; a sequence value is the exact integer rounded
+    once; every other node combines the Decimals of its children.
+    Exponents and sequence arguments are read exactly in Q, as
+    eval_exact_rational reads them.  A quadrature takes an exact rule
+    (_exact_quad) when one fits, else tanh-sinh with the same walk as its
+    integrand.  Errors, a malformed tree's included (an unknown constant,
     function, sequence or operator, or the quadrature variable outside
-    every quadrature body) is refused when compiled.
+    every quadrature body), are raised when the walk reaches the failing
+    node.
+
+    After `step(term, index, ratio)`, `eval` steps that series term from
+    the one before it by the TermRatio its caller derived (see _stepper)
+    instead of walking it again; a later `step` replaces it.
     """
 
     def __init__(self, digits: int):
         self.digits = digits
         self.w = digits + _core.guard_digits(digits)
         self.ctx = _core.context(self.w)
-        self._compiled: dict = {}  # id(e) -> (e, closure eval runs, compiled closure); e keeps its id
-        self._bodies = 0  # quadrature bodies around the node being compiled
+        self._stepped = None  # (term, its stepper) after step()
 
     def eval(self, e: Expr, env: Env) -> Decimal:
-        got = self._compiled.get(id(e))
-        if got is None:
-            run = self.compile(e)
-            got = self._compiled[id(e)] = (e, run, run)
-        return got[1](env)
+        stepped = self._stepped
+        if stepped is not None and stepped[0] is e:
+            return stepped[1](env)
+        return _numeric(e, env, self.ctx, self.digits)
 
     def step(self, term: Expr, index: str, ratio) -> None:
         """Make `eval(term, env)` step `term` as a series term in `index`
         from the call before it by `ratio`, its term_ratio at the binding of
-        the calls that follow (see _stepper); the tree is compiled once."""
-        got = self._compiled.get(id(term))
-        run = got[2] if got else self.compile(term)
-        self._compiled[id(term)] = (term, self._stepper(index, ratio, run), run)
+        the calls that follow (see _stepper)."""
+        # the stepper holds the walk's arguments, not the evaluator, so no
+        # reference cycle runs through it
+        run = functools.partial(_numeric, term, ctx=self.ctx, digits=self.digits)
+        self._stepped = (term, _stepper(index, ratio, run, self.ctx))
 
-    def compile(self, e: Expr):
-        """The closure env -> Decimal that evaluates `e`."""
+
+def _stepper(index: str, ratio, run, ctx: Context):
+    """env -> t(n) for a series term t in `index`, stepped as Binet chains
+    at the precision of `ctx`.  With R = P/Q and the chains (c_i, gamma_i)
+    of `ratio`, t(n) = sum u_i(n), u_i(n) = c_i h(n) gamma_i^n, and
+    u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i: a call for n steps the chains
+    of the last call when that call was for n - 1.  `run` takes the first
+    term, any term after a zero t, P or Q, and every term of a term without
+    a ratio; its value is split into chains, u_i(n) = t(n) * c_i gamma_i^n
+    / sum_j c_j gamma_j^n, with each c and gamma rounded once.  A chain
+    whose |gamma| is below another's is dropped once it falls under 10^-w
+    of |t|: it only shrinks from there, against the chain of the largest
+    |gamma|.  The chains are updated in place, so a step allocates no
+    container."""
+    w = ctx.prec
+    multiply, divide, add = ctx.multiply, ctx.divide, ctx.add
+    steps = ratio and _chain_steps(ratio, ctx)
+    us = gammas = fading = last = None  # the chains kept at `last`, or us None
+
+    def stepped(env):
+        nonlocal us, gammas, fading, last
         try:
-            code = self._num(e, {})
-        except UnboundVariableError:  # the quadrature variable outside every body
-            raise UnboundVariableError(QUAD_VAR, str(e)) from None
-
-        def run(env):
-            try:
-                return code(env, None)
-            except KeyError as exc:  # the closures read bound names as env[name]
-                raise UnboundVariableError(exc.args[0], Var(exc.args[0])) from None
-
-        return run
-
-    def _stepper(self, index: str, ratio, run):
-        """env -> t(n) for a series term t in `index`, stepped as Binet
-        chains.  With R = P/Q and the chains (c_i, gamma_i) of `ratio`,
-        t(n) = sum u_i(n), u_i(n) = c_i h(n) gamma_i^n, and
-        u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i: a call for n steps the
-        chains of the last call when that call was for n - 1.  `run` takes
-        the first term, any term after a zero t, P or Q, and every term of a
-        term without a ratio; its value is split into chains,
-        u_i(n) = t(n) * c_i gamma_i^n / sum_j c_j gamma_j^n, with each c and
-        gamma rounded once.  A chain whose |gamma| is below another's is
-        dropped once it falls under 10^-w of |t|: it only shrinks from
-        there, against the chain of the largest |gamma|.  The chains are
-        updated in place, so a step allocates no container."""
-        ctx, w = self.ctx, self.w
-        multiply, divide, add = ctx.multiply, ctx.divide, ctx.add
-        steps = ratio and _chain_steps(ratio, ctx)
-        us = gammas = fading = last = None  # the chains kept at `last`, or us None
-
-        def stepped(env):
-            nonlocal us, gammas, fading, last
-            try:
-                n = env[index]
-            except KeyError:
-                return run(env)  # raises UnboundVariableError
-            before, last = last, n
-            if us is not None and n == before + 1:
-                p, q = ratio(before)
-                if p and q:
-                    if len(us) == 1:  # the common case, without the loops below
-                        t = divide(multiply(us[0], p), q)
-                        us[0] = t = t if gammas[0] is None else multiply(t, gammas[0])
-                        if not t:
-                            us = None
-                        return t
-                    for i, g in enumerate(gammas):
-                        u = divide(multiply(us[i], p), q)
-                        us[i] = u if g is None else multiply(u, g)
-                    t = functools.reduce(add, us)
+            n = env[index]
+        except KeyError:
+            return run(env)  # raises UnboundVariableError
+        before, last = last, n
+        if us is not None and n == before + 1:
+            p, q = ratio(before)
+            if p and q:
+                if len(us) == 1:  # the common case, without the loops below
+                    t = divide(multiply(us[0], p), q)
+                    us[0] = t = t if gammas[0] is None else multiply(t, gammas[0])
                     if not t:
                         us = None
-                        return t
-                    floor = t.adjusted() - w
-                    keep = [i for i, u in enumerate(us) if not (fading[i] and u.adjusted() < floor)]
-                    if len(keep) < len(us):
-                        us, gammas, fading = ([x[i] for i in keep] for x in (us, gammas, fading))
                     return t
-            us = None
-            t = run(env)
-            if ratio is not None and t:
-                consts, gammas, fading = steps
-                us = _split_chains(consts, gammas, t, n, ctx)
-            return t
+                for i, g in enumerate(gammas):
+                    u = divide(multiply(us[i], p), q)
+                    us[i] = u if g is None else multiply(u, g)
+                t = functools.reduce(add, us)
+                if not t:
+                    us = None
+                    return t
+                floor = t.adjusted() - w
+                keep = [i for i, u in enumerate(us) if not (fading[i] and u.adjusted() < floor)]
+                if len(keep) < len(us):
+                    us, gammas, fading = ([x[i] for i in keep] for x in (us, gammas, fading))
+                return t
+        us = None
+        t = run(env)
+        if ratio is not None and t:
+            consts, gammas, fading = steps
+            us = _split_chains(consts, gammas, t, n, ctx)
+        return t
 
-        return stepped
-
-    def _num(self, e: Expr, polys: dict):
-        """Closure (env, x) -> Decimal, where x is the value of BoundVar in
-        the innermost quadrature body around `e` (None outside every body);
-        `polys` is the compile's integer_poly memo."""
-        ctx, w = self.ctx, self.w
-        p = integer_poly(e, polys)
-        if p is not None:
-            c = poly_constant(p)
-            if c is not None:
-                c = ctx.divide(Decimal(c.numerator), Decimal(c.denominator))
-                return lambda env, x: c
-            if poly_integral(p):
-                code, plus = _poly_fn(p), ctx.plus
-                return lambda env, x: plus(Decimal(code(env)))
-        if isinstance(e, Const):
-            if e.name not in CONSTANTS:
-                raise ValueError(f"unknown constant {e.name!r}")
-            c = getattr(_const, CONSTANTS[e.name])(w)
-            return lambda env, x: c
-        if isinstance(e, BoundVar):
-            if not self._bodies:
-                raise UnboundVariableError(QUAD_VAR, e)
-            return lambda env, x: x
-        if isinstance(e, Neg):
-            a, minus = self._num(e.arg, polys), ctx.minus
-            return lambda env, x: minus(a(env, x))
-        if isinstance(e, Fn):
-            if e.name not in FUNCTION_NAMES:
-                raise ValueError(f"unknown function {e.name!r}")
-            a, name = self._num(e.arg, polys), e.name
-
-            def fn(env, x):
-                v = a(env, x)
-                try:
-                    return getattr(_core, name)(v, w)
-                except DomainError as exc:
-                    raise DomainError(f"{exc} in {e}") from exc
-
-            return fn
-        if isinstance(e, BinOp):
-            l, r = self._num(e.left, polys), self._num(e.right, polys)
-            if e.op == "/":
-                divide = ctx.divide
-
-                def div(env, x):
-                    a, b = l(env, x), r(env, x)
-                    if b == 0:
-                        raise ZeroDivisionError(f"division by zero in {e}")
-                    return divide(a, b)
-
-                return div
-            if e.op not in _DECIMAL_OPS:
-                raise ValueError(f"unknown operator {e.op!r}")
-            op = getattr(ctx, _DECIMAL_OPS[e.op])
-            return lambda env, x: op(l(env, x), r(env, x))
-        if isinstance(e, Pow):
-            return self._pow(e, polys)
-        if isinstance(e, SeqCall):
-            _sequence(e.name)  # refuse an unknown name now
-            args = [_seq_arg(a, e, polys) for a in e.args]
-            name, plus = e.name, ctx.plus
-            return lambda env, x: plus(Decimal(_sequence(name)(*[a(env) for a in args])))
-        if isinstance(e, Quad):
-            lo, hi = self._num(e.lower, polys), self._num(e.upper, polys)
-            self._bodies += 1
-            try:
-                body = self._num(e.body, polys)
-            finally:
-                self._bodies -= 1
-            digits = self.digits
-
-            def integral(env, x):
-                # an exact rule first (its bounds read no enclosing body's x)
-                exact = _exact_quad(e, env)
-                if exact is not None:
-                    return pi_poly_decimal(exact, w)
-                a, b = lo(env, x), hi(env, x)
-                return _quad.tanh_sinh(lambda xv: body(env, xv), a, b, digits)
-
-            return integral
-        if isinstance(e, Clausen):
-            a = self._num(e.arg, polys)
-            return lambda env, x: _quad.clausen2(a(env, x), w)
-        raise TypeError(f"not an expression: {e!r}")
-
-    def _pow(self, e: Pow, polys: dict):
-        # the exponent sees the binding only, as in eval_exact_rational
-        base = self._num(e.base, polys)
-        w = self.w
-        p = integer_poly(e.exponent, polys)
-        if p is not None and poly_integral(p):
-            k = _poly_fn(p)
-
-            def int_power(env, x):
-                n, v = k(env), base(env, x)
-                try:
-                    return _core.pow_int(v, n, w)
-                except ZeroDivisionError:
-                    raise ZeroDivisionError(f"zero base with negative exponent in {e}") from None
-
-            return int_power
-        exponent = _poly_fn(p) if p is not None else lambda env: eval_exact_rational(e.exponent, env)
-
-        def power(env, x):
-            ex = exponent(env)
-            if ex is None:
-                raise DomainError(f"exponent is not an exact rational in {e}")
-            v = base(env, x)
-            try:
-                return _core.pow_rational(v, ex, w)
-            except DomainError as exc:
-                raise DomainError(f"{exc} in {e}") from exc
-            except ZeroDivisionError:
-                raise ZeroDivisionError(f"zero base with negative exponent in {e}") from None
-
-        return power
+    return stepped
 
 
-_DECIMAL_OPS = {"+": "add", "-": "subtract", "*": "multiply"}
+class _OutsideEveryBody(Exception):
+    """The walk met BoundVar outside every quadrature body."""
 
 
-def integer_poly(e: Expr, memo: dict | None = None):
+def _numeric(e: Expr, env: Env, ctx: Context, digits: int) -> Decimal:
+    """The value of `e` at the precision of `ctx`, `digits` the target of
+    its quadratures; BoundVar outside every quadrature body is refused
+    with the whole tree named."""
+    try:
+        return _decimal(_walk(e, env, None, ctx, digits), ctx)
+    except _OutsideEveryBody:
+        raise UnboundVariableError(QUAD_VAR, str(e)) from None
+
+
+def _walk(e: Expr, env: Env, x, ctx: Context, digits: int):
+    """The walk of _numeric, x the value of BoundVar in the innermost
+    quadrature body around `e` (None outside every body): an int or a
+    Fraction, exact, for a subtree of literals, names, negation and + - * /,
+    else a Decimal."""
+    t = type(e)
+    if t is BinOp:
+        l, r = _walk(e.left, env, x, ctx, digits), _walk(e.right, env, x, ctx, digits)
+        op = e.op
+        if op not in _DECIMAL_OPS:
+            raise ValueError(f"unknown operator {op!r}")
+        if op == "/" and not r:
+            raise ZeroDivisionError(f"division by zero in {e}")
+        if type(l) is Decimal or type(r) is Decimal:
+            return _DECIMAL_OPS[op](ctx, _decimal(l, ctx), _decimal(r, ctx))
+        return Fraction(l) / r if op == "/" else _FIELD_OPS[op](l, r)
+    if t is IntLit or t is RatLit:
+        return e.value
+    if t is Var:
+        if e.name not in env:
+            raise UnboundVariableError(e.name, e)
+        return env[e.name]
+    if t is Pow:
+        k = _exact(e.exponent, env, _Q)  # the exponent sees the binding only
+        if k is None:
+            raise DomainError(f"exponent is not an exact rational in {e}")
+        base = _decimal(_walk(e.base, env, x, ctx, digits), ctx)
+        try:
+            return _core.pow_rational(base, k, ctx.prec)
+        except DomainError as exc:
+            raise DomainError(f"{exc} in {e}") from exc
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"zero base with negative exponent in {e}") from None
+    if t is SeqCall:
+        sequence, args = _sequence(e.name), []
+        for a in e.args:
+            v = _exact_int(a, env)
+            if v is None:
+                raise DomainError(f"sequence argument is not an integer in {e}")
+            args.append(v)
+        return ctx.plus(Decimal(sequence(*args)))
+    if t is Neg:
+        v = _walk(e.arg, env, x, ctx, digits)
+        return ctx.minus(v) if type(v) is Decimal else -v
+    if t is Const:
+        if e.name not in CONSTANTS:
+            raise ValueError(f"unknown constant {e.name!r}")
+        return getattr(_const, CONSTANTS[e.name])(ctx.prec)
+    if t is BoundVar:
+        if x is None:
+            raise _OutsideEveryBody
+        return x
+    if t is Fn:
+        if e.name not in FUNCTION_NAMES:
+            raise ValueError(f"unknown function {e.name!r}")
+        v = _decimal(_walk(e.arg, env, x, ctx, digits), ctx)
+        try:
+            return getattr(_core, e.name)(v, ctx.prec)
+        except DomainError as exc:
+            raise DomainError(f"{exc} in {e}") from exc
+    if t is Quad:
+        # an exact rule first (its bounds read no enclosing body's x)
+        exact = _exact_quad(e, env)
+        if exact is not None:
+            return pi_poly_decimal(exact, ctx.prec)
+        a, b = (_decimal(_walk(bound, env, x, ctx, digits), ctx) for bound in (e.lower, e.upper))
+        return _quad.tanh_sinh(lambda xv: _decimal(_walk(e.body, env, xv, ctx, digits), ctx), a, b, digits)
+    if t is Clausen:
+        return _quad.clausen2(_decimal(_walk(e.arg, env, x, ctx, digits), ctx), ctx.prec)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _decimal(v, ctx: Context) -> Decimal:
+    """A value of the walk as a Decimal, an exact one rounded once."""
+    if type(v) is Decimal:
+        return v
+    return ctx.divide(Decimal(v.numerator), Decimal(v.denominator))
+
+
+_DECIMAL_OPS = {"+": Context.add, "-": Context.subtract, "*": Context.multiply, "/": Context.divide}
+
+
+def integer_poly(e: Expr):
     """`e` as a polynomial in its names, {monomial: coefficient}, or None.
 
     A monomial is the sorted tuple of its names, each repeated by its
@@ -816,36 +777,31 @@ def integer_poly(e: Expr, memo: dict | None = None):
     is one when `e` is built from int and rational literals, names (Var,
     not BoundVar), negation, + - * and division by a nonzero constant.
     Zero coefficients are kept, so a name that cancels is still read:
-    `n - n` needs n.  `memo` lets a caller that asks about every node of a
-    tree read each subtree once."""
-    t, p = type(e), None
+    `n - n` needs n."""
+    t = type(e)
     if t is IntLit or t is RatLit:
         return {(): e.value}
     if t is Var:
         return {(e.name,): 1}
-    if t is not Neg and t is not BinOp:
-        return None
-    if memo is not None and id(e) in memo:
-        return memo[id(e)]
     if t is Neg:
-        a = integer_poly(e.arg, memo)
-        p = None if a is None else {m: -c for m, c in a.items()}
-    elif e.op in _FIELD_OPS:
-        l = integer_poly(e.left, memo)
-        r = None if l is None else integer_poly(e.right, memo)
-        if e.op == "/":
-            c = poly_constant(r)
-            p = {m: Fraction(v) / c for m, v in l.items()} if c else None
-        elif r is not None:
-            if e.op == "*":
-                pairs = [(tuple(sorted(ml + mr)), cl * cr) for ml, cl in l.items() for mr, cr in r.items()]
-            else:
-                pairs = [*l.items(), *((m, c if e.op == "+" else -c) for m, c in r.items())]
-            p = {}
-            for m, c in pairs:
-                p[m] = p.get(m, 0) + c
-    if memo is not None:
-        memo[id(e)] = p
+        a = integer_poly(e.arg)
+        return None if a is None else {m: -c for m, c in a.items()}
+    if t is not BinOp or e.op not in _FIELD_OPS:
+        return None
+    l = integer_poly(e.left)
+    r = None if l is None else integer_poly(e.right)
+    if e.op == "/":
+        c = poly_constant(r)
+        return {m: Fraction(v) / c for m, v in l.items()} if c else None
+    if r is None:
+        return None
+    if e.op == "*":
+        pairs = [(tuple(sorted(ml + mr)), cl * cr) for ml, cl in l.items() for mr, cr in r.items()]
+    else:
+        pairs = [*l.items(), *((m, c if e.op == "+" else -c) for m, c in r.items())]
+    p = {}
+    for m, c in pairs:
+        p[m] = p.get(m, 0) + c
     return p
 
 
@@ -858,49 +814,6 @@ def poly_constant(p):
 def poly_integral(p: dict) -> bool:
     """Whether every coefficient of a polynomial from integer_poly is an int."""
     return all(c.denominator == 1 for c in p.values())
-
-
-def _poly_fn(p: dict):
-    """env -> the value of the polynomial `p` (an int when its coefficients
-    are), compiled to one of four shapes: a constant, a bare name,
-    s*name + o, or a sum of coefficients times products of names.  A name
-    missing from env raises KeyError."""
-    if poly_integral(p):
-        p = {m: int(c) for m, c in p.items()}
-    c = poly_constant(p)
-    if c is not None:
-        return lambda env: c
-    named = [m for m in p if m]
-    if len(named) == 1 and len(named[0]) == 1:
-        (name,), s, o = named[0], p[named[0]], p.get((), 0)
-        return (lambda env: env[name]) if s == 1 and o == 0 else lambda env: s * env[name] + o
-    terms = [(c, m) for m, c in p.items()]
-
-    def poly(env):
-        total = 0
-        for c, m in terms:
-            for name in m:
-                c *= env[name]
-            total += c
-        return total
-
-    return poly
-
-
-def _seq_arg(a: Expr, node: SeqCall, polys: dict):
-    """env -> int for one sequence argument."""
-    p = integer_poly(a, polys)
-    if p is not None and poly_integral(p):
-        return _poly_fn(p)
-    rational = _poly_fn(p) if p is not None else lambda env: eval_exact_rational(a, env)
-
-    def arg(env):
-        v = rational(env)
-        if v is None or v.denominator != 1:
-            raise DomainError(f"sequence argument is not an integer in {node}")
-        return int(v)
-
-    return arg
 
 
 def eval_numeric(e: Expr, env: Env, digits: int) -> Decimal:

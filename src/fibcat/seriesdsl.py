@@ -322,7 +322,10 @@ def parse_params(text: str):
         if any(name == p[0] for p in out):
             raise ValueError(f"repeated parameter {name!r}")
         lo, dots, hi = rng.partition("..")
-        lo, hi = int(lo), int(hi if dots else lo)
+        try:
+            lo, hi = int(lo), int(hi if dots else lo)
+        except ValueError:
+            raise ValueError(f"bad parameter spec {chunk!r}: bounds must be integers") from None
         if lo > hi:
             raise ValueError(f"empty parameter range {chunk!r}")
         out.append((name, lo, hi))

@@ -151,7 +151,7 @@ def test_eval_compares_a_radical_record_inside_q_sqrt5_exactly(capsys, tmp_path)
     )
     code, out, _ = run(capsys, "eval", "--registry", str(reg), "--id", "t.binet")
     assert code == 0
-    assert out.splitlines()[1:] == ["  lhs = 3 + 0*sqrt5", "  rhs = 3 + 0*sqrt5", "  exact match: True"]
+    assert out.splitlines()[1:] == ["  lhs = 3", "  rhs = 3", "  exact match: True"]
 
 
 def test_eval_series(capsys):
@@ -205,10 +205,15 @@ def test_eval_gives_the_verdict_of_verify(capsys, record, digits, code, verdict)
     "argv, message",
     [
         (["verify", "--id", "nope*"], "nothing to check"),
-        (["verify", "--id", "s1.binet.F", "--param", "r=5..1"], "nothing to check"),
+        (["verify", "--id", "s1.binet.F", "--param", "r=5..1"], "empty parameter range 'r=5..1'"),
         (["verify", "--id", "s5.Y.euler", "--param", "zz=1..2"], "parameter zz"),
-        (["eval", "--id", "s1.binet.F", "--param", "r=5..1"], "nothing to check"),
+        (["eval", "--id", "s1.binet.F", "--param", "r=5..1"], "empty parameter range 'r=5..1'"),
         (["eval", "--id", "s5.Y.euler", "--param", "zz=1"], "parameter zz"),
+        # read as a registry reads `params`, so none of the lemmas' rows is
+        # skipped unsaid
+        (["verify", "--id", "s2.lem[34]*", "--param", "r=5..2"], "empty parameter range 'r=5..2'"),
+        (["verify", "--id", "s2.lem[34]*", "--param", "r=1..2", "--param", "r=7"], "repeated parameter 'r'"),
+        (["verify", "--id", "s2.lem[34]*", "--param", "r=1..x"], "'r=1..x': bounds must be integers"),
     ],
 )
 def test_vacuous_run_exits_two(capsys, argv, message):

@@ -131,6 +131,18 @@ def test_qr_pow_examples():
     assert qr_pow(ALPHA, 10) == QuadRat.of(Fraction(123, 2), Fraction(55, 2))
 
 
+def test_a_quadrat_prints_like_a_pi_poly():
+    cases = [
+        (QuadRat.of(Fraction(-11, 2), Fraction(-1, 2)), "-11/2 - 1/2*sqrt5"),
+        (QuadRat.of(3), "3"),
+        (QuadRat.of(0), "0"),
+        (SQRT5, "sqrt5"),
+        (ALPHA, "1/2 + 1/2*sqrt5"),
+        (QuadRat.of(0, -1), "-1*sqrt5"),
+    ]
+    assert [str(q) for q, _ in cases] == [text for _, text in cases]
+
+
 def test_binet_exact_in_quadrat():
     for n in range(-200, 201):
         diff = qr_pow(ALPHA, n) - qr_pow(BETA, n)

@@ -151,16 +151,16 @@ class VerifyConfig(Value):
 # ------------------------------------------------------------------ summation
 
 
-def sum_series(spec: SeriesSpec, env: dict, tail, digits: int, force_terms: int | None = None) -> SumResult:
+def sum_series(spec: SeriesSpec, env: dict, tail, digits: int) -> SumResult:
     """Sum a series to `digits` with the given tail strategy."""
     evaluator = NumericEvaluator(digits)
     # derived once per binding, for the steps and an algebraic tail's expansion
     ratio = expr.term_ratio(spec.term, spec.index, env)
     evaluator.step(spec.term, spec.index, ratio)
     if isinstance(tail, GeometricTail):
-        return _sum_geometric(spec, env, tail, evaluator, force_terms)
+        return _sum_geometric(spec, env, tail, evaluator)
     if isinstance(tail, AlgebraicTail):
-        return _sum_algebraic(spec, env, evaluator, ratio, force_terms)
+        return _sum_algebraic(spec, env, evaluator, ratio)
     raise TypeError(f"unknown tail strategy {tail!r}")
 
 
@@ -179,7 +179,7 @@ def _rounding(evaluator, terms: int, size: Decimal) -> Decimal:
     return evaluator.ctx.multiply(Decimal(1).scaleb(-evaluator.w), 15 * terms * size)
 
 
-def _sum_geometric(spec, env, tail, evaluator, force_terms) -> SumResult:
+def _sum_geometric(spec, env, tail, evaluator) -> SumResult:
     ctx = evaluator.ctx
     add, multiply = ctx.add, ctx.multiply
     rho = ctx.divide(Decimal(tail.ratio.numerator), Decimal(tail.ratio.denominator))
@@ -195,7 +195,7 @@ def _sum_geometric(spec, env, tail, evaluator, force_terms) -> SumResult:
             observed = ctx.divide(now, prev) if prev != 0 else Decimal("Infinity")
             raise TailBoundViolation(n - 1, observed, tail.ratio)
         bound = multiply(now, factor)
-        if n >= tail.start and bound < eps and (force_terms is None or terms >= force_terms):
+        if n >= tail.start and bound < eps:
             return SumResult(total, terms, add(bound, _rounding(evaluator, terms, size)), "geometric")
         if terms >= GEOMETRIC_TERM_CAP:
             raise ConvergenceError(
@@ -204,14 +204,12 @@ def _sum_geometric(spec, env, tail, evaluator, force_terms) -> SumResult:
         prev = now
 
 
-def _sum_algebraic(spec, env, evaluator, ratio, force_terms) -> SumResult:
+def _sum_algebraic(spec, env, evaluator, ratio) -> SumResult:
     if ratio is None or [gamma for _, gamma in ratio.chains] != [ONE]:
         raise UnsupportedRecordError(f"an algebraic tail needs a hypergeometric term: {spec.term}")
     # the expansion point N lies 8x past every root of a factor of the ratio
     roots = [abs(Fraction(o, s)) for s, o in ratio.num + ratio.den] + [abs(z) for z in ratio.zeros]
-    n_tail = max(
-        max(spec.start, 0) + TAIL_TERMS, spec.start + (force_terms or 0), math.ceil(8 * max(roots, default=0))
-    )
+    n_tail = max(max(spec.start, 0) + TAIL_TERMS, math.ceil(8 * max(roots, default=0)))
     terms = n_tail - spec.start
     if terms > ALGEBRAIC_TERM_CAP:
         raise ConvergenceError(f"algebraic tail needs {terms} terms, past the {ALGEBRAIC_TERM_CAP}-term cap")
@@ -345,10 +343,10 @@ def _exact_int(e: Expr, env, what: str) -> int:
 
 def _exact_sides(record: IdentityRecord, binding: dict, digits=None) -> Sides:
     """Sides of an algebraic or radical record: exact in Q(sqrt5) when both
-    sides lie in it, else the squares of their u*sqrt(v) forms (v >= 0, so
-    the sign of a side is that of u, or 0 when v is) with their exact signs.
-    A failed row's diff is the gap of the sides evaluated once each at
-    RADICAL_SIGN_DIGITS."""
+    sides lie in it, else the squares of their u*sqrt(v) forms (v > 0 and
+    zero is (0, 1), so the sign of a side is that of u) with their exact
+    signs.  A failed row's diff is the gap of the sides evaluated once each
+    at RADICAL_SIGN_DIGITS."""
     sides = (record.lhs, record.rhs)
     lhs, rhs = (eval_exact_qsqrt5(side, binding) for side in sides)
     squared = lhs is None or rhs is None
@@ -358,7 +356,7 @@ def _exact_sides(record: IdentityRecord, binding: dict, digits=None) -> Sides:
         if None in forms:
             raise UnsupportedRecordError(f"{record.id}: sides do not square into Q(sqrt5)")
         lhs, rhs = (qr_pow(u, 2) * v for u, v in forms)
-        signs = [0 if v.is_zero() else u.sign() for u, v in forms]
+        signs = [u.sign() for u, _ in forms]
         ok = lhs == rhs and signs[0] == signs[1]
     values = () if ok else [eval_numeric(side, binding, RADICAL_SIGN_DIGITS) for side in sides]
     diff = Decimal(0) if ok else _core.context(30).subtract(*values).copy_abs()

@@ -1,5 +1,5 @@
-"""Exact integer, rational, Q(sqrt5) and Q(sqrt2)[pi, 1/pi] arithmetic plus
-the sequence kernels.
+"""Exact integer, rational, Q(sqrt5), Q(sqrt2)[pi, 1/pi] and radical form
+u*sqrt(v) (u, v in Q(sqrt5)) arithmetic plus the sequence kernels.
 
 Rationals are the stdlib Fraction: it already guarantees lowest terms and a
 positive denominator, which is exactly the representation contract the rest
@@ -107,10 +107,56 @@ class QuadRat(Value):
         return _sum_text([(self.a, []), (self.b, ["sqrt5"])])
 
 
+ZERO = QuadRat.of(0)
 ONE = QuadRat.of(1)
 SQRT5 = QuadRat.of(0, 1)
 ALPHA = QuadRat(Fraction(1, 2), Fraction(1, 2))
 BETA = QuadRat(Fraction(1, 2), Fraction(-1, 2))
+
+
+class Radical(tuple):
+    """The form u*sqrt(v), the pair (u, v) of QuadRats, v nonzero and zero
+    as (0, 1).  The exact walk makes only forms with v > 0, so the sign of
+    a value is the sign of u.  Forms are closed under * and / (a zero
+    divisor raises ZeroDivisionError, as in Q(sqrt5)) and integer powers; a
+    sum of two nonzero forms with unlike v gives None, as it is not held as
+    such a form.  sqrt(v) * sqrt(w) is kept as sqrt(v*w), so equal numbers
+    may have unlike forms (sqrt(2)*sqrt(2) is 1*sqrt(4), not 2)."""
+
+    __slots__ = ()
+
+    def __new__(cls, u: QuadRat, v: QuadRat = ONE) -> "Radical":
+        return tuple.__new__(cls, (ZERO, ONE) if u.is_zero() or v.is_zero() else (u, v))
+
+    @staticmethod
+    def of(c) -> "Radical":
+        return Radical(QuadRat.of(c))
+
+    def __neg__(self) -> "Radical":
+        u, v = self
+        return Radical(-u, v)
+
+    def __add__(self, other: "Radical"):
+        if self[0].is_zero():
+            return other
+        if other[0].is_zero():
+            return self
+        return Radical(self[0] + other[0], self[1]) if self[1] == other[1] else None
+
+    def __sub__(self, other: "Radical"):
+        return self + -other
+
+    def __mul__(self, other: "Radical") -> "Radical":
+        return Radical(self[0] * other[0], self[1] * other[1])
+
+    def __truediv__(self, other: "Radical") -> "Radical":
+        return Radical(self[0] / other[0], self[1] / other[1])
+
+    def __pow__(self, n: int) -> "Radical":
+        u, v = self
+        if n < 0:
+            u, n = ONE / (u * v), -n  # 1/(u sqrt(v)) = sqrt(v)/(u v)
+        return Radical(qr_pow(u, n) * qr_pow(v, n // 2), v if n % 2 else ONE)
 
 
 class PiPoly(dict):

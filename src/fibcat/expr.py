@@ -2,9 +2,11 @@
 
 One exact walk evaluates a tree in a field given as a parameter: Q
 (`eval_exact_rational`, a Fraction or None when the value is not rational),
-Q(sqrt5) (`eval_exact_qsqrt5`, a QuadRat or None) or the Laurent
-polynomials in pi over Q(sqrt2) (`eval_exact_pi`, a PiPoly or None);
-exponents and sequence arguments are read in Q in each.  In the pi field
+Q(sqrt5) (`eval_exact_qsqrt5`, a QuadRat or None), the Laurent
+polynomials in pi over Q(sqrt2) (`eval_exact_pi`, a PiPoly or None) or the
+radical forms u*sqrt(v) with u, v in Q(sqrt5) (`eval_one_radical`, a
+Radical or None), which is what the radical lemma checks need; exponents
+and sequence arguments are read in Q in each.  In the pi field
 only, a quadrature has an exact value by one of two rules (_exact_quad): a
 body that reads as r * x^a * (A - x^k)^b on [0, A^(1/k)] or r * sin(x)^m on
 [0, pi/2] is an Euler Beta integral (`_beta`, Gamma taken at
@@ -12,26 +14,24 @@ half-integers, a divergent one a ConvergenceError), and any other
 r * x^j * sin(x)^m * sin(x/2)^a * cos(x/2)^b on [0, pi/2] with integer
 j, m, a, b >= 0 is a sine moment (`_sine_moment`, finite integration by
 parts); `pi_poly_decimal` rounds such a value once, and the numeric
-evaluator takes a quadrature so before it runs tanh-sinh.  The
-one-radical evaluator puts an expression into the form u*sqrt(v) with u, v
-in Q(sqrt5), which is what the radical lemma checks need, in one pass: its
-leaves take the exact walk and its other nodes combine their children's
-forms.  The numeric evaluator is one recursive walk over the same nodes in
-Decimal at a working precision: a subtree of literals, names, negation
-and + - * / is exact in Q and rounded once, C, binom, F and L are
-exactnum's exact integer rounded once, and exponents and sequence
-arguments are read in Q.  One reading, `integer_poly`, turns literals,
-names, negation, + - * and division by a constant into a polynomial:
-`term_ratio` reads its linear factors s*n + o from them and the parser its
-exponents.
+evaluator takes a quadrature so before it runs tanh-sinh.  In the radical
+forms only, sqrt of a form u*sqrt(1) is the form 1*sqrt(u), and a negative
+u raises DomainError.  The numeric evaluator is one recursive walk over
+the same nodes in Decimal at a working precision: a subtree of literals,
+names, negation and + - * / is exact in Q and rounded once, C, binom, F
+and L are exactnum's exact integer rounded once, and exponents and
+sequence arguments are read in Q.  One reading, `integer_poly`, turns
+literals, names, negation, + - * and division by a constant into a
+polynomial: `term_ratio` reads its linear factors s*n + o from them and
+the parser its exponents.
 `term_ratio` writes a series term as a hypergeometric part h(n), whose
 ratio h(n+1)/h(n) is a quotient of integer products, times Binet chains
 c*gamma^n split from its F and L factors (c, gamma exact in Q(sqrt5)).
 The engine derives it once per binding: an evaluator handed it with the
 series' index (`NumericEvaluator.step`) steps each term from the last
 through the chains, and the engine expands an algebraic tail from the
-factors.  The one-radical form u*sqrt(v) has v >= 0, so the engine reads
-the sign of a side exactly.
+factors.  A radical form u*sqrt(v) has v > 0, so the engine reads the sign
+of a side exactly.
 
 alpha and beta are primitive constants rather than spelled-out surds so
 the exact Q(sqrt5) evaluator can recognise them; the numeric evaluator
@@ -54,7 +54,7 @@ from .arbreal import constants as _const
 from .arbreal import core as _core
 from .arbreal import quadrature as _quad
 from .errors import ConvergenceError, DomainError, FibcatError, UnboundVariableError
-from .exactnum import ONE, PiPoly, QuadRat, qr_pow
+from .exactnum import ONE, PiPoly, QuadRat, Radical, qr_pow
 from .value import Value
 
 # name -> the function of arbreal.constants that gives the constant to a
@@ -206,6 +206,7 @@ _QSQRT5 = _Field(
     qr_pow,
 )
 _QPI = _Field(PiPoly.of, {"pi": PiPoly.of(1, 1)}, PiPoly(), operator.pow)
+_RADICAL = _Field(Radical.of, {name: Radical(c) for name, c in _QSQRT5.consts.items()}, Radical.of(0), operator.pow)
 
 
 def eval_exact_rational(e: Expr, env: Env):
@@ -224,6 +225,14 @@ def eval_exact_pi(e: Expr, env: Env):
     Euler's Beta rule or the sine moments give it (_exact_quad), and raises
     ConvergenceError when its Beta form diverges."""
     return _exact(e, env, _QPI)
+
+
+def eval_one_radical(e: Expr, env: Env):
+    """The form u*sqrt(v) with u, v exact in Q(sqrt5) and v > 0, a Radical,
+    or None when the expression leaves the forms (nested radicals, sums of
+    unlike radicals, transcendental parts).  A sqrt of a negative exact
+    value raises DomainError, so the sign of u is the sign of the value."""
+    return _exact(e, env, _RADICAL)
 
 
 def pi_poly_decimal(v: PiPoly, digits: int) -> Decimal:
@@ -292,7 +301,14 @@ def _exact(e: Expr, env: Env, field: _Field):
         return field.lift(_sequence(e.name)(*args))
     if t is Quad and field is _QPI:
         return _exact_quad(e, env)
-    return None  # BoundVar, Fn, Clausen, a Quad outside the pi field
+    if t is Fn and field is _RADICAL and e.name == "sqrt":
+        form = _exact(e.arg, env, field)
+        if form is None or form[1] != ONE:
+            return None  # a nested radical
+        if form[0].sign() < 0:
+            raise DomainError(f"sqrt of negative value {form[0]} in {e}")
+        return Radical(ONE, form[0])
+    return None  # BoundVar, Clausen, any other Fn or Quad
 
 
 def _exact_int(e: Expr, env: Env):
@@ -507,68 +523,6 @@ def _gamma(v: Fraction):
         return Fraction(math.factorial(int(v) - 1)), 0
     n = int(v)  # v = n + 1/2
     return Fraction(math.factorial(2 * n), 4**n * math.factorial(n)), 1
-
-
-def eval_one_radical(e: Expr, env: Env):
-    """Evaluate into the form u*sqrt(v) with u, v exact in Q(sqrt5).
-
-    Returns (u, v) or None when the expression does not fit (nested
-    radicals, sums of unlike radicals, transcendental parts).  The tree is
-    walked once: literals, names, constants and sequence calls take the
-    exact Q(sqrt5) walk and give (value, 1); every other node combines the
-    forms of its children.  A radicand whose exact sign is negative raises
-    DomainError, so every form has v >= 0 and the sign of u times [v != 0]
-    is the sign of its value.
-    """
-    t = type(e)
-    if t is Neg:
-        r = eval_one_radical(e.arg, env)
-        return None if r is None else (-r[0], r[1])
-    if t is Fn:
-        inner = eval_one_radical(e.arg, env) if e.name == "sqrt" else None
-        if inner is None or inner[1] != ONE:
-            return None
-        if inner[0].sign() < 0:
-            raise DomainError(f"sqrt of negative value {inner[0]} in {e}")
-        return (ONE, inner[0])
-    if t is BinOp:
-        l = eval_one_radical(e.left, env)
-        r = eval_one_radical(e.right, env)
-        if l is None or r is None:
-            return None
-        if e.op == "*":
-            return (l[0] * r[0], l[1] * r[1])
-        if e.op == "/":
-            if r[0].is_zero() or r[1].is_zero():
-                raise ZeroDivisionError(f"division by zero in {e}")
-            return (l[0] / r[0], l[1] / r[1])
-        if e.op not in ("+", "-"):
-            raise ValueError(f"unknown operator {e.op!r}")
-        rs = (-r[0], r[1]) if e.op == "-" else r
-        if l[0].is_zero():
-            return rs
-        if rs[0].is_zero():
-            return l
-        return (l[0] + rs[0], l[1]) if l[1] == rs[1] else None
-    if t is Pow:
-        k = _exact_int(e.exponent, env)
-        if k is None:
-            return None
-        base = eval_one_radical(e.base, env)
-        if base is None:
-            return None
-        if k < 0:
-            u, v = base
-            if u.is_zero() or v.is_zero():
-                raise ZeroDivisionError(f"zero base with negative exponent in {e}")
-            base = (ONE / (u * v), v)  # 1/(u sqrt(v)) = sqrt(v)/(u v)
-            k = -k
-        u, v = base
-        return (qr_pow(u, k) * qr_pow(v, k // 2), v if k % 2 else ONE)
-    if t is Quad or t is Clausen:
-        return None
-    exact = _exact(e, env, _QSQRT5)
-    return None if exact is None else (exact, ONE)
 
 
 # -------------------------------------------------------------- numeric path

@@ -369,6 +369,9 @@ def test_one_radical_evaluator():
     assert eval_one_radical(parse("sqrt(2) + sqrt(3)"), {}) is None
     # nested radicals do not fit either
     assert eval_one_radical(parse("sqrt(sqrt(alpha))"), {}) is None
+    # zero is the form 0*sqrt(1), whatever radicand it came from
+    assert eval_one_radical(parse("sqrt(n - 2)*sqrt(2)"), {"n": 2}) == (QuadRat.of(0), QuadRat.of(1))
+    assert eval_one_radical(parse("sqrt(n - 2) + sqrt(3)"), {"n": 2}) == (QuadRat.of(1), QuadRat.of(3))
 
 
 def test_numeric_domain_errors_point_at_subexpression():
@@ -566,6 +569,67 @@ def test_one_radical_rules_agree_with_the_numeric_value(text):
     u, v = (_qr_decimal(q, ctx) for q in eval_one_radical(parse(text), {}))
     value = ctx.multiply(u, ar.sqrt(v, 50))
     assert ctx.subtract(eval_numeric(parse(text), {}, 40), value).copy_abs() < Decimal("1E-38")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_exprs, st.integers(0, 4))
+def test_the_radical_forms_extend_the_qsqrt5_walk(e, n):
+    # inside Q(sqrt5) a form is (value, 1), zero as (0, 1)
+    try:
+        exact = eval_exact_qsqrt5(e, {"n": n})
+    except (ZeroDivisionError, DomainError):
+        return
+    if exact is not None:
+        assert eval_one_radical(e, {"n": n}) == (exact, exactnum.ONE)
+
+
+_positive_qsqrt5 = st.builds(
+    QuadRat.of,
+    st.fractions(-5, 5, max_denominator=3),
+    st.fractions(-3, 3, max_denominator=3),
+).filter(lambda q: q.sign() > 0)
+
+
+def _literal(q):
+    """The expression a + b*sqrt5 of a QuadRat."""
+    return BinOp("+", RatLit(q.a), BinOp("*", RatLit(q.b), Const("sqrt5")))
+
+
+_roots = _positive_qsqrt5.map(lambda q: Fn("sqrt", _literal(q)))
+_radical_exprs = st.recursive(
+    _roots,
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(BinOp, st.sampled_from("*/"), sub, sub),
+        st.builds(Pow, sub, st.integers(-3, 3).map(IntLit)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_radical_exprs)
+@example(parse("(sqrt(2)/sqrt(9 - 4*sqrt5))^(-3)"))
+def test_radical_products_quotients_and_powers_agree_with_the_numeric_value(e):
+    # a power's a + b*sqrt5 may have far larger a and b than its value:
+    # |a + b*sqrt5| * |a - b*sqrt5| is a nonzero norm, at least 1/(den a * den b)^2,
+    # so taking u and v with twice as many more digits as a and b have loses nothing
+    form = eval_one_radical(e, {})
+    ctx = core.context(40 + 2 * sum(len(str(f)) for q in form for f in (q.a, q.b)))
+    u, v = (_qr_decimal(q, ctx) for q in form)
+    value = ctx.multiply(u, ar.sqrt(v, ctx.prec))
+    # no sum is formed past the leaves, so the numeric walk is good relative to the value
+    assert ctx.subtract(eval_numeric(e, {}, 30), value).copy_abs() <= value.copy_abs().scaleb(-26)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_roots, _roots, st.sampled_from("+-"))
+def test_a_sum_of_unlike_radicals_is_not_a_form(a, b, op):
+    form = eval_one_radical(BinOp(op, a, b), {})
+    if eval_one_radical(a, {})[1] == eval_one_radical(b, {})[1]:
+        assert form is not None
+    else:
+        assert form is None
 
 
 def test_the_evaluator_and_eval_numeric_agree_on_sequences_and_powers():

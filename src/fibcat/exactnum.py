@@ -118,10 +118,14 @@ class Radical(tuple):
     """The form u*sqrt(v), the pair (u, v) of QuadRats, v nonzero and zero
     as (0, 1).  The exact walk makes only forms with v > 0, so the sign of
     a value is the sign of u.  Forms are closed under * and / (a zero
-    divisor raises ZeroDivisionError, as in Q(sqrt5)) and integer powers; a
-    sum of two nonzero forms with unlike v gives None, as it is not held as
-    such a form.  sqrt(v) * sqrt(w) is kept as sqrt(v*w), so equal numbers
-    may have unlike forms (sqrt(2)*sqrt(2) is 1*sqrt(4), not 2)."""
+    divisor raises ZeroDivisionError, as in Q(sqrt5)) and integer powers.
+    sqrt(v) * sqrt(w) is kept as sqrt(v*w), so equal numbers may have
+    unlike forms (sqrt(2)*sqrt(2) is 1*sqrt(4), not 2).  A sum of like
+    radicals, u*sqrt(v) + u'*sqrt(w) with w/v = s^2 for an s > 0 in
+    Q(sqrt5), is the form (u + u'*s)*sqrt(v), so sqrt(8) + sqrt(2) is
+    3/2*sqrt(8); any other sum of two nonzero forms gives None, as it is
+    not held as such a form (sqrt(2) + sqrt(3), or 2 + sqrt(2), whose
+    square 6 + 4*sqrt(2) is not in Q(sqrt5))."""
 
     __slots__ = ()
 
@@ -141,7 +145,11 @@ class Radical(tuple):
             return other
         if other[0].is_zero():
             return self
-        return Radical(self[0] + other[0], self[1]) if self[1] == other[1] else None
+        (u, v), (t, w) = self, other
+        if v == w:
+            return Radical(u + t, v)
+        s = qr_sqrt(w / v)  # t*sqrt(w) = t*s*sqrt(v)
+        return None if s is None else Radical(u + t * s, v)
 
     def __sub__(self, other: "Radical"):
         return self + -other
@@ -241,16 +249,49 @@ def _pi_poly(pairs) -> PiPoly:
     return PiPoly({k: c for k, c in out.items() if c})
 
 
+def qr_sqrt(x: QuadRat):
+    """The square root s >= 0 of x in Q(sqrt5), or None when x has none.
+    (p + q*sqrt5)^2 = a + b*sqrt5 gives p^2 + 5q^2 = a and 2pq = b, so the
+    norm a^2 - 5b^2 = (p^2 - 5q^2)^2 is a rational square m^2 and p^2 is
+    (a + m)/2 or (a - m)/2; each candidate p^2 and q^2 = (a - p^2)/5 must
+    be rational squares, and the signs of p and q give 2pq = b."""
+    a, b = x.a, x.b
+    m = _rational_sqrt(x.norm())
+    if m is None:
+        return None
+    for p2 in ((a + m) / 2, (a - m) / 2):
+        p, q = _rational_sqrt(p2), _rational_sqrt((a - p2) / 5)
+        if p is not None and q is not None and 2 * p * q == abs(b):
+            root = QuadRat(p, q if b >= 0 else -q)
+            return -root if root.sign() < 0 else root
+    return None
+
+
+def _rational_sqrt(f: Fraction):
+    """The square root r >= 0 of a Fraction when it is rational, else None."""
+    if f < 0:
+        return None
+    n, d = math.isqrt(f.numerator), math.isqrt(f.denominator)
+    return Fraction(n, d) if n * n == f.numerator and d * d == f.denominator else None
+
+
 def qr_pow(base: QuadRat, n: int) -> QuadRat:
-    """Exact n-th power in Q(sqrt5); n may be negative for nonzero base."""
+    """Exact n-th power in Q(sqrt5); n may be negative for nonzero base (it
+    is inverted first).  The base is written (x + y*sqrt5)/d with ints, d
+    the lcm of the two denominators, and the pair (x, y) is raised by
+    repeated squaring, (x, y)^2 = (x^2 + 5y^2, 2xy), on ints only: the two
+    Fractions are built once, over d^n, at the end."""
     if n < 0:
-        base = base.inverse()
-        n = -n
-    out = ONE
-    sq = base
-    while n:
-        if n & 1:
-            out = out * sq
-        sq = sq * sq
-        n >>= 1
-    return out
+        base, n = base.inverse(), -n
+    a, b = base.a, base.b
+    d = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    x, y = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    px, py, k = 1, 0, n
+    while k:
+        if k & 1:
+            px, py = px * x + 5 * py * y, px * y + py * x
+        k >>= 1
+        if k:
+            x, y = x * x + 5 * y * y, 2 * x * y
+    dn = d**n
+    return QuadRat(Fraction(px, dn), Fraction(py, dn))

@@ -15,12 +15,13 @@ r * x^j * sin(x)^m * sin(x/2)^a * cos(x/2)^b on [0, pi/2] with integer
 j, m, a, b >= 0 is a sine moment (`_sine_moment`, finite integration by
 parts); `pi_poly_decimal` rounds such a value once, and the numeric
 evaluator takes a quadrature so before it runs tanh-sinh.  In the radical
-forms only, sqrt of a form u*sqrt(1) is the form 1*sqrt(u), and a negative
-u raises DomainError.  The numeric evaluator is one recursive walk over
-the same nodes in Decimal at a working precision: a subtree of literals,
-names, negation and + - * / is exact in Q and rounded once, C, binom, F
-and L are exactnum's exact integer rounded once, and exponents and
-sequence arguments are read in Q.  One reading, `integer_poly`, turns
+forms only, sqrt of a form u*sqrt(1) is the form 1*sqrt(u), so is
+u^(1/2), and u^(k/2) is its k-th power; a negative u raises DomainError.
+The numeric evaluator is one recursive walk over the same nodes in
+Decimal at a working precision: a subtree of literals, names, negation
+and + - * / is exact in Q and rounded once, C, binom, F and L are
+exactnum's exact integer rounded once, and exponents and sequence
+arguments are read in Q.  One reading, `integer_poly`, turns
 literals, names, negation, + - * and division by a constant into a
 polynomial: `term_ratio` reads its linear factors s*n + o from them and
 the parser its exponents.
@@ -230,8 +231,10 @@ def eval_exact_pi(e: Expr, env: Env):
 def eval_one_radical(e: Expr, env: Env):
     """The form u*sqrt(v) with u, v exact in Q(sqrt5) and v > 0, a Radical,
     or None when the expression leaves the forms (nested radicals, sums of
-    unlike radicals, transcendental parts).  A sqrt of a negative exact
-    value raises DomainError, so the sign of u is the sign of the value."""
+    radicals whose radicands differ by more than a square in Q(sqrt5),
+    transcendental parts).  b^(k/2) is sqrt(b)^k.  A sqrt of a negative
+    exact value raises DomainError, so the sign of u is the sign of the
+    value."""
     return _exact(e, env, _RADICAL)
 
 
@@ -282,12 +285,15 @@ def _exact(e: Expr, env: Env, field: _Field):
             raise ZeroDivisionError(f"division by zero in {e}")
         return op(l, r)
     if t is Pow:
-        k = _exact_int(e.exponent, env)
-        if k is None:
+        k = _exact(e.exponent, env, _Q)
+        if k is None or k.denominator > (2 if field is _RADICAL else 1):
             return None
         base = _exact(e.base, env, field)
+        if k.denominator == 2:  # the radical forms read b^(k/2) as sqrt(b)^k
+            base = _radical_root(base, e)
         if base is None:
             return None
+        k = k.numerator
         if k < 0 and base == field.zero:
             raise ZeroDivisionError(f"zero base with negative exponent in {e}")
         return field.power(base, k)
@@ -302,13 +308,19 @@ def _exact(e: Expr, env: Env, field: _Field):
     if t is Quad and field is _QPI:
         return _exact_quad(e, env)
     if t is Fn and field is _RADICAL and e.name == "sqrt":
-        form = _exact(e.arg, env, field)
-        if form is None or form[1] != ONE:
-            return None  # a nested radical
-        if form[0].sign() < 0:
-            raise DomainError(f"sqrt of negative value {form[0]} in {e}")
-        return Radical(ONE, form[0])
+        return _radical_root(_exact(e.arg, env, field), e)
     return None  # BoundVar, Clausen, any other Fn or Quad
+
+
+def _radical_root(form, e: Expr):
+    """The form sqrt(b) of a form b inside Q(sqrt5), for the expression
+    `e`; None when b is None or a radical (a nested radical), DomainError
+    naming `e` when b < 0."""
+    if form is None or form[1] != ONE:
+        return None
+    if form[0].sign() < 0:
+        raise DomainError(f"sqrt of negative value {form[0]} in {e}")
+    return Radical(ONE, form[0])
 
 
 def _exact_int(e: Expr, env: Env):

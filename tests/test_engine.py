@@ -180,6 +180,37 @@ def test_a_negative_radicand_is_an_error_row_that_names_it():
     assert row.detail == "DomainError: sqrt of negative value -1/2 - 1/2*sqrt5 in sqrt(-alpha)"
 
 
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        ("sqrt(8) + sqrt(2)", "3*sqrt(2)"),
+        ("sqrt(2)*sqrt(2)*sqrt(3) + sqrt(3)", "3*sqrt(3)"),
+        ("sqrt(alpha^2*sqrt5) - alpha*sqrt(sqrt5)", "0"),
+        ("2^(1/2)*2^(1/2)", "2"),
+        ("5^(1/2)", "sqrt5"),
+        ("alpha^(3/2)", "alpha*sqrt(alpha)"),
+    ],
+)
+def test_like_radicals_and_half_integer_powers_pass(lhs, rhs):
+    (row,) = engine.verify_identity(_record(f'id = "t.r" kind = "radical" paper = "p" lhs = "{lhs}" rhs = "{rhs}"'))
+    assert (row.status, row.abs_diff) == ("pass", 0), row.detail
+
+
+def test_a_half_integer_power_of_a_negative_base_is_an_error_row_that_names_it():
+    (row,) = engine.verify_identity(_record('id = "t.neg" kind = "radical" paper = "p" lhs = "(-alpha)^(1/2)" rhs = "1"'))
+    assert row.status == "error"
+    assert row.detail == "DomainError: sqrt of negative value -1/2 - 1/2*sqrt5 in (-alpha)^(1/2)"
+
+
+def test_a_sum_of_radicals_whose_square_leaves_q_sqrt5_stays_an_error_row():
+    # (2 + sqrt2)^2 = 6 + 4*sqrt2 is not in Q(sqrt5)
+    record = _record('id = "t.out" kind = "radical" paper = "p" lhs = "sqrt(2)*sqrt(2) + sqrt(2)" rhs = "2 + sqrt(2)"')
+    (row,) = engine.verify_identity(record)
+    assert (row.status, row.detail) == ("error", "UnsupportedRecordError: t.out: sides do not square into Q(sqrt5)")
+    (row,) = engine.verify_identity(record.replace(lhs=parse_expression("sqrt(2) + sqrt(3)")))
+    assert row.status == "error"
+
+
 def test_verify_identity_euler_at_50(records):
     res = engine.verify_identity(records["s5.Y.euler"])
     assert len(res) == 1 and res[0].status == "pass"

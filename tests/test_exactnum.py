@@ -3,11 +3,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibcat.errors import DomainError
-from fibcat.exactnum import ALPHA, BETA, SQRT5, PiPoly, QuadRat, binomial, catalan, fibonacci, lucas, qr_pow
+from fibcat.exactnum import (
+    ALPHA,
+    BETA,
+    ONE,
+    SQRT5,
+    PiPoly,
+    QuadRat,
+    binomial,
+    catalan,
+    fibonacci,
+    lucas,
+    qr_pow,
+    qr_sqrt,
+)
 
 
 def pascal_triangle(rows):
@@ -154,6 +167,56 @@ def test_binet_exact_in_quadrat():
 def test_qr_zero_to_negative_power():
     with pytest.raises(ZeroDivisionError):
         qr_pow(QuadRat.of(0), -1)
+
+
+def test_binet_powers_are_lucas_and_fibonacci_halves():
+    for r in range(-200, 201):
+        assert qr_pow(ALPHA, r) == QuadRat.of(Fraction(lucas(r), 2), Fraction(fibonacci(r), 2)), r
+        assert qr_pow(BETA, r) == QuadRat.of(Fraction(lucas(r), 2), Fraction(-fibonacci(r), 2)), r
+
+
+def test_qr_pow_zero_is_one():
+    for x in (QuadRat.of(0), ONE, ALPHA, QuadRat.of(Fraction(3, 7), Fraction(-2, 9))):
+        assert qr_pow(x, 0) == ONE
+
+
+_unlike_denominators = st.builds(
+    QuadRat.of,
+    st.fractions(-9, 9, max_denominator=12),
+    st.fractions(-9, 9, max_denominator=12),
+).filter(lambda x: not x.is_zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unlike_denominators, st.integers(-40, 40))
+@example(QuadRat.of(Fraction(3, 7), Fraction(-2, 9)), -40)
+@example(QuadRat.of(Fraction(3, 7), Fraction(-2, 9)), 37)
+def test_qr_pow_is_the_repeated_product(x, n):
+    factor, out = (x if n >= 0 else x.inverse()), ONE
+    for _ in range(abs(n)):
+        out = out * factor
+    assert qr_pow(x, n) == out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unlike_denominators)
+def test_qr_sqrt_of_a_square_is_the_nonnegative_root(x):
+    root = qr_sqrt(x * x)
+    assert root == (x if x.sign() > 0 else -x)
+    # sqrt5 is in the field, so five times a square has a root too
+    assert qr_sqrt(x * x * QuadRat.of(5)) == root * SQRT5
+
+
+def test_qr_sqrt_examples():
+    assert qr_sqrt(QuadRat.of(0)) == QuadRat.of(0)
+    assert qr_sqrt(QuadRat.of(Fraction(9, 4))) == QuadRat.of(Fraction(3, 2))
+    assert qr_sqrt(QuadRat.of(5)) == SQRT5
+    assert qr_sqrt(qr_pow(BETA, 2)) == -BETA  # 1/alpha
+    assert qr_sqrt(qr_pow(ALPHA, 2) * QuadRat.of(Fraction(4, 5))) == ALPHA * SQRT5 * QuadRat.of(Fraction(2, 5))
+    # no root: a negative value, a rational norm that is not a square, and
+    # a square norm whose halves (a +- m)/2 are not
+    for x in (QuadRat.of(-4), QuadRat.of(2), ALPHA, QuadRat.of(3, 1), QuadRat.of(7, 3)):
+        assert qr_sqrt(x) is None, x
 
 
 def _random_quadrat(rng):

@@ -624,12 +624,57 @@ def test_radical_products_quotients_and_powers_agree_with_the_numeric_value(e):
 
 @settings(max_examples=200, deadline=None)
 @given(_roots, _roots, st.sampled_from("+-"))
-def test_a_sum_of_unlike_radicals_is_not_a_form(a, b, op):
+def test_a_sum_of_radicals_is_a_form_iff_their_radicands_differ_by_a_square(a, b, op):
     form = eval_one_radical(BinOp(op, a, b), {})
-    if eval_one_radical(a, {})[1] == eval_one_radical(b, {})[1]:
-        assert form is not None
-    else:
+    (_, v), (_, w) = eval_one_radical(a, {}), eval_one_radical(b, {})
+    if exactnum.qr_sqrt(w / v) is None:
         assert form is None
+    else:
+        assert form is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_positive_qsqrt5, _positive_qsqrt5, _positive_qsqrt5, st.sampled_from("+-"))
+@example(QuadRat.of(2), QuadRat.of(2), QuadRat.of(1), "+")
+@example(QuadRat.of(5), QuadRat.of(Fraction(1, 2), Fraction(1, 2)), QuadRat.of(1), "-")
+def test_a_sum_of_like_radicals_agrees_with_the_numeric_value(v, s, c, op):
+    # c*sqrt(v) op sqrt(v*s^2): the second radicand is the first times a square
+    e = BinOp(op, BinOp("*", _literal(c), Fn("sqrt", _literal(v))), Fn("sqrt", _literal(v * s * s)))
+    form = eval_one_radical(e, {})
+    assert form is not None and (form[1] == v or form == (QuadRat.of(0), exactnum.ONE))
+    ctx = core.context(40 + 2 * sum(len(str(f)) for q in form for f in (q.a, q.b)))
+    u, root = _qr_decimal(form[0], ctx), ar.sqrt(_qr_decimal(v, ctx), ctx.prec)
+    value = ctx.multiply(u, root)
+    # the sum may cancel, so the numeric walk is good to 30 digits of its terms
+    scale = ctx.multiply(ctx.add(_qr_decimal(c, ctx).copy_abs(), _qr_decimal(s, ctx)), root)
+    assert ctx.subtract(eval_numeric(e, {}, 30), value).copy_abs() <= scale.scaleb(-28)
+
+
+@pytest.mark.parametrize(
+    "text, form",
+    [
+        ("sqrt(8) + sqrt(2)", (QuadRat.of(Fraction(3, 2)), QuadRat.of(8))),
+        ("sqrt(2)*sqrt(2)*sqrt(3) + sqrt(3)", (QuadRat.of(Fraction(3, 2)), QuadRat.of(12))),
+        ("sqrt(alpha^2*sqrt5) - alpha*sqrt(sqrt5)", (QuadRat.of(0), QuadRat.of(1))),
+        ("2^(1/2)*2^(1/2)", (QuadRat.of(1), QuadRat.of(4))),
+        ("5^(1/2)", (QuadRat.of(1), QuadRat.of(5))),
+        ("alpha^(3/2)", (exactnum.ALPHA, exactnum.ALPHA)),
+        ("4^(-3/2)", (QuadRat.of(Fraction(1, 16)), QuadRat.of(4))),  # 1/16*sqrt(4) = 1/8
+    ],
+)
+def test_like_radicals_and_half_integer_powers_are_forms(text, form):
+    assert eval_one_radical(parse(text), {}) == form
+
+
+def test_half_integer_powers_keep_the_sqrt_rule_checks():
+    assert eval_one_radical(parse("sqrt(2)^(1/2)"), {}) is None  # a nested radical
+    assert eval_one_radical(parse("2^(1/3)"), {}) is None
+    # outside the radical forms a half-integer exponent leaves the field
+    assert eval_exact_qsqrt5(parse("4^(1/2)"), {}) is None
+    with pytest.raises(DomainError, match=re.escape("sqrt of negative value -2 in (-2)^(3/2)")):
+        eval_one_radical(parse("(-2)^(3/2)"), {})
+    with pytest.raises(ZeroDivisionError, match=re.escape("zero base with negative exponent in (n - 2)^(-1/2)")):
+        eval_one_radical(parse("(n-2)^(-1/2)"), {"n": 2})
 
 
 def test_the_evaluator_and_eval_numeric_agree_on_sequences_and_powers():

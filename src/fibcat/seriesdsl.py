@@ -27,6 +27,7 @@ registry problem, as is a tail other than `geometric ratio=R [from=N]` or
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -63,15 +64,23 @@ MAX_DEPTH = 100  # expression tree levels; the shipped registry reaches 10
 
 # ----------------------------------------------------------------- tokenizer
 
-# a token is a plain tuple (kind, text, offset), kind int | ident | symbol | end
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>[-+*/^(),])")
+# a token is its text, "" the end of the input; a token's offset is wanted
+# only by an error, which scans the text again (_Parser.error)
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^(),]")
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_+\-*/^(),]")  # a character that starts no token
 _SYMBOL_MAP = str.maketrans("−×÷", "-*/")
+_LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2}  # the binding level of each binary operator
 
 
 def _location(text: str, offset: int) -> tuple[int, int]:
     """(line, column) of `offset` in `text`, both counted from 1."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+@functools.lru_cache(maxsize=1024)
+def _leaf(tok: str) -> Expr:
+    """The node of an integer or name token; nodes are values, so trees share them."""
+    return IntLit(int(tok)) if tok.isdigit() else Const(tok) if tok in CONSTANTS else Var(tok)
 
 
 class _Parser:
@@ -80,83 +89,73 @@ class _Parser:
     but not x inside a quadrature body, which becomes BoundVar there."""
 
     def __init__(self, text: str):
-        self.text = text.translate(_SYMBOL_MAP)  # one character for one: offsets stay
-        bad = _BAD_RE.search(self.text)
+        if not text.isascii():
+            text = text.translate(_SYMBOL_MAP)  # one character for one: offsets stay
+        bad = _BAD_RE.search(text)
         if bad:
-            raise ParseError(f"unexpected character {bad.group()!r}", *_location(self.text, bad.start()))
-        self.tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(self.text)]
-        self.tokens.append(("end", "", len(text)))
-        self.pos = 0
+            raise ParseError(f"unexpected character {bad.group()!r}", *_location(text, bad.start()))
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
+        self.pos = 0  # the index of the next token
         self.nesting = 0  # open unary() calls: every recursion passes there
         self.bodies = 0  # open quadrature bodies
         self.free: set = set()
 
-    def error(self, message: str, tok: tuple, expected=()) -> ParseError:
-        return ParseError(message, *_location(self.text, tok[2]), expected=expected)
+    def error(self, message: str, at: int, expected=()) -> ParseError:
+        """The error at token number `at`."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        return ParseError(message, *_location(self.text, starts[at]), expected=expected)
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple:
+    def expect(self, text: str) -> None:
         tok = self.tokens[self.pos]
+        if tok != text:
+            raise self.error(f"got {tok or 'end of input'!r}", self.pos, expected={text})
         self.pos += 1
-        return tok
 
-    def expect(self, text: str) -> tuple:
-        tok = self.next()
-        if tok[1] != text:
-            raise self.error(f"got {tok[1] or 'end of input'!r}", tok, expected={text})
-        return tok
-
-    def deeper(self, height: int, tok: tuple) -> int:
+    def deeper(self, height: int, at: int) -> int:
         if height > MAX_DEPTH:
-            raise self.error(f"expression nests deeper than {MAX_DEPTH} levels", tok)
+            raise self.error(f"expression nests deeper than {MAX_DEPTH} levels", at)
         return height
 
     def parse(self) -> Expr:
         e, _ = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise self.error(f"trailing input {tok[1]!r}", tok, expected={"end of input"})
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self.error(f"trailing input {tok!r}", self.pos, expected={"end of input"})
         return e
 
-    def expr(self) -> tuple[Expr, int]:
-        e, h = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()
-            right, rh = self.term()
-            e, h = BinOp(op[1], e, right), self.deeper(1 + max(h, rh), op)
-        return e, h
-
-    def term(self) -> tuple[Expr, int]:
-        e, h = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()
-            right, rh = self.unary()
-            e, h = BinOp(op[1], e, right), self.deeper(1 + max(h, rh), op)
+    def expr(self, level: int = 1) -> tuple[Expr, int]:
+        """Level 1 joins terms by + and -, level 2 (a term) joins unary()
+        operands by * and /; both associate to the left."""
+        e, h = self.expr(2) if level == 1 else self.unary()
+        while _LEVELS.get(op := self.tokens[self.pos]) == level:
+            at = self.pos
+            self.pos += 1
+            right, rh = self.expr(2) if level == 1 else self.unary()
+            e, h = BinOp(op, e, right), self.deeper(1 + max(h, rh), at)
         return e, h
 
     def unary(self) -> tuple[Expr, int]:
-        tok = self.peek()
-        self.nesting = self.deeper(self.nesting + 1, tok)
-        try:
-            if tok[1] == "-":
-                self.next()
-                arg, h = self.unary()
-                return Neg(arg), self.deeper(h + 1, tok)
-            return self.power()
-        finally:
-            self.nesting -= 1
+        """A negation, or an atom with an optional ^ exponent (right associative,
+        binding tighter than a minus on its left); an error leaves `nesting` high."""
+        at = self.pos
+        self.nesting = self.deeper(self.nesting + 1, at)
+        if self.tokens[at] == "-":
+            self.pos += 1
+            arg, h = self.unary()
+            e, h = Neg(arg), self.deeper(h + 1, at)
+        else:
+            e, h = self.atom()
+            if self.tokens[self.pos] == "^":
+                caret = self.pos
+                self.pos += 1
+                exponent, eh = self.unary()
+                e, h = Pow(e, self.exponent(exponent, caret)), self.deeper(1 + max(h, eh), caret)
+        self.nesting -= 1
+        return e, h
 
-    def power(self) -> tuple[Expr, int]:
-        base, h = self.atom()
-        if self.peek()[1] == "^":
-            caret = self.next()
-            exponent, eh = self.unary()  # right associative, binds tighter than unary minus on the left
-            return Pow(base, self.exponent(exponent, caret)), self.deeper(1 + max(h, eh), caret)
-        return base, h
-
-    def exponent(self, e: Expr, caret: tuple) -> Expr:
+    def exponent(self, e: Expr, caret: int) -> Expr:
         p = integer_poly(e)
         if p is not None and poly_integral(p):
             return e
@@ -165,60 +164,59 @@ class _Parser:
         raise self.error("exponent must be an integer expression or a rational literal", caret)
 
     def atom(self) -> tuple[Expr, int]:
-        tok = self.next()
-        kind, text = tok[0], tok[1]
-        if kind == "int":
+        at = self.pos
+        tok = self.tokens[at]
+        self.pos = at + 1
+        if tok.isdigit():
             try:
-                return IntLit(int(text)), 1
+                return _leaf(tok), 1
             except ValueError as exc:  # more digits than int() converts
-                raise self.error(str(exc), tok) from None
-        if text == "(":
+                raise self.error(str(exc), at) from None
+        if tok == "(":
             e = self.expr()
             self.expect(")")
             return e
-        if kind == "ident":
-            if self.peek()[1] == "(":
-                return self.call(tok)
-            if text in CONSTANTS:
-                return Const(text), 1
-            if not (self.bodies and text == QUAD_VAR):
-                self.free.add(text)
-            return Var(text), 1
-        raise self.error(f"got {text or 'end of input'!r}", tok, expected={"integer", "identifier", "("})
+        if tok.isidentifier():
+            if self.tokens[self.pos] == "(":
+                return self.call(tok, at)
+            leaf = _leaf(tok)
+            if type(leaf) is Var and not (self.bodies and tok == QUAD_VAR):
+                self.free.add(tok)
+            return leaf, 1
+        raise self.error(f"got {tok or 'end of input'!r}", at, expected={"integer", "identifier", "("})
 
-    def call(self, name: tuple) -> tuple[Expr, int]:
-        ident = name[1]
-        self.expect("(")
+    def call(self, ident: str, at: int) -> tuple[Expr, int]:
+        self.pos += 1  # the "(" seen by atom()
         body = ident == "quad"  # the first argument is a quadrature body
         self.bodies += body
         args = [self.expr()]
         self.bodies -= body
-        while self.peek()[1] == ",":
-            self.next()
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             args.append(self.expr())
         self.expect(")")
-        h = self.deeper(1 + max(ah for _, ah in args), name)
+        h = self.deeper(1 + max(ah for _, ah in args), at)
         args = [a for a, _ in args]
         if ident in FUNCTION_NAMES:
             if len(args) != 1:
-                raise self.error(f"{ident} takes one argument", name)
+                raise self.error(f"{ident} takes one argument", at)
             return Fn(ident, args[0]), h
         if ident in SEQUENCES:
             arity = SEQUENCES[ident][1]
             if len(args) != arity:
-                raise self.error(f"{ident} takes {arity} argument(s)", name)
+                raise self.error(f"{ident} takes {arity} argument(s)", at)
             return SeqCall(ident, tuple(args)), h
         if ident == "quad":
             if len(args) != 3:
-                raise self.error("quad takes (body, lower, upper)", name)
+                raise self.error("quad takes (body, lower, upper)", at)
             # the body's x is its own variable; a quad nested in the body is
             # resolved already, and x in its bounds is this body's variable
             return Quad(substitute(args[0], QUAD_VAR, BoundVar()), args[1], args[2]), h
         if ident == "cl2":
             if len(args) != 1:
-                raise self.error("cl2 takes one argument", name)
+                raise self.error("cl2 takes one argument", at)
             return Clausen(args[0]), h
-        raise self.error(f"unknown function {ident!r}", name)
+        raise self.error(f"unknown function {ident!r}", at)
 
 
 def parse_expression(text: str) -> Expr:
@@ -304,10 +302,14 @@ def parse_tail(text: str):
         return AlgebraicTail()
     if "ratio" not in kv:
         raise ValueError("geometric tail needs ratio=")
+    text = kv["ratio"]
+    digits = text.upper().partition("E")[2].lstrip("+-").replace("_", "").lstrip("0")
+    if len(digits) > 4 and digits.isdecimal():  # Fraction(text) would build 10^|exponent|
+        raise ValueError(f"geometric ratio {text!r} has an exponent of more than 4 digits")
     try:
-        ratio = Fraction(kv["ratio"])
+        ratio = Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"geometric ratio {kv['ratio']!r} divides by zero") from None
+        raise ValueError(f"geometric ratio {text!r} divides by zero") from None
     if not 0 < ratio < 1:
         raise ValueError(f"geometric ratio must lie in (0, 1), got {ratio}")
     return GeometricTail(ratio, int(kv.get("from", 0)))
@@ -332,15 +334,15 @@ def parse_params(text: str):
     return tuple(out)
 
 
-# A header alone on its line, one `key = value` pair, or the blank or
-# comment-only rest of a line; `match` at position 0, then after each pair.
+# A header alone on its line, one `key = value` pair (and the group `rest`
+# when only blanks or a comment follow it), or the blank or comment-only
+# rest of a line; `match` at position 0, then after each pair.
 _PAIR_RE = re.compile(
-    r'^\s*(?P<header>\[identity\])\s*(?:#.*)?$'
-    r'|\s*(?P<key>[A-Za-z_][A-Za-z0-9_]*)\s*=\s*'
-    r'(?:"(?P<string>(?:[^"\\]|\\["\\])*)"|(?P<bare>true|false|-?\d+)(?![^\s#]))'
+    r'^\s*(\[identity\])\s*(?:#.*)?$'
+    r'|\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*'
+    r'(?:"((?:[^"\\]|\\["\\])*)"|(true|false|-?\d+)(?![^\s#]))(\s*(?:#.*)?$)?'
     r'|\s*(?:#.*)?$'
 )
-_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 def parse_registry(text: str) -> ParsedRegistry:
@@ -350,19 +352,20 @@ def parse_registry(text: str) -> ParsedRegistry:
     for lineno, line in enumerate(text.splitlines(), start=1):
         pos = 0
         while m := _PAIR_RE.match(line, pos):
-            if m["header"]:
+            header, key, string, bare, rest = m.groups()
+            if header:
                 blocks.append((lineno, {}))
                 break
-            if not m["key"]:
+            if not key:
                 break  # blank or comment to the end of the line
             if not blocks:
                 out.problems.append(RegistryProblem(lineno, "", "content before first [identity] block"))
                 break
-            block, key, bare = blocks[-1][1], m["key"], m["bare"]
+            block = blocks[-1][1]
             if key in block:
                 out.problems.append(RegistryProblem(lineno, block.get("id", ""), f"duplicate key {key!r}"))
             if bare is None:
-                block[key] = _ESCAPE_RE.sub(r"\1", m["string"])
+                block[key] = re.sub(r'\\(["\\])', r"\1", string) if "\\" in string else string
             elif bare in ("true", "false"):
                 block[key] = bare == "true"
             else:
@@ -371,6 +374,8 @@ def parse_registry(text: str) -> ParsedRegistry:
                 except ValueError as exc:  # more digits than int() converts
                     out.problems.append(RegistryProblem(lineno, block.get("id", ""), f"{key}: {exc}"))
                     break
+            if rest is not None:
+                break
             pos = m.end()
         else:
             rid = blocks[-1][1].get("id", "") if blocks else ""
@@ -474,18 +479,7 @@ def _build_record(block: dict) -> IdentityRecord:
         lhs, lhs_free = _parse_free(_expect_str(block, "lhs"))
         check_free(lhs_free, param_names, "lhs")
         check_free(rhs_free, param_names, "rhs")
-    return IdentityRecord(
-        id=rid,
-        kind=kind,
-        paper_ref=paper,
-        lhs=lhs,
-        rhs=rhs,
-        params=params,
-        tail=tail,
-        as_printed=as_printed,
-        note=note,
-        digits=digits,
-    )
+    return IdentityRecord(rid, kind, paper, lhs, rhs, params, tail, as_printed, note, digits)
 
 
 # ---------------------------------------------------------------- serializer

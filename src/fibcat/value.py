@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-_set = object.__setattr__
 _no_fields = staticmethod(lambda value: ())
 
 
@@ -27,13 +26,17 @@ class Value:
             raise TypeError(f"{cls.__name__} names no __slots__")
         # the fields as one value, for == and hash
         cls._key = attrgetter(*cls.__slots__) if cls.__slots__ else _no_fields
+        # each field's own setter, which the refusing __setattr__ does not see
+        cls._setters = tuple([cls.__dict__[field].__set__ for field in cls.__slots__])
 
     def __init__(self, *args, **kwargs):
-        fields = self.__slots__
-        if kwargs or len(args) != len(fields):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
             args = self._arguments(args, kwargs)
-        for name, value in zip(fields, args):
-            _set(self, name, value)
+        i = 0
+        for value in args:  # by index: faster than zip on a short tuple
+            setters[i](self, value)
+            i += 1
 
     def _arguments(self, args: tuple, kwargs: dict) -> list:
         fields, name = self.__slots__, type(self).__name__

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +49,19 @@ def test_prints_the_row_seconds_of_each_class(small_registry, tmp_path, capsys):
         "integrals": 0, "constants": 0,
     }
     assert all(cells[1::2] == ["rows", "s"] and float(cells[2]) >= 0 for cells in table.values())
+
+
+def test_prints_the_registry_parse_above_the_row_seconds(small_registry, tmp_path, monkeypatch, capsys):
+    def slow_registry():
+        time.sleep(0.05)
+        return small_registry
+
+    monkeypatch.setattr(script, "builtin_registry", slow_registry)
+    assert script.main([str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("row seconds by class:")
+    match = re.fullmatch(r"registry parsed in (\d+\.\d{3}) s", lines[at - 1])
+    assert match and 0.05 <= float(match[1]) < 5
 
 
 def test_outdir_defaults_to_verification_out(small_registry, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,24 @@ def test_parse_tail():
 def test_parse_tail_refuses_what_it_does_not_read(text, message):
     with pytest.raises(ValueError, match=message):
         parse_tail(text)
+
+
+def test_a_ratio_with_a_huge_exponent_is_refused_before_it_is_built():
+    # Fraction("1e-999999999") would first build 10^999999999
+    started = time.perf_counter()
+    for ratio in ("1e-999999999", "1E+10000", "5e-1_0000"):
+        with pytest.raises(ValueError, match="has an exponent of more than 4 digits"):
+            parse_tail(f"geometric ratio={ratio}")
+    block = _block(*_SERIES, 'tail = "geometric ratio=1e-999999999"')
+    assert [p.line for p in parse_registry(block).problems] == [3]
+    assert time.perf_counter() - started < 0.5
+    assert parse_tail("geometric ratio=5e-1").ratio == Fraction(1, 2)
+    assert parse_tail("geometric ratio=1e-00000001").ratio == Fraction(1, 10)
+    with pytest.raises(ValueError, match="Invalid literal"):
+        parse_tail("geometric ratio=x")
+    for record in builtin_registry():
+        if isinstance(record.tail, GeometricTail):
+            assert parse_tail(str(record.tail)) == record.tail
 
 
 def test_builtin_registry_loads_clean():
@@ -355,6 +374,21 @@ def test_expression_error_on_a_later_line_of_the_string():
     assert (info.value.line, info.value.column) == (2, 2)
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("n − 2 × 3 )", 1, 11),  # − and × are one character each
+        ("C(n) ÷ (2 − n) ×× 3", 1, 17),
+        ("1 +\n  2 × (3 −\n 4))", 3, 4),
+        ("quad(x,\n 0,\n\t1\n)\n  )", 5, 3),
+    ],
+)
+def test_a_parse_error_names_its_exact_line_and_column(text, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=st.sampled_from("0123n ()+-*/^\n\t,x@−C"), max_size=40) | st.text(max_size=40))
 def test_parse_error_locates_inside_the_text(text):
@@ -433,6 +467,15 @@ def test_the_parser_collects_the_free_names_of_its_tree(e):
     # what the registry checks against its declared names, without a walk
     tree, free = _parse_free(format_expr(e))
     assert tree == e and free == free_vars(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_trailing_input_is_located_at_its_exact_column(e):
+    text = format_expr(e) + " )"
+    with pytest.raises(ParseError, match="trailing input '\\)'") as info:
+        parse_expression(text)
+    assert (info.value.line, info.value.column) == (1, len(text))
 
 
 def test_a_quadrature_body_that_reads_var_x_is_refused():

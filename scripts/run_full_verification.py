@@ -6,9 +6,9 @@ Usage:
 
 The run covers every record including the as-printed misprint variants, so
 the expected outcome is: all corrected records pass, exactly the as-printed
-records fail.  Takes about 6 s (5.0 to 6.5 s measured in four runs,
-Python 3.11.7, one core of a shared 2-vCPU x86-64 host whose speed
-varies by up to 1.8x).  outdir defaults to verification_out.
+records fail.  Its checks take about 4 to 6 s (3.7 to 5.9 s measured
+in four runs, Python 3.11.7, one core of a shared 2-vCPU x86-64 host whose
+speed varies by up to 1.8x).  outdir defaults to verification_out.
 
 Besides the counts it prints the seconds its builtin_registry() call took
 (the registry parse), then the row seconds summed by verification class

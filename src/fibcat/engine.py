@@ -182,7 +182,7 @@ def _rounding(evaluator, terms: int, size: Decimal) -> Decimal:
 def _sum_geometric(spec, env, tail, evaluator) -> SumResult:
     ctx = evaluator.ctx
     add, multiply = ctx.add, ctx.multiply
-    rho = ctx.divide(Decimal(tail.ratio.numerator), Decimal(tail.ratio.denominator))
+    rho = expr.to_decimal(tail.ratio, ctx)
     factor = ctx.divide(rho, ctx.subtract(1, rho))
     eps = Decimal(1).scaleb(-evaluator.digits)
     total = size = Decimal(0)  # the partial sum and the sum of |t(n)|
@@ -231,9 +231,8 @@ def _sum_algebraic(spec, env, evaluator, ratio) -> SumResult:
     f_tail = f_half = Decimal(0)
     last = [Decimal(1), Decimal(1)]
     for k, c in tail_coefficients(ratio):
-        term = _power_term(c, n_tail, k, ctx)
-        f_tail = ctx.add(f_tail, term)
-        f_half = ctx.add(f_half, _power_term(c, half, k, ctx))
+        term, half_term = (expr.to_decimal(c * n**-k if k < 0 else c / n**k, ctx) for n in (n_tail, half))
+        f_tail, f_half = ctx.add(f_tail, term), ctx.add(f_half, half_term)
         last = [last[1], ctx.multiply(term, t).copy_abs()]
         if max(last) < eps:
             break
@@ -241,11 +240,6 @@ def _sum_algebraic(spec, env, evaluator, ratio) -> SumResult:
     rough = ctx.add(half_total, ctx.multiply(half_t, f_half))
     gap = ctx.add(ctx.add(ctx.subtract(value, rough).copy_abs(), max(last)), _rounding(evaluator, terms, size))
     return SumResult(value, terms, gap, "algebraic")
-
-
-def _power_term(c: Fraction, n: int, k: int, ctx) -> Decimal:
-    """c * n^-k, rounded once."""
-    return ctx.divide(Decimal(c.numerator * n ** max(-k, 0)), Decimal(c.denominator * n ** max(k, 0)))
 
 
 def tail_coefficients(ratio):
@@ -262,15 +256,15 @@ def tail_coefficients(ratio):
     c_-1 = 1/(s-1)), |L| < 1, and L = -1 with s > 0 converge; the first
     step raises UnsupportedRecordError for any other ratio.
     """
-    lead = len(ratio.num) - len(ratio.den)
-    limit = ratio.const * math.prod(a for a, _ in ratio.num) / math.prod(a for a, _ in ratio.den) if lead == 0 else 0
-    s = sum(Fraction(o, a) for a, o in ratio.den) - sum(Fraction(o, a) for a, o in ratio.num)
+    p, q = ratio.p, ratio.q  # highest power first; L and s come from their two leading coefficients
+    lead = len(p) - len(q)
+    limit = Fraction(p[0], q[0]) if lead == 0 else 0
+    s = limit and Fraction((*q, 0)[1], q[0]) - Fraction((*p, 0)[1], p[0])
     if lead > 0 or abs(limit) > 1 or (limit == 1 and s <= 1) or (limit == -1 and s <= 0):
         raise UnsupportedRecordError(
             f"the series does not converge like an algebraic tail: t(n+1)/t(n) = {limit}*(1 - {s}/n + O(1/n^2))"
         )
-    q = ratio.q  # highest power first
-    p = (0,) * -lead + ratio.p
+    p = [0] * -lead + p
     shift = int(limit == 1)  # L = 1: f ~ N/(s-1), and c_m comes from the order m+1 equation
     d, c = 1, {}
     g = defaultdict(int)  # f(N+1) = sum_j g[j]/d N^-j over the c_k found so far
@@ -324,7 +318,8 @@ class _FiniteSum:
             total += _exact_fraction(spec.summand, env, "summand")
         self.key, self.upto, self.total = key, max(upto, hi), total
         rhs = _exact_fraction(self.record.rhs, binding, "rhs")
-        return Sides(total, rhs, diff=_fraction_gap(total, rhs), exact=total == rhs, terms=max(hi - lo + 1, 0))
+        diff = expr.to_decimal(abs(total - rhs), _core.context(30))
+        return Sides(total, rhs, diff=diff, exact=total == rhs, terms=max(hi - lo + 1, 0))
 
 
 def _exact_fraction(e: Expr, env, what: str) -> Fraction:
@@ -362,11 +357,6 @@ def _exact_sides(record: IdentityRecord, binding: dict, digits=None) -> Sides:
     diff = Decimal(0) if ok else _core.context(30).subtract(*values).copy_abs()
     detail = "routed to radical check" if squared and record.kind == "algebraic" else ""
     return Sides(lhs, rhs, diff=diff, exact=ok, squared=squared, detail=detail)
-
-
-def _fraction_gap(lhs: Fraction, rhs: Fraction) -> Decimal:
-    gap = abs(lhs - rhs)
-    return _core.context(30).divide(Decimal(gap.numerator), Decimal(gap.denominator))
 
 
 def _pi_sides(record: IdentityRecord, binding: dict):

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
+from .poly import collect
 from .value import Value
 
 
@@ -243,10 +244,7 @@ def _sum_text(terms) -> str:
 
 def _pi_poly(pairs) -> PiPoly:
     """The PiPoly of (key, coefficient) pairs, like keys added."""
-    out: dict = {}
-    for k, c in pairs:
-        out[k] = out.get(k, 0) + c
-    return PiPoly({k: c for k, c in out.items() if c})
+    return PiPoly({k: c for k, c in collect(pairs, {}).items() if c})
 
 
 def qr_sqrt(x: QuadRat):

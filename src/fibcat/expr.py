@@ -21,10 +21,10 @@ The numeric evaluator is one recursive walk over the same nodes in
 Decimal at a working precision: a subtree of literals, names, negation
 and + - * / is exact in Q and rounded once, C, binom, F and L are
 exactnum's exact integer rounded once, and exponents and sequence
-arguments are read in Q.  One reading, `integer_poly`, turns
-literals, names, negation, + - * and division by a constant into a
-polynomial: `term_ratio` reads its linear factors s*n + o from them and
-the parser its exponents.
+arguments are read in Q; `to_decimal` rounds every exact value.  One
+reading, `integer_poly`, turns literals, names, negation, + - * and
+division by a constant into a poly.Poly: `term_ratio` reads its linear
+factors s*n + o from it and the parser its exponents.
 `term_ratio` writes a series term as a hypergeometric part h(n), whose
 ratio h(n+1)/h(n) is a quotient of integer products, times Binet chains
 c*gamma^n split from its F and L factors (c, gamma exact in Q(sqrt5)).
@@ -56,6 +56,7 @@ from .arbreal import core as _core
 from .arbreal import quadrature as _quad
 from .errors import ConvergenceError, DomainError, FibcatError, UnboundVariableError
 from .exactnum import ONE, PiPoly, QuadRat, Radical, qr_pow
+from .poly import Poly, linear_product
 from .value import Value
 
 # name -> the function of arbreal.constants that gives the constant to a
@@ -247,7 +248,7 @@ def pi_poly_decimal(v: PiPoly, digits: int) -> Decimal:
         w = digits + extra
         ctx, pi, root2 = _core.context(w), _core.const_pi(w), _core.sqrt(Decimal(2), w)
         terms = [
-            ctx.multiply(ctx.divide(c.numerator, c.denominator), ctx.multiply(ctx.power(pi, k), root2 if s else 1))
+            ctx.multiply(to_decimal(c, ctx), ctx.multiply(ctx.power(pi, k), root2 if s else 1))
             for (k, s), c in v.items()
         ]
         total = functools.reduce(ctx.add, terms, Decimal(0))
@@ -440,9 +441,7 @@ def _sine_moment(r: Fraction, powers: dict):
     p, n = m + a, 2 * m + a + b
     if j + n > SINE_MOMENT_MAX_DEGREE:
         return None
-    d = [1]  # d[i] is the coefficient of z^(n - 2i)
-    for sign in [-1] * p + [1] * (m + b):
-        d = [u + sign * v for u, v in zip(d + [0], [0] + d)]
+    d = linear_product([(1, -1)] * p + [(1, 1)] * (m + b))  # d[i] is the coefficient of z^(n - 2i)
     out = defaultdict(int)  # (power of pi, power of sqrt2) -> coefficient / (r 2^m / 2^n)
     f = [math.factorial(i) for i in range(j + 1)]
     for i, dk in enumerate(d[: n // 2 + 1]):
@@ -648,7 +647,7 @@ def _numeric(e: Expr, env: Env, ctx: Context, digits: int) -> Decimal:
     its quadratures; BoundVar outside every quadrature body is refused
     with the whole tree named."""
     try:
-        return _decimal(_walk(e, env, None, ctx, digits), ctx)
+        return to_decimal(_walk(e, env, None, ctx, digits), ctx)
     except _OutsideEveryBody:
         raise UnboundVariableError(QUAD_VAR, str(e)) from None
 
@@ -667,7 +666,7 @@ def _walk(e: Expr, env: Env, x, ctx: Context, digits: int):
         if op == "/" and not r:
             raise ZeroDivisionError(f"division by zero in {e}")
         if type(l) is Decimal or type(r) is Decimal:
-            return _DECIMAL_OPS[op](ctx, _decimal(l, ctx), _decimal(r, ctx))
+            return _DECIMAL_OPS[op](ctx, to_decimal(l, ctx), to_decimal(r, ctx))
         return Fraction(l) / r if op == "/" else _FIELD_OPS[op](l, r)
     if t is IntLit or t is RatLit:
         return e.value
@@ -679,7 +678,7 @@ def _walk(e: Expr, env: Env, x, ctx: Context, digits: int):
         k = _exact(e.exponent, env, _Q)  # the exponent sees the binding only
         if k is None:
             raise DomainError(f"exponent is not an exact rational in {e}")
-        base = _decimal(_walk(e.base, env, x, ctx, digits), ctx)
+        base = to_decimal(_walk(e.base, env, x, ctx, digits), ctx)
         try:
             return _core.pow_rational(base, k, ctx.prec)
         except DomainError as exc:
@@ -693,7 +692,7 @@ def _walk(e: Expr, env: Env, x, ctx: Context, digits: int):
             if v is None:
                 raise DomainError(f"sequence argument is not an integer in {e}")
             args.append(v)
-        return ctx.plus(Decimal(sequence(*args)))
+        return to_decimal(sequence(*args), ctx)
     if t is Neg:
         v = _walk(e.arg, env, x, ctx, digits)
         return ctx.minus(v) if type(v) is Decimal else -v
@@ -708,7 +707,7 @@ def _walk(e: Expr, env: Env, x, ctx: Context, digits: int):
     if t is Fn:
         if e.name not in FUNCTION_NAMES:
             raise ValueError(f"unknown function {e.name!r}")
-        v = _decimal(_walk(e.arg, env, x, ctx, digits), ctx)
+        v = to_decimal(_walk(e.arg, env, x, ctx, digits), ctx)
         try:
             return getattr(_core, e.name)(v, ctx.prec)
         except DomainError as exc:
@@ -718,17 +717,22 @@ def _walk(e: Expr, env: Env, x, ctx: Context, digits: int):
         exact = _exact_quad(e, env)
         if exact is not None:
             return pi_poly_decimal(exact, ctx.prec)
-        a, b = (_decimal(_walk(bound, env, x, ctx, digits), ctx) for bound in (e.lower, e.upper))
-        return _quad.tanh_sinh(lambda xv: _decimal(_walk(e.body, env, xv, ctx, digits), ctx), a, b, digits)
+        a, b = (to_decimal(_walk(bound, env, x, ctx, digits), ctx) for bound in (e.lower, e.upper))
+        return _quad.tanh_sinh(lambda xv: to_decimal(_walk(e.body, env, xv, ctx, digits), ctx), a, b, digits)
     if t is Clausen:
-        return _quad.clausen2(_decimal(_walk(e.arg, env, x, ctx, digits), ctx), ctx.prec)
+        return _quad.clausen2(to_decimal(_walk(e.arg, env, x, ctx, digits), ctx), ctx.prec)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _decimal(v, ctx: Context) -> Decimal:
-    """A value of the walk as a Decimal, an exact one rounded once."""
-    if type(v) is Decimal:
+def to_decimal(v, ctx: Context) -> Decimal:
+    """An int, Fraction or QuadRat as a Decimal at the precision of `ctx`, a
+    rational rounded once and a + b*sqrt5 from its parts; a Decimal as it is."""
+    t = type(v)
+    if t is Decimal:
         return v
+    if t is QuadRat:
+        a = to_decimal(v.a, ctx)
+        return ctx.add(a, ctx.multiply(to_decimal(v.b, ctx), _const.sqrt5_decimal(ctx.prec))) if v.b else a
     return ctx.divide(Decimal(v.numerator), Decimal(v.denominator))
 
 
@@ -736,50 +740,28 @@ _DECIMAL_OPS = {"+": Context.add, "-": Context.subtract, "*": Context.multiply, 
 
 
 def integer_poly(e: Expr):
-    """`e` as a polynomial in its names, {monomial: coefficient}, or None.
-
-    A monomial is the sorted tuple of its names, each repeated by its
-    degree; a coefficient is an int, or a Fraction below a division.  There
-    is one when `e` is built from int and rational literals, names (Var,
-    not BoundVar), negation, + - * and division by a nonzero constant.
-    Zero coefficients are kept, so a name that cancels is still read:
-    `n - n` needs n."""
+    """`e` as a Poly in its names (a coefficient is an int, or a Fraction
+    below a division), or None.  There is one when `e` is built from int and
+    rational literals, names (Var, not BoundVar), negation, + - * and
+    division by a nonzero constant."""
     t = type(e)
     if t is IntLit or t is RatLit:
-        return {(): e.value}
+        return Poly({(): e.value})
     if t is Var:
-        return {(e.name,): 1}
+        return Poly({(e.name,): 1})
     if t is Neg:
         a = integer_poly(e.arg)
-        return None if a is None else {m: -c for m, c in a.items()}
+        return None if a is None else Poly() - a
     if t is not BinOp or e.op not in _FIELD_OPS:
         return None
     l = integer_poly(e.left)
     r = None if l is None else integer_poly(e.right)
-    if e.op == "/":
-        c = poly_constant(r)
-        return {m: Fraction(v) / c for m, v in l.items()} if c else None
     if r is None:
         return None
-    if e.op == "*":
-        pairs = [(tuple(sorted(ml + mr)), cl * cr) for ml, cl in l.items() for mr, cr in r.items()]
-    else:
-        pairs = [*l.items(), *((m, c if e.op == "+" else -c) for m, c in r.items())]
-    p = {}
-    for m, c in pairs:
-        p[m] = p.get(m, 0) + c
-    return p
-
-
-def poly_constant(p):
-    """The value of a polynomial from integer_poly without names; None for
-    any other polynomial, or for None."""
-    return p[()] if p is not None and len(p) == 1 and () in p else None
-
-
-def poly_integral(p: dict) -> bool:
-    """Whether every coefficient of a polynomial from integer_poly is an int."""
-    return all(c.denominator == 1 for c in p.values())
+    if e.op == "/":
+        c = r.constant()
+        return l * Poly({(): 1 / Fraction(c)}) if c else None
+    return _FIELD_OPS[e.op](l, r)
 
 
 def eval_numeric(e: Expr, env: Env, digits: int) -> Decimal:
@@ -804,8 +786,8 @@ class TermRatio:
     prod(s*n + o for num) / prod(s*n + o for den), the factors that P and Q
     shared cancelled, and each chain comes from the Binet forms of the
     term's F and L factors (a term without them has the one chain c =
-    gamma = 1); c and gamma are exact in Q(sqrt5).  `p` and `q` hold the
-    integer coefficients of P and Q, highest power first, and `zeros` the n
+    gamma = 1); c and gamma are exact in Q(sqrt5).  `p` and `q` are the
+    integer coefficient lists of P and Q (poly.py), and `zeros` the n
     where a cancelled factor vanishes.  Calling it with n gives (P, Q),
     Python ints with P/Q = h(n+1)/h(n) wherever t(n), P and Q are nonzero,
     and P = Q = 0 at the `zeros`.  (A plain slotted class, not a
@@ -818,25 +800,17 @@ class TermRatio:
         self.num, self.den = num, den  # ((s, o), ...): linear factors s*n + o of P, of Q
         self.const, self.zeros = const, zeros
         self.chains = chains  # ((c, gamma), ...)
-        self.p, self.q = _polynomial(num, const.numerator), _polynomial(den, const.denominator)
+        self.p, self.q = linear_product(num, const.numerator), linear_product(den, const.denominator)
 
     def __call__(self, n: int):
         if n in self.zeros:
             return 0, 0
-        p = q = 0
+        p = q = 0  # Horner's rule, inline: a call per value costs 5% of an algebraic-tail row
         for a in self.p:
             p = p * n + a
         for a in self.q:
             q = q * n + a
         return p, q
-
-
-def _polynomial(factors, c: int) -> tuple:
-    """Coefficients of c * prod(s*n + o), highest power first."""
-    out = [c]
-    for s, o in factors:
-        out = [a * s + b * o for a, b in zip(out + [0], [0] + out)]
-    return tuple(out)
 
 
 def term_ratio(term: Expr, index: str, env: Env):
@@ -905,12 +879,12 @@ def _ratio(e: Expr, index: str, env: Env, reads: set):
         s, o = _linear(p, index, env)
         return ([(s, o + s)], [(s, o)], Fraction(1), _ONE_CHAIN) if s else ([], [], Fraction(1), _ONE_CHAIN)
     if isinstance(e, Pow) and id(e.exponent) in reads:
-        base = poly_constant(integer_poly(e.base))
-        if base is None:
+        base = integer_poly(e.base)
+        if base is None or base.constant() is None:
             raise ValueError(f"not a constant base: {e}")
         s = _linear(integer_poly(e.exponent), index, env)[0]
         _check_size(abs(s))
-        return [], [], Fraction(base) ** s, _ONE_CHAIN
+        return [], [], Fraction(base.constant()) ** s, _ONE_CHAIN
     if isinstance(e, Pow):
         k = eval_exact_rational(e.exponent, env)
         if k is None or k.denominator != 1:
@@ -972,8 +946,8 @@ def _merge(pairs) -> dict:
 def _chain_steps(ratio: TermRatio, ctx: Context):
     """[c_i], [gamma_i] (None for 1) and [fading_i] of a ratio's chains at
     the precision of `ctx`, fading when another chain's |gamma| is larger."""
-    consts = [_qr_decimal(c, ctx) for c, _ in ratio.chains]
-    gammas = [None if g == ONE else _qr_decimal(g, ctx) for _, g in ratio.chains]
+    consts = [to_decimal(c, ctx) for c, _ in ratio.chains]
+    gammas = [None if g == ONE else to_decimal(g, ctx) for _, g in ratio.chains]
     sizes = [Decimal(1) if g is None else g.copy_abs() for g in gammas]
     return consts, gammas, [size < max(sizes) for size in sizes]
 
@@ -991,31 +965,13 @@ def _split_chains(consts: list, gammas: list, t: Decimal, n: int, ctx: Context):
     return [ctx.multiply(h, part) for part in parts]
 
 
-def _qr_decimal(v: QuadRat, ctx: Context) -> Decimal:
-    """a + b*sqrt5 at the precision of `ctx`."""
-    a = ctx.divide(Decimal(v.a.numerator), Decimal(v.a.denominator))
-    if not v.b:
-        return a
-    b = ctx.divide(Decimal(v.b.numerator), Decimal(v.b.denominator))
-    return ctx.add(a, ctx.multiply(b, _const.sqrt5_decimal(ctx.prec)))
-
-
 def _linear(p, index: str, env: Env):
-    """(s, o), ints with p = s*index + o for the polynomial p from
-    integer_poly, its other names bound by `env`; raises unless p is one."""
+    """(s, o), ints with p = s*index + o for the Poly p from integer_poly,
+    its other names bound by `env`; raises unless p is one."""
     if p is None:
         raise ValueError("not a polynomial")
-    s = o = 0
-    for m, c in p.items():
-        v = c * math.prod([env[name] for name in m if name != index])
-        degree = m.count(index)
-        if degree == 0:
-            o += v
-        elif degree == 1:
-            s += v
-        elif v:
-            raise ValueError(f"not linear in {index}")
-    if s.denominator != 1 or o.denominator != 1:
+    *high, s, o = [0, *p.coefficients(index, env)]
+    if any(high) or s.denominator != 1 or o.denominator != 1:
         raise ValueError(f"not an integer linear form in {index}")
     return int(s), int(o)
 

@@ -52,14 +52,14 @@ from .expr import (
     SeqCall,
     Var,
     integer_poly,
-    poly_constant,
-    poly_integral,
     substitute,
 )
 from .value import Value
 
 KINDS = ("series", "finite", "algebraic", "radical", "integral", "constant")
 MAX_DEPTH = 100  # expression tree levels; the shipped registry reaches 10
+RATIO_MAX_DIGITS = 4300  # of a geometric ratio's numerator and denominator: as many as str(int) writes by default
+_RATIO_BOUND = 10**RATIO_MAX_DIGITS
 
 
 # ----------------------------------------------------------------- tokenizer
@@ -157,10 +157,10 @@ class _Parser:
 
     def exponent(self, e: Expr, caret: int) -> Expr:
         p = integer_poly(e)
-        if p is not None and poly_integral(p):
+        if p is not None and all(c.denominator == 1 for c in p.values()):
             return e
-        if poly_constant(p) is not None:
-            return RatLit(poly_constant(p))
+        if p is not None and p.constant() is not None:
+            return RatLit(p.constant())
         raise self.error("exponent must be an integer expression or a rational literal", caret)
 
     def atom(self) -> tuple[Expr, int]:
@@ -310,6 +310,8 @@ def parse_tail(text: str):
         ratio = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"geometric ratio {text!r} divides by zero") from None
+    if max(abs(ratio.numerator), ratio.denominator) >= _RATIO_BOUND:  # the record could not be printed
+        raise ValueError(f"geometric ratio {text!r} has a numerator or denominator past {RATIO_MAX_DIGITS} digits")
     if not 0 < ratio < 1:
         raise ValueError(f"geometric ratio must lie in (0, 1), got {ratio}")
     return GeometricTail(ratio, int(kv.get("from", 0)))

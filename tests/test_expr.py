@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -25,6 +26,7 @@ from fibcat.expr import (
     Quad,
     RatLit,
     SeqCall,
+    TermRatio,
     Var,
     children,
     eval_exact_pi,
@@ -39,6 +41,7 @@ from fibcat.expr import (
     substitute,
     term_ratio,
 )
+from fibcat.poly import linear_product
 from fibcat.seriesdsl import AlgebraicTail, FiniteSpec, SeriesSpec, builtin_registry, format_expr, parse_expression
 from fibcat.seriesdsl import parse_expression as parse
 
@@ -693,25 +696,42 @@ def test_the_evaluator_and_eval_numeric_agree_on_sequences_and_powers():
                 assert CTX.subtract(stepped, want).copy_abs() <= Decimal(1).scaleb(want.adjusted() + 1 - d)
 
 
-def _algebraic_tail_rows():
+def _series_rows():
+    """(record, binding) of every shipped series binding."""
     for record in builtin_registry():
-        if isinstance(record.lhs, SeriesSpec) and isinstance(record.tail, AlgebraicTail):
+        if isinstance(record.lhs, SeriesSpec):
             axes = [[(name, v) for v in range(lo, hi + 1)] for name, lo, hi in record.params]
             for binding in map(dict, itertools.product(*axes)):
                 yield record, binding
 
 
-def test_term_ratio_is_the_exact_ratio_on_every_algebraic_tail_row():
-    rows = list(_algebraic_tail_rows())
-    assert len(rows) == 51
+def test_term_ratio_is_the_exact_ratio_on_every_series_row():
+    # t(n+1)/t(n) = P(n)/Q(n) * g(n+1)/g(n), g(n) = sum c*gamma^n over the
+    # chains (g = 1 for a term without F or L), exactly in Q(sqrt5); an n
+    # where t, P, Q or g is 0 is skipped.  The 407 rows are the 399 that
+    # are not as printed and 8 that are, 2 of them algebraic-tail rows
+    rows = list(_series_rows())
+    assert len(rows) == 407 and sum(not record.as_printed for record, _ in rows) == 399
+    assert sum(isinstance(record.tail, AlgebraicTail) for record, _ in rows) == 51
+    checked = 0
     for record, binding in rows:
         spec = record.lhs
         ratio = term_ratio(spec.term, spec.index, binding)
         assert ratio is not None, record.id
+
+        def g(n):
+            return sum((c * exactnum.qr_pow(gamma, n) for c, gamma in ratio.chains), QuadRat.of(0))
+
         for n in [*range(spec.start, spec.start + 6), 1000]:
-            t0, t1 = (eval_exact_rational(spec.term, {**binding, spec.index: m}) for m in (n, n + 1))
+            t0, t1 = (eval_exact_qsqrt5(spec.term, {**binding, spec.index: m}) for m in (n, n + 1))
             p, q = ratio(n)
-            assert t0 != 0 and Fraction(p, q) == t1 / t0, (record.id, binding, n)
+            g0, g1 = g(n), g(n + 1)
+            if t0.is_zero() or not p or not q or g0.is_zero():
+                continue
+            assert t1 * QuadRat.of(q) * g0 == t0 * QuadRat.of(p) * g1, (record.id, binding, n)
+            checked += 1
+    # 44 skips where F(s*n + o) vanishes (t = g = 0), 33 at the zeros (P = Q = 0)
+    assert checked == 7 * 407 - 44 - 33
 
 
 @pytest.mark.parametrize(
@@ -829,6 +849,45 @@ def test_the_one_polynomial_reading_agrees_with_the_exact_walk(e, n, s):
         else:
             with pytest.raises(ValueError):
                 expr_module._linear(p, "n", {"s": s})
+
+
+def _coefficient_value(coefficients, x):
+    return sum(a * x**d for d, a in enumerate(reversed(coefficients)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_exprs, _poly_exprs, st.integers(-20, 20), st.integers(-20, 20))
+def test_poly_arithmetic_agrees_with_fraction_evaluation(a, b, n, s):
+    env = {"n": n, "s": s}
+    pa, pb = integer_poly(a), integer_poly(b)
+    va, vb = eval_exact_rational(a, env), eval_exact_rational(b, env)
+    assert _poly_value(pa + pb, env) == va + vb
+    assert _poly_value(pa - pb, env) == va - vb
+    assert _poly_value(pa * pb, env) == va * vb
+    # a difference keeps every monomial, so a name that cancels is still read
+    assert (pa - pa).keys() == pa.keys() and not any((pa - pa).values())
+    for name, other in (("n", "s"), ("s", "n")):
+        coefficients = pa.coefficients(name, {other: env[other]})
+        assert _coefficient_value(coefficients, env[name]) == va
+        if any(other in m for m in pa):
+            with pytest.raises(KeyError):
+                pa.coefficients(name, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-9, 9).filter(bool), st.integers(-20, 20)), max_size=8),
+    st.integers(-9, 9).filter(bool),
+    st.fractions(-30, 30, max_denominator=7),
+)
+def test_linear_product_agrees_with_multiplying_its_factors(factors, c, x):
+    coefficients = linear_product(factors, c)
+    assert len(coefficients) == len(factors) + 1
+    want = c * math.prod(s * x + o for s, o in factors)
+    assert _coefficient_value(coefficients, x) == want
+    ratio = TermRatio(tuple(factors), (), Fraction(c), frozenset(), ())
+    if x.denominator == 1:  # TermRatio evaluates P by Horner's rule
+        assert ratio(int(x)) == (want, 1)
 
 
 def test_a_cancelled_name_is_still_read():

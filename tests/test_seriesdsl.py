@@ -135,6 +135,27 @@ def test_a_ratio_with_a_huge_exponent_is_refused_before_it_is_built():
             assert parse_tail(str(record.tail)) == record.tail
 
 
+def test_a_ratio_that_str_could_not_print_is_a_registry_problem():
+    # 6e-9999 has a 9999-digit denominator: before, it parsed, and printing
+    # the record raised "Exceeds the limit (4300 digits) for integer string
+    # conversion"
+    started = time.perf_counter()
+    for ratio in ("6e-9999", "1e-4301", "1e-4300"):
+        with pytest.raises(ValueError, match="has a numerator or denominator past 4300 digits"):
+            parse_tail(f"geometric ratio={ratio}")
+        problems = parse_registry(_block(*_SERIES, f'tail = "geometric ratio={ratio}"')).problems
+        assert [p.line for p in problems] == [3]
+    assert time.perf_counter() - started < 0.5
+    for ratio in ("1e-4000", "1e-4299"):
+        (record,) = parse_registry(_block(*_SERIES, f'tail = "geometric ratio={ratio}"')).records
+        assert record.tail.ratio == Fraction(1, 10 ** int(ratio[3:]))
+        assert parse_registry(serialize_record(record)).records == [record]
+    shipped = [record for record in builtin_registry() if isinstance(record.tail, GeometricTail)]
+    assert len(shipped) > 40
+    for record in shipped:
+        assert parse_registry(serialize_record(record)).records == [record]
+
+
 def test_builtin_registry_loads_clean():
     records = builtin_registry()
     assert len(records) > 120

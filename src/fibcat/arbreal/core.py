@@ -10,24 +10,22 @@ precision.  Every series runs in integer fixed point (v stands for
 v / 2^bits) and is rounded once: one arctan/atanh kernel gives pi, ln 2 and
 ln 10 from arccot sums, and ln and arctan on x's exact integer ratio; sin
 and cos retry with more bits when the reduction modulo 2 pi cancels leading
-bits (Ziv).  nth roots are integer roots of the exact ratio.  The integer
-tangent numbers, which give the Bernoulli numbers, are built on first use.
+bits (Ziv).  nth roots are integer roots of the exact ratio.  Contexts,
+pi, the arccot sums and the integer tangent numbers (which give the
+Bernoulli numbers) are memoised per precision with functools.lru_cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from decimal import Context, Decimal
 from fractions import Fraction
 
 from ..errors import DomainError
+from ..exactnum import int_root
 
 _EMAX = 10**9
-
-_cache_lock = threading.Lock()
-_const_cache: dict[tuple[str, int], object] = {}
-_contexts: dict[int, Context] = {}
 _LOG2_10 = 3.3219280948873626
 
 
@@ -36,74 +34,38 @@ def guard_digits(digits: int) -> int:
     return 10 + -(-digits // 10)
 
 
+@functools.lru_cache(maxsize=None)
 def context(digits: int) -> Context:
     """The context of this precision, with a wide exponent range.  Shared by
     every caller, one per precision: do not mutate it (precision, traps)."""
-    ctx = _contexts.get(digits)
-    if ctx is None:
-        ctx = _contexts.setdefault(digits, Context(prec=digits, Emax=_EMAX, Emin=-_EMAX))
-    return ctx
+    return Context(prec=digits, Emax=_EMAX, Emin=-_EMAX)
 
 
 def round_to(x: Decimal, digits: int) -> Decimal:
     return context(digits).plus(x)
 
 
-def _cached(name: str, digits: int, compute):
-    """Write-once cache of constants and node tables keyed by (name, digits)."""
-    key = (name, digits)
-    val = _const_cache.get(key)
-    if val is None:
-        val = compute()
-        with _cache_lock:
-            _const_cache.setdefault(key, val)
-            val = _const_cache[key]
-    return val
-
-
-def _tangent_table(n: int) -> tuple[int, ...]:
-    """T_1 .. T_top for the least power of two top >= max(n, 32), by Brent &
-    Harvey's integer recurrence, cached."""
-    top = max(32, 1 << (n - 1).bit_length())
-
-    def compute():
-        t = [0, 1]
-        for k in range(2, top + 1):
-            t.append((k - 1) * t[k - 1])
-        for k in range(2, top + 1):
-            for j in range(k, top + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        return tuple(t[1:])
-
-    return _cached("tangent_numbers", top, compute)
+@functools.lru_cache(maxsize=None)
+def _tangent_table(top: int) -> tuple[int, ...]:
+    """T_1 .. T_top by Brent & Harvey's integer recurrence."""
+    t = [0, 1]
+    for k in range(2, top + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, top + 1):
+        for j in range(k, top + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1:])
 
 
 def tangent_numbers():
     """Yield the tangent numbers T_1, T_2, ... = 1, 2, 16, 272, ..., with
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), from a table built on first
-    use and doubled whenever a caller reads past its end."""
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), from a table of 32 built on
+    first use and doubled whenever a caller reads past its end."""
     n = 0
     while True:
-        table = _tangent_table(n + 1)
+        table = _tangent_table(max(32, 1 << n.bit_length()))
         yield from table[n:]
         n = len(table)
-
-
-def _int_nth_root(a: int, n: int) -> int:
-    """floor(a**(1/n)) for a >= 0 by integer Newton iteration."""
-    if n == 1 or a in (0, 1):
-        return a
-    if n == 2:
-        return math.isqrt(a)
-    r = 1 << -(-a.bit_length() // n)  # upper seed: 2^ceil(bits/n) >= a^(1/n)
-    while True:
-        nr = ((n - 1) * r + a // r ** (n - 1)) // n
-        if nr >= r:
-            break
-        r = nr
-    while r**n > a:
-        r -= 1
-    return r
 
 
 def sqrt(x: Decimal, digits: int) -> Decimal:
@@ -129,7 +91,7 @@ def nth_root(x: Decimal, n: int, digits: int) -> Decimal:
     # floor(m^(1/n) 10^s) carries w + 4 digits or more; p 10^(n s) / q is exact
     # once n s covers q = 2^i 5^j, so an exact root keeps its trailing zeros
     s = digits + guard_digits(digits) + 3
-    return context(digits).scaleb(Decimal(_int_nth_root(p * 10 ** (n * s) // q, n)), e - s)
+    return context(digits).scaleb(Decimal(int_root(p * 10 ** (n * s) // q, n)), e - s)
 
 
 def _bits(digits: int) -> int:
@@ -171,13 +133,14 @@ _ARCCOT = {
 def _fixed(name: str, bits: int) -> int:
     """floor(c * 2^bits) within two units, c named in _ARCCOT, cached 64 bits at a time."""
     top = -(-bits // 64) * 64
+    return _arccot(name, top) >> (top - bits)
 
-    def compute():
-        sign, combination = _ARCCOT[name]
-        g = top.bit_length() + 8  # below every floor of every term
-        return sum(c * _atan_fixed(top + g, sign, k=k) for c, k in combination) >> g
 
-    return _cached(name + "_fixed", top, compute) >> (top - bits)
+@functools.lru_cache(maxsize=None)
+def _arccot(name: str, top: int) -> int:
+    sign, combination = _ARCCOT[name]
+    g = top.bit_length() + 8  # below every floor of every term
+    return sum(c * _atan_fixed(top + g, sign, k=k) for c, k in combination) >> g
 
 
 def ln(x: Decimal, digits: int) -> Decimal:
@@ -212,16 +175,18 @@ def ln(x: Decimal, digits: int) -> Decimal:
     return _from_fixed(v, bits, digits)
 
 
+@functools.lru_cache(maxsize=None)
 def const_pi(digits: int) -> Decimal:
     """pi from the Machin combination 16 arccot 5 - 4 arccot 239."""
     bits = _bits(digits + guard_digits(digits))
-    return _cached("pi", digits, lambda: _from_fixed(_fixed("pi", bits), bits, digits))
+    return _from_fixed(_fixed("pi", bits), bits, digits)
 
 
+@functools.lru_cache(maxsize=None)
 def const_pi_check(digits: int) -> Decimal:
     """pi from the independent Gauss combination 48 arccot 18 + 32 arccot 57 - 20 arccot 239."""
     bits = _bits(digits + guard_digits(digits))
-    return _cached("pi_check", digits, lambda: _from_fixed(_fixed("pi_check", bits), bits, digits))
+    return _from_fixed(_fixed("pi_check", bits), bits, digits)
 
 
 def _sin_fixed(x: Decimal, digits: int, quarter: int) -> Decimal:

@@ -11,11 +11,12 @@ quadrature: its series runs in integer fixed point, as core's kernels do.
 
 from __future__ import annotations
 
+import functools
 from decimal import Decimal
 
 from ..errors import ConvergenceError
 from . import core
-from .core import _bits, _cached, _fixed, _from_fixed, const_pi, context, guard_digits, round_to
+from .core import _bits, _fixed, _from_fixed, const_pi, context, guard_digits, round_to
 
 LEVEL_CAP = 12
 
@@ -51,6 +52,13 @@ def _make_nodes(w: int, level: int):
     return tuple(nodes)
 
 
+@functools.lru_cache(maxsize=None)
+def _nodes(w: int, level: int):
+    """_make_nodes(w, level), built once per process.  _make_nodes itself
+    stays uncached, so a trace of it counts builds (perfbench/layers.py)."""
+    return _make_nodes(w, level)
+
+
 def tanh_sinh(f, a: Decimal, b: Decimal, digits: int) -> Decimal:
     """Integrate f over [a, b], doubling the node level until two successive
     levels agree to 10^-digits.  Returns the last level's value.
@@ -72,8 +80,7 @@ def tanh_sinh(f, a: Decimal, b: Decimal, digits: int) -> Decimal:
 
     def node_sum(level: int) -> Decimal:
         total = Decimal(0)
-        table = _cached(f"tanh_sinh_nodes{level}", w, lambda: _make_nodes(w, level))
-        for k, (offset, weight) in enumerate(table):
+        for k, (offset, weight) in enumerate(_nodes(w, level)):
             off = ctx.multiply(half, offset)
             x_hi = ctx.subtract(b, off)
             if level == 0 and k == 0:

@@ -145,7 +145,13 @@ class VerifyConfig(Value):
     __slots__ = ("digits", "param_ranges")
 
     def __init__(self, digits: int | None = None, param_ranges: dict | None = None):
+        _check_digits(digits)
         super().__init__(digits, {} if param_ranges is None else param_ranges)
+
+
+def _check_digits(digits: int | None) -> None:
+    if digits is not None and digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
 
 
 # ------------------------------------------------------------------ summation
@@ -426,8 +432,11 @@ def _diff_digits(diff: Decimal) -> int:
 
 def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = None) -> Sides:
     """Both sides of `record` at one binding, numeric kinds to `digits` digits
-    (a series' quadrature rhs to at least DIGITS_INTEGRAL + COMPARE_GUARD)."""
-    return _kind(record, VerifyConfig())[1](binding, digits)
+    (a series' quadrature rhs to at least DIGITS_INTEGRAL + COMPARE_GUARD),
+    by default to the record's target plus COMPARE_GUARD, as `verify` does."""
+    _check_digits(digits)
+    target, sides_of = _kind(record, VerifyConfig())
+    return sides_of(binding, target + COMPARE_GUARD if digits is None and target is not None else digits)
 
 
 def _numeric_sides(record: IdentityRecord, binding: dict, digits: int) -> Sides:

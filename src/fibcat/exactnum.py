@@ -253,24 +253,47 @@ def qr_sqrt(x: QuadRat):
     norm a^2 - 5b^2 = (p^2 - 5q^2)^2 is a rational square m^2 and p^2 is
     (a + m)/2 or (a - m)/2; each candidate p^2 and q^2 = (a - p^2)/5 must
     be rational squares, and the signs of p and q give 2pq = b."""
-    a, b = x.a, x.b
-    m = _rational_sqrt(x.norm())
+    a, b, half = x.a, x.b, Fraction(1, 2)
+    m = rational_power(x.norm(), half)
     if m is None:
         return None
     for p2 in ((a + m) / 2, (a - m) / 2):
-        p, q = _rational_sqrt(p2), _rational_sqrt((a - p2) / 5)
+        p, q = rational_power(p2, half), rational_power((a - p2) / 5, half)
         if p is not None and q is not None and 2 * p * q == abs(b):
             root = QuadRat(p, q if b >= 0 else -q)
             return -root if root.sign() < 0 else root
     return None
 
 
-def _rational_sqrt(f: Fraction):
-    """The square root r >= 0 of a Fraction when it is rational, else None."""
-    if f < 0:
+def int_root(a: int, n: int) -> int:
+    """floor(a**(1/n)) for a >= 0 by integer Newton iteration."""
+    if n == 1 or a in (0, 1):
+        return a
+    if n == 2:
+        return math.isqrt(a)
+    r = 1 << -(-a.bit_length() // n)  # upper seed: 2^ceil(bits/n) >= a^(1/n)
+    while True:
+        nr = ((n - 1) * r + a // r ** (n - 1)) // n
+        if nr >= r:
+            break
+        r = nr
+    while r**n > a:
+        r -= 1
+    return r
+
+
+def rational_power(c: Fraction, k: Fraction):
+    """c^k when it is rational, else None (also 0 to a power below 0, and a
+    negative c to a power that is no integer)."""
+    if not c:
+        return None if k < 0 else Fraction(int(k == 0))
+    if k.denominator == 1:
+        return c ** int(k)
+    if c < 0:
         return None
-    n, d = math.isqrt(f.numerator), math.isqrt(f.denominator)
-    return Fraction(n, d) if n * n == f.numerator and d * d == f.denominator else None
+    d = k.denominator
+    p, q = int_root(c.numerator, d), int_root(c.denominator, d)
+    return Fraction(p, q) ** k.numerator if p**d == c.numerator and q**d == c.denominator else None
 
 
 def qr_pow(base: QuadRat, n: int) -> QuadRat:

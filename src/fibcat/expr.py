@@ -55,7 +55,7 @@ from .arbreal import constants as _const
 from .arbreal import core as _core
 from .arbreal import quadrature as _quad
 from .errors import ConvergenceError, DomainError, FibcatError, UnboundVariableError
-from .exactnum import ONE, PiPoly, QuadRat, Radical, qr_pow
+from .exactnum import ONE, PiPoly, QuadRat, Radical, qr_pow, rational_power
 from .poly import Poly, linear_product
 from .value import Value
 
@@ -402,10 +402,10 @@ def _beta(quad: Quad, r: Fraction, powers: dict, upper: PiPoly):
             return None
         a = powers.get(_X, Fraction(0))
         (big_a, k), b = (roots[0], powers[roots[0]]) if roots else ((c, Fraction(1)), Fraction(0))
-        if k <= 0 or _rational_power(c, k) != big_a:
+        if k <= 0 or rational_power(c, k) != big_a:
             return None
         p, q = (a + 1) / k, b + 1
-        scale = _rational_power(c, a + 1 + k * b)
+        scale = rational_power(c, a + 1 + k * b)
         scale = None if scale is None else r * scale / k
     if p <= 0 or q <= 0:
         raise ConvergenceError(f"{quad} diverges: its Euler Beta form B({p}, {q}) needs both arguments positive")
@@ -495,7 +495,7 @@ def _factors(e: Expr, env: Env):
         if k is None or max(abs(k.numerator), k.denominator) > BETA_MAX_EXPONENT:
             return None
         got = _factors(base, env)
-        r = got and _rational_power(got[0], k)
+        r = got and rational_power(got[0], k)
         return None if r is None else (r, {key: p * k for key, p in got[1].items() if p * k})
     if t is BinOp and e.op == "-":
         big_a, right = _exact(e.left, env, _Q), _factors(e.right, env)
@@ -503,19 +503,6 @@ def _factors(e: Expr, env: Env):
             return Fraction(1), {(big_a, right[1][_X]): Fraction(1)}
     r = _exact(e, env, _Q)
     return None if r is None else (r, {})
-
-
-def _rational_power(c: Fraction, k: Fraction):
-    """c^k when it is rational, else None (also 0 to a power below 0)."""
-    if not c:
-        return None if k < 0 else Fraction(int(k == 0))
-    if k.denominator == 1:
-        return c ** int(k)
-    d = k.denominator
-    roots = [_core._int_nth_root(v, d) for v in (c.numerator, c.denominator)] if c > 0 else None
-    if roots is None or roots[0] ** d != c.numerator or roots[1] ** d != c.denominator:
-        return None
-    return Fraction(*roots) ** k.numerator
 
 
 def _beta_function(p: Fraction, q: Fraction):

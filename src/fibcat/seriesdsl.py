@@ -570,21 +570,23 @@ def serialize_record(r: IdentityRecord) -> str:
 # ------------------------------------------------------------------ shipping
 
 _REGISTRY_DIR = Path(__file__).parent / "registry"
-_builtin_cache: list | None = None
 
 
 def builtin_registry() -> list:
-    """Every shipped identity record, parsed once per process."""
-    global _builtin_cache
-    if _builtin_cache is None:
-        records = []
-        for path in sorted(_REGISTRY_DIR.glob("*.reg")):
-            parsed = parse_registry(path.read_text(encoding="utf-8"))
-            if parsed.problems:
-                raise RuntimeError(
-                    f"shipped registry {path.name} has problems: "
-                    + "; ".join(str(p) for p in parsed.problems)
-                )
-            records.extend(parsed.records)
-        _builtin_cache = records
-    return list(_builtin_cache)
+    """Every shipped identity record, parsed once per process; a new list
+    on each call."""
+    return list(_builtin_records())
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_records() -> tuple:
+    records = []
+    for path in sorted(_REGISTRY_DIR.glob("*.reg")):
+        parsed = parse_registry(path.read_text(encoding="utf-8"))
+        if parsed.problems:
+            raise RuntimeError(
+                f"shipped registry {path.name} has problems: "
+                + "; ".join(str(p) for p in parsed.problems)
+            )
+        records.extend(parsed.records)
+    return tuple(records)

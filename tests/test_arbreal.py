@@ -555,6 +555,23 @@ def test_quadrature_divergent_integrand_raises():
     assert info.value.gap is not None
 
 
+def test_node_tables_are_built_once_per_precision_and_level(monkeypatch):
+    built = []
+    make = quadrature._make_nodes
+    monkeypatch.setattr(quadrature, "_make_nodes", lambda w, level: built.append((w, level)) or make(w, level))
+    quadrature._nodes.cache_clear()
+    square = core.context(40).multiply
+    first = ar.tanh_sinh(lambda x: square(x, x), Decimal(0), Decimal(1), 20)
+    builds = len(built)
+    assert ar.tanh_sinh(lambda x: square(x, x), Decimal(0), Decimal(1), 20) == first
+    assert builds and len(built) == builds == len(set(built))
+
+
+def test_one_context_per_precision():
+    assert core.context(37) is core.context(37)
+    assert core.context(37).prec == 37
+
+
 def test_rational_power_paths():
     assert close(ar.pow_rational(Decimal(3), Fraction(5, 2), 30),
                  ar.sqrt(Decimal(243), 40), "1E-28")

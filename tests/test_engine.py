@@ -315,6 +315,22 @@ def test_evaluate_sides_numeric_and_exact(records):
     assert engine.evaluate_sides(records["s2.lem3.sqrt.alpha"], {}).squared
 
 
+@pytest.mark.parametrize("rid", ["s2.G.z15", "s1.lem1.sin.pi10", "s7.wallis.odd", "s7.thm10", "s7.lem7.pi6"])
+def test_evaluate_sides_defaults_to_the_working_digits_of_verify(records, rid):
+    record = records[rid]
+    binding = engine.bindings(record, engine.VerifyConfig())[0]
+    assert engine.evaluate_sides(record, binding) == engine.checker(record)(binding)[0]
+
+
+@pytest.mark.parametrize("digits", [-60, -5, 0])
+def test_digits_below_one_are_refused(records, digits):
+    # -5 made the misprint pass (tolerance 10^5), -60 gave error rows, 0 meant 50
+    with pytest.raises(ValueError, match="at least 1"):
+        engine.VerifyConfig(digits=digits)
+    with pytest.raises(ValueError, match="at least 1"):
+        engine.evaluate_sides(records["s2.G2t.pi3.printed"], {}, digits)
+
+
 def _record(text):
     parsed = parse_registry("[identity]\n" + text)
     assert not parsed.problems

@@ -17,9 +17,11 @@ from fibcat.exactnum import (
     binomial,
     catalan,
     fibonacci,
+    int_root,
     lucas,
     qr_pow,
     qr_sqrt,
+    rational_power,
 )
 
 
@@ -217,6 +219,28 @@ def test_qr_sqrt_examples():
     # a square norm whose halves (a +- m)/2 are not
     for x in (QuadRat.of(-4), QuadRat.of(2), ALPHA, QuadRat.of(3, 1), QuadRat.of(7, 3)):
         assert qr_sqrt(x) is None, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**40), st.integers(1, 9))
+def test_int_root_is_the_floor_of_the_root(a, n):
+    r = int_root(a, n)
+    assert r**n <= a < (r + 1) ** n
+
+
+_positive = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_positive, st.integers(1, 6), st.integers(-6, 6), st.sampled_from([2, 3, 5, 7]))
+def test_rational_power_is_the_rational_root_or_none(r, d, n, prime):
+    # perfect powers give their root
+    assert rational_power(r**d, Fraction(n, d)) == r**n
+    assert rational_power(Fraction(0), Fraction(n, d)) == (None if n < 0 else Fraction(int(n == 0)))
+    if d > 1:  # one factor of a prime more than a multiple of d: no rational root
+        assert rational_power(r**d * prime, Fraction(1, d)) is None
+    # a negative base under an even root
+    assert rational_power(-(r ** (2 * d)), Fraction(2 * n + 1, 2 * d)) is None
 
 
 def _random_quadrat(rng):

@@ -163,6 +163,12 @@ def test_builtin_registry_loads_clean():
     assert len(ids) == len(set(ids))
 
 
+def test_builtin_registry_returns_a_new_list_each_call():
+    first = builtin_registry()
+    first.append(first[0])
+    assert builtin_registry() == first[:-1]
+
+
 def test_s2_file_has_twenty_plus_records():
     from fibcat.seriesdsl import _REGISTRY_DIR
 

@@ -58,6 +58,16 @@ def ln_alpha_check(digits: int) -> Decimal:
     return round_to(Context(prec=w).ln(alpha_decimal(w)), digits)
 
 
+def _central_binomial(b: int):
+    """(n, u_n) while u_n > 0: u_0 = 2^b, u_(n+1) = floor(u_n (n+1)/(2(2n+1))),
+    under n units below 2^b / binom(2n, n), the one series of G and zeta(3)."""
+    u, n = 1 << b, 0
+    while u:
+        yield n, u
+        u = u * (n + 1) // (2 * (2 * n + 1))
+        n += 1
+
+
 @functools.lru_cache(maxsize=None)
 def const_catalan_g(digits: int) -> Decimal:
     """Catalan's constant from
@@ -67,13 +77,7 @@ def const_catalan_g(digits: int) -> Decimal:
     """
     bits = _bits(digits + guard_digits(digits))
     b = bits + bits.bit_length() + 8  # below the floors of every term
-    u = 1 << b  # 2^b / binom(2n, n)
-    total = 0
-    n = 0
-    while u:
-        total += u // (2 * n + 1) ** 2
-        u = u * (n + 1) // (2 * (2 * n + 1))
-        n += 1
+    total = sum(u // (2 * n + 1) ** 2 for n, u in _central_binomial(b))
     log_part = 2 * _atan_fixed(b, 1, t=math.isqrt((1 << 2 * b) // 3))
     return _from_fixed(3 * total + (_fixed("pi", b) * log_part >> b), b + 3, digits)
 
@@ -93,14 +97,7 @@ def const_zeta3(digits: int) -> Decimal:
     """zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 binom(2n,n)), on ints at 2^-b."""
     bits = _bits(digits + guard_digits(digits))
     b = bits + bits.bit_length() + 8  # below the floors of every term
-    u = 1 << (b - 1)  # 2^b / binom(2n, n)
-    total = 0
-    n = 1
-    while u:
-        term = u // n**3
-        total += term if n % 2 else -term
-        u = u * (n + 1) // (2 * (2 * n + 1))
-        n += 1
+    total = sum(u // n**3 if n % 2 else -(u // n**3) for n, u in _central_binomial(b) if n)
     return _from_fixed(5 * total, b + 1, digits)
 
 

@@ -8,11 +8,12 @@ relative.  Ring operations, comparisons and sqrt (correctly rounded by
 libmpdec) come from the decimal module through one shared Context per
 precision.  Every series runs in integer fixed point (v stands for
 v / 2^bits) and is rounded once: one arctan/atanh kernel gives pi, ln 2 and
-ln 10 from arccot sums, and ln and arctan on x's exact integer ratio; sin
-and cos retry with more bits when the reduction modulo 2 pi cancels leading
-bits (Ziv).  nth roots are integer roots of the exact ratio.  Contexts,
-pi, the arccot sums and the integer tangent numbers (which give the
-Bernoulli numbers) are memoised per precision with functools.lru_cache.
+ln 10 from arccot sums, and ln and arctan on x's exact integer ratio; sin,
+cos and Cl2 share one reduction modulo 2 pi, which retries with more bits
+when it cancels leading bits (Ziv).  nth roots are integer roots of the
+exact ratio.  Contexts, pi, the arccot sums and the integer tangent numbers
+(which give the Bernoulli numbers) are memoised per precision with
+functools.lru_cache.
 """
 
 from __future__ import annotations
@@ -189,35 +190,45 @@ def const_pi_check(digits: int) -> Decimal:
     return _from_fixed(_fixed("pi_check", bits), bits, digits)
 
 
-def _sin_fixed(x: Decimal, digits: int, quarter: int) -> Decimal:
-    """sin(x + quarter * pi/2): reduce modulo 2 pi against an integer pi,
-    fold into [-pi/2, pi/2] and sum the Taylor series in fixed point."""
-    if not x and not quarter:
-        return Decimal(0)
-    w = digits + guard_digits(digits)
-    need = _bits(w)
-    mag = x.adjusted()
-    if 2 * mag < -(w + 10):  # sin x = x (1 - x^2/6 + ...), cos x = 1 - x^2/2 + ...
-        if quarter:  # 1 to `digits` digits, as the series rounds it
-            return context(digits).scaleb(10 ** (digits - 1), 1 - digits)
-        return context(digits).plus(x)
+def _reduce_2pi(x: Decimal, quarter: int, bits: int, need: int):
+    """(r, bits, fold): r / 2^bits is x + quarter * pi/2 modulo 2 pi against
+    the integer pi of _fixed, folded into [-pi/2, pi/2] by t -> +-pi - t
+    (sin(t) = sin(+-pi - t)) when `fold`.  Taking off n times 2 pi leaves r
+    within 6|n| + 7 < 2^(m+3) units, m the bit length of |n|: 1 from x's
+    floor, 2.5 from pi/2's and 3 from each of the 2|n| + 1 pi (_fixed's is
+    within two units of its floor).  r is kept once it has need + m + 3 bits,
+    else bits grows by half or more (Ziv): x may lie within 10^-d of a
+    multiple of pi/2 for a large d."""
     p, q = x.as_integer_ratio()
-    # w + 10 digits absolute, plus x's digits above the point (the error of
-    # n * 2 pi) and, for sin, below it (relative accuracy at tiny x)
-    bits = _bits(w + 10 + max(mag, 0) + (max(-mag, 0) if not quarter else 0)) + 16
     while True:
         pi = _fixed("pi", bits)
         r = (p << bits) // q + quarter * (pi >> 1)
         n = (r + pi) // (2 * pi)  # nearest multiple of 2 pi
         r -= 2 * n * pi
-        if abs(r) > pi >> 1:  # fold: sin(r) = sin(+-pi - r)
+        fold = 2 * abs(r) > pi
+        if fold:
             r = (pi if r > 0 else -pi) - r
-        # Ziv: r carries at most 2|n| + 3 units of error; retry with more bits
-        # until it keeps `need` significant bits past them
         short = need + abs(n).bit_length() + 3 - abs(r).bit_length()
         if short <= 0:
-            break
-        bits += short + 16
+            return r, bits, fold
+        bits += max(short, bits // 2) + 16
+
+
+def _sin_fixed(x: Decimal, digits: int, quarter: int) -> Decimal:
+    """sin(x + quarter * pi/2): reduce modulo 2 pi into [-pi/2, pi/2]
+    (_reduce_2pi) and sum the Taylor series in fixed point."""
+    if not x and not quarter:
+        return Decimal(0)
+    w = digits + guard_digits(digits)
+    mag = x.adjusted()
+    if 2 * mag < -(w + 10):  # sin x = x (1 - x^2/6 + ...), cos x = 1 - x^2/2 + ...
+        if quarter:  # 1 to `digits` digits, as the series rounds it
+            return context(digits).scaleb(10 ** (digits - 1), 1 - digits)
+        return context(digits).plus(x)
+    # w + 10 digits absolute, plus x's digits above the point (the error of
+    # n * 2 pi) and, for sin, below it (relative accuracy at tiny x)
+    bits = _bits(w + 10 + max(mag, 0) + (max(-mag, 0) if not quarter else 0)) + 16
+    r, bits, _ = _reduce_2pi(x, quarter, bits, _bits(w))
     neg, r = r < 0, abs(r)
     r2 = r * r >> bits
     term = total = r

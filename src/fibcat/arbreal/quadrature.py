@@ -6,7 +6,8 @@ singularities to t = +-inf where the weights die double-exponentially, so
 integrable algebraic or logarithmic endpoint behaviour costs nothing.
 Node positions are stored as offsets from the endpoints (1 - |tanh u|),
 which keeps x accurate right next to a singular endpoint.  Cl2 takes no
-quadrature: its series runs in integer fixed point, as core's kernels do.
+quadrature: after core's one reduction modulo 2 pi, that of sin and cos,
+its series runs in integer fixed point, as core's kernels do.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from decimal import Decimal
 
 from ..errors import ConvergenceError
 from . import core
-from .core import _bits, _fixed, _from_fixed, const_pi, context, guard_digits, round_to
+from .core import _bits, _from_fixed, _reduce_2pi, const_pi, context, guard_digits, round_to
 
 LEVEL_CAP = 12
 
@@ -119,36 +120,20 @@ def tanh_sinh(f, a: Decimal, b: Decimal, digits: int) -> Decimal:
 def clausen2(theta: Decimal, digits: int) -> Decimal:
     """Cl2(theta) = -int_0^theta ln|2 sin(x/2)| dx = sum_{n>=1} sin(n theta) / n^2.
 
-    theta is reduced modulo 2 pi against an integer pi into [-pi, pi] (Cl2
-    is odd and 2 pi periodic).  A reduced t in (pi/2, pi] is taken as
-    Cl2(t) = Cl2(u) - Cl2(2u)/2 with u = pi - t, the duplication formula,
-    so that next to an odd multiple of pi, where Cl2 crosses zero, the
-    value keeps its relative accuracy as it does next to an even one,
-    where Cl2(t) ~ t (1 - ln t).  The reduction takes more bits while the
-    kept t or u has too few above its error (Ziv), or is small.  Cl2 of t,
-    u and 2u comes from the series of _clausen_fixed.
+    theta is reduced modulo 2 pi into [-pi/2, pi/2] by core's one reduction
+    (Cl2 is odd and 2 pi periodic).  A reduced t in (pi/2, pi] is folded to
+    u = pi - t and taken as Cl2(t) = Cl2(u) - Cl2(2u)/2, the duplication
+    formula, so that next to an odd multiple of pi, where Cl2 crosses zero,
+    the value keeps its relative accuracy as it does next to an even one,
+    where Cl2(t) ~ t (1 - ln t).  Cl2 of t, u and 2u comes from the series
+    of _clausen_fixed.
     """
     if not theta:
         return Decimal(0)
     w = digits + guard_digits(digits)
     need = _bits(w + 10)
-    p, q = theta.as_integer_ratio()
     # theta's digits above the point (the error of n * 2 pi) or below it (a small t)
-    bits = need + _bits(abs(theta.adjusted())) + 16
-    while True:
-        r, n, fold = (p << bits) // q, 0, False
-        if abs(r) > 1 << bits:  # pi reduces r past pi, or folds it past pi/2
-            pi = _fixed("pi", bits)
-            n = (r + pi) // (2 * pi)
-            r -= 2 * n * pi
-            fold = 2 * abs(r) > pi
-            if fold:  # u = pi - |r|, with r's sign
-                r = pi - r if r > 0 else -pi - r
-        # r carries at most 4|n| + 3 units of error; keep `need` bits past them
-        short = need + abs(n).bit_length() + 3 - abs(r).bit_length()
-        if short <= 0:
-            break
-        bits += max(short, bits // 2) + 16  # by half at least: theta may lie within 10^-d of k pi, d large
+    r, bits, fold = _reduce_2pi(theta, 0, need + _bits(abs(theta.adjusted())) + 16, need)
     # the series needs `need` bits below the leading bit of t or u, not the
     # bits that covered theta's integer part
     drop = min(abs(r).bit_length(), bits) - need - 16

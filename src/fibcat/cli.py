@@ -18,7 +18,7 @@ from pathlib import Path
 from . import engine
 from .arbreal.core import round_to
 from .errors import FibcatError
-from .seriesdsl import builtin_registry, format_params, parse_params, parse_registry
+from .seriesdsl import KINDS, builtin_registry, format_params, parse_params, parse_registry
 
 _CSV_HEADER = ["id", "binding", "kind", "status", "digits_requested", "digits_achieved", "terms", "seconds"]
 
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, id_metavar, id_help):
         p.add_argument("--id", dest="id_glob", metavar=id_metavar, help=id_help)
-        p.add_argument("--kind", choices=("series", "finite", "algebraic", "radical", "integral", "constant"))
+        p.add_argument("--kind", choices=KINDS)
         p.add_argument("--registry", action="append", default=[], metavar="PATH",
                        help="extra registry file (repeatable)")
         p.add_argument("--include-printed", action="store_true",
@@ -102,13 +102,16 @@ def _parse_param_ranges(specs) -> dict:
 
 
 def _config(records, args, digits=None) -> engine.VerifyConfig:
-    """The run's config; a --param no selected record declares, or a
-    selection with nothing to check, is a usage error."""
+    """The run's config; digits below 1, a --param no selected record
+    declares, or a selection with nothing to check, is a usage error."""
     ranges = _parse_param_ranges(args.param)
     unknown = sorted(set(ranges) - {name for r in records for name, _, _ in r.params})
     if unknown:
         raise SystemExit2(f"no selected record has the parameter {', '.join(unknown)}")
-    config = engine.VerifyConfig(digits=digits, param_ranges=ranges)
+    try:
+        config = engine.VerifyConfig(digits=digits, param_ranges=ranges)
+    except ValueError as exc:  # the one check of digits, expr.check_digits
+        raise SystemExit2(f"--digits: {exc}") from None
     if not any(engine.bindings(r, config) for r in records):
         raise SystemExit2("the selection leaves nothing to check")
     return config
@@ -169,24 +172,12 @@ def _report_csv(report: engine.VerificationReport) -> str:
     writer = csv.writer(buf)
     writer.writerow(_CSV_HEADER)
     for r in report.results:
-        writer.writerow(
-            [
-                r.record_id,
-                r.binding_text(),
-                r.kind,
-                r.status,
-                "" if r.digits_requested is None else r.digits_requested,
-                "" if r.digits_achieved is None else r.digits_achieved,
-                "" if r.terms_used is None else r.terms_used,
-                f"{r.seconds:.3f}",
-            ]
-        )
+        row = _result_json(r) | {"seconds": f"{r.seconds:.3f}"}
+        writer.writerow(["" if row[k] is None else row[k] for k in _CSV_HEADER])
     return buf.getvalue()
 
 
 def cmd_verify(args) -> int:
-    if args.digits is not None and args.digits < 1:
-        raise SystemExit2("--digits must be at least 1")
     records = _select(_load_records(args), args)
     config = _config(records, args, args.digits)
     report = engine.verify_all(records, config)
@@ -203,8 +194,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.digits < 1:
-        raise SystemExit2("--digits must be at least 1")
     if args.id_glob is None:
         raise SystemExit2("eval needs --id ID (an exact record id)")
     records = [r for r in _load_records(args) if r.id == args.id_glob]
@@ -227,10 +216,9 @@ def cmd_eval(args) -> int:
             print(f"  rhs = {round_to(sides.rhs, digits)}")
             print(f"  |lhs - rhs| = {sides.diff:.3E}")
         elif sides is not None:
-            square = "^2" if sides.squared else ""
-            print(f"  lhs{square} = {sides.lhs}")
-            print(f"  rhs{square} = {sides.rhs}")
-            print(f"  exact match{' (squares and signs)' if sides.squared else ''}: {sides.exact}")
+            print(f"  lhs = {sides.lhs}")
+            print(f"  rhs = {sides.rhs}")
+            print(f"  exact match: {sides.exact}")
         if result.status == "error":
             print(f"  {result.detail}")
         elif sides.exact is None:

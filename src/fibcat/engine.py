@@ -22,8 +22,8 @@ differ in where they stop:
 
 Exact kinds (finite, algebraic, radical) never compare floats: they reduce
 to Fraction or QuadRat equality.  An algebraic or radical record whose side
-leaves Q(sqrt5) has both sides squared into it and their exact signs
-compared; only a failed row evaluates its sides, for the gap, at 20 digits.
+leaves Q(sqrt5) has its sides compared as forms u*sqrt(v) by their
+difference; only a failed row evaluates its sides, for the gap, at 20 digits.
 A finite record keeps one running exact sum across its bindings.  An
 integral or constant record without a series side is first tried exactly
 in Q(sqrt2)[pi, 1/pi] (expr.eval_exact_pi), where a quadrature that is an
@@ -54,12 +54,13 @@ from functools import partial
 from . import expr
 from .arbreal import core as _core
 from .errors import ConvergenceError, TailBoundViolation, UnsupportedRecordError
-from .exactnum import ONE, qr_pow
+from .exactnum import ONE, Radical
 from .expr import (
     Clausen,
     Expr,
     NumericEvaluator,
     Quad,
+    check_digits,
     children,
     eval_exact_pi,
     eval_exact_qsqrt5,
@@ -119,18 +120,14 @@ class VerificationReport(Value):
 
 
 class Sides(Value):
-    """Both sides of one binding: Decimals with |lhs - rhs| in `diff`, or
-    exact values (squares when `squared`) with their verdict in `exact` and
-    `diff` 0 on a match, else their gap to 20 digits or more.  `terms`,
-    `strategy` and `tail_bound` (the tail bound or algebraic-tail gap
-    estimate) describe a series side; `detail` is a note for the row, such
-    as the radical route of an algebraic record."""
+    """Both sides of one binding: Decimals with |lhs - rhs| in `diff`, or exact
+    values (Fractions, QuadRats or forms u*sqrt(v)) with their verdict in
+    `exact` and `diff` 0 on a match, else their gap to 20 digits or more.
+    `terms`, `strategy` and `tail_bound` (the tail bound or algebraic-tail gap
+    estimate) describe a series side; `detail` is a note for the row."""
 
-    __slots__ = ("lhs", "rhs", "diff", "exact", "squared", "terms", "strategy", "tail_bound", "detail")
-    _defaults = {
-        "diff": None, "exact": None, "squared": False, "terms": None, "strategy": None, "tail_bound": None,
-        "detail": "",
-    }
+    __slots__ = ("lhs", "rhs", "diff", "exact", "terms", "strategy", "tail_bound", "detail")
+    _defaults = {"diff": None, "exact": None, "terms": None, "strategy": None, "tail_bound": None, "detail": ""}
 
 
 class VerifyConfig(Value):
@@ -145,13 +142,8 @@ class VerifyConfig(Value):
     __slots__ = ("digits", "param_ranges")
 
     def __init__(self, digits: int | None = None, param_ranges: dict | None = None):
-        _check_digits(digits)
+        check_digits(digits)
         super().__init__(digits, {} if param_ranges is None else param_ranges)
-
-
-def _check_digits(digits: int | None) -> None:
-    if digits is not None and digits < 1:
-        raise ValueError(f"digits must be at least 1, got {digits}")
 
 
 # ------------------------------------------------------------------ summation
@@ -344,25 +336,23 @@ def _exact_int(e: Expr, env, what: str) -> int:
 
 def _exact_sides(record: IdentityRecord, binding: dict, digits=None) -> Sides:
     """Sides of an algebraic or radical record: exact in Q(sqrt5) when both
-    sides lie in it, else the squares of their u*sqrt(v) forms (v > 0 and
-    zero is (0, 1), so the sign of a side is that of u) with their exact
-    signs.  A failed row's diff is the gap of the sides evaluated once each
-    at RADICAL_SIGN_DIGITS."""
+    sides lie in it, else forms u*sqrt(v) (exactnum.Radical), equal iff their
+    difference is the zero form; a difference of None, radicands that differ
+    by no square in Q(sqrt5), is unequal, as u*sqrt(v) = t*sqrt(w) with u, t
+    nonzero forces w/v = (u/t)^2.  A failed row's diff is the gap of the
+    sides evaluated once each at RADICAL_SIGN_DIGITS."""
     sides = (record.lhs, record.rhs)
     lhs, rhs = (eval_exact_qsqrt5(side, binding) for side in sides)
-    squared = lhs is None or rhs is None
-    ok = lhs == rhs
-    if squared:
-        forms = [eval_one_radical(side, binding) for side in sides]
-        if None in forms:
-            raise UnsupportedRecordError(f"{record.id}: sides do not square into Q(sqrt5)")
-        lhs, rhs = (qr_pow(u, 2) * v for u, v in forms)
-        signs = [u.sign() for u, _ in forms]
-        ok = lhs == rhs and signs[0] == signs[1]
+    radical = lhs is None or rhs is None
+    if radical:
+        lhs, rhs = (eval_one_radical(side, binding) for side in sides)
+        if lhs is None or rhs is None:
+            raise UnsupportedRecordError(f"{record.id}: a side is no form u*sqrt(v) over Q(sqrt5)")
+    ok = lhs - rhs == Radical.of(0) if radical else lhs == rhs
     values = () if ok else [eval_numeric(side, binding, RADICAL_SIGN_DIGITS) for side in sides]
     diff = Decimal(0) if ok else _core.context(30).subtract(*values).copy_abs()
-    detail = "routed to radical check" if squared and record.kind == "algebraic" else ""
-    return Sides(lhs, rhs, diff=diff, exact=ok, squared=squared, detail=detail)
+    detail = "routed to radical check" if radical and record.kind == "algebraic" else ""
+    return Sides(lhs, rhs, diff=diff, exact=ok, detail=detail)
 
 
 def _pi_sides(record: IdentityRecord, binding: dict):
@@ -434,7 +424,7 @@ def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = N
     """Both sides of `record` at one binding, numeric kinds to `digits` digits
     (a series' quadrature rhs to at least DIGITS_INTEGRAL + COMPARE_GUARD),
     by default to the record's target plus COMPARE_GUARD, as `verify` does."""
-    _check_digits(digits)
+    check_digits(digits)
     target, sides_of = _kind(record, VerifyConfig())
     return sides_of(binding, target + COMPARE_GUARD if digits is None and target is not None else digits)
 

@@ -167,6 +167,11 @@ class Radical(tuple):
             u, n = ONE / (u * v), -n  # 1/(u sqrt(v)) = sqrt(v)/(u v)
         return Radical(qr_pow(u, n) * qr_pow(v, n // 2), v if n % 2 else ONE)
 
+    def __str__(self) -> str:
+        u, v = self
+        factor = "" if u == ONE else f"({u})*" if u.a and u.b else f"{u}*"
+        return str(u) if v == ONE else f"{factor}sqrt({v})"
+
 
 class PiPoly(dict):
     """A finite Laurent polynomial in pi over Q(sqrt2), {(power of pi, power

@@ -31,8 +31,8 @@ c*gamma^n split from its F and L factors (c, gamma exact in Q(sqrt5)).
 The engine derives it once per binding: an evaluator handed it with the
 series' index (`NumericEvaluator.step`) steps each term from the last
 through the chains, and the engine expands an algebraic tail from the
-factors.  A radical form u*sqrt(v) has v > 0, so the engine reads the sign
-of a side exactly.
+factors.  A radical form u*sqrt(v) has v > 0, so the engine compares two
+sides exactly by their difference.
 
 alpha and beta are primitive constants rather than spelled-out surds so
 the exact Q(sqrt5) evaluator can recognise them; the numeric evaluator
@@ -526,6 +526,12 @@ def _gamma(v: Fraction):
 # -------------------------------------------------------------- numeric path
 
 
+def check_digits(digits: int | None) -> None:
+    """The one check of a requested precision: None (a default) or at least 1."""
+    if digits is not None and digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
+
+
 class NumericEvaluator:
     """Evaluates trees at one working precision, target digits plus guard;
     values come back at that precision, callers round.
@@ -548,6 +554,7 @@ class NumericEvaluator:
     """
 
     def __init__(self, digits: int):
+        check_digits(digits)
         self.digits = digits
         self.w = digits + _core.guard_digits(digits)
         self.ctx = _core.context(self.w)

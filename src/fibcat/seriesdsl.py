@@ -51,6 +51,7 @@ from .expr import (
     RatLit,
     SeqCall,
     Var,
+    children,
     integer_poly,
     substitute,
 )
@@ -487,6 +488,7 @@ def _build_record(block: dict) -> IdentityRecord:
 # ---------------------------------------------------------------- serializer
 
 _ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
+_CALL_NAMES = {Quad: "quad", Clausen: "cl2"}  # the calls without a `name`
 
 
 def _fmt(e: Expr, level: int) -> str:
@@ -501,14 +503,9 @@ def _fmt(e: Expr, level: int) -> str:
         text, mine = QUAD_VAR, _ATOM
     elif isinstance(e, Neg):
         text, mine = "-" + _fmt(e.arg, _UNARY), _UNARY
-    elif isinstance(e, Fn):
-        text, mine = f"{e.name}({_fmt(e.arg, 0)})", _ATOM
-    elif isinstance(e, SeqCall):
-        text, mine = f"{e.name}({', '.join(_fmt(a, 0) for a in e.args)})", _ATOM
-    elif isinstance(e, Quad):
-        text, mine = f"quad({_fmt(e.body, 0)}, {_fmt(e.lower, 0)}, {_fmt(e.upper, 0)})", _ATOM
-    elif isinstance(e, Clausen):
-        text, mine = f"cl2({_fmt(e.arg, 0)})", _ATOM
+    elif isinstance(e, (Fn, SeqCall, Quad, Clausen)):
+        name = _CALL_NAMES.get(type(e)) or e.name
+        text, mine = f"{name}({', '.join(_fmt(a, 0) for a in children(e))})", _ATOM
     elif isinstance(e, BinOp):
         if e.op in "+-":
             mine = _ADD

@@ -170,8 +170,56 @@ _kernel_args = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_kernel_args, st.integers(5, 60))
 def test_kernels_match_themselves_at_thirty_more_digits(x, d):
-    for f, arg in ((ar.sin, x), (ar.cos, x), (ar.ln, x.copy_abs())):
+    for f, arg in ((ar.sin, x), (ar.cos, x), (ar.ln, x.copy_abs()), (ar.clausen2, x)):
         assert within_units(f(arg, d), f(arg, d + 30), d)
+
+
+_PI_GAUSS = ar.const_pi_check(260)  # not the Machin pi that sin, cos and Cl2 reduce against
+
+
+@st.composite
+def _near_quarter_turns(draw):
+    """(x, d, m, t): x = m pi/2 + t to k + d + 30 digits, 0 < |t| < 10^-k for a
+    k up to d + 30, and t recomputed from x with Gauss's pi."""
+    d = draw(st.integers(5, 60))
+    k = draw(st.integers(1, d + 30))
+    m = draw(st.integers(-40, 40))
+    t = Decimal(draw(st.integers(-(10**6) + 1, 10**6 - 1).filter(bool))).scaleb(-k - 6)
+    ctx = core.context(250)
+    x = core.context(k + d + 30).add(ctx.multiply(m, ctx.divide(_PI_GAUSS, 2)), t)
+    return x, d, m, ctx.subtract(x, ctx.multiply(m, ctx.divide(_PI_GAUSS, 2)))
+
+
+def _sin_cos_taylor(t: Decimal):
+    """(sin t, cos t) for |t| < 1 by their Taylor series at 250 digits."""
+    ctx = core.context(250)
+    sin = cos = Decimal(0)
+    term, j = Decimal(1), 0  # t^j / j!
+    while term.copy_abs() > Decimal("1E-250") or j < 2:
+        if j % 2:
+            sin = ctx.add(sin, term if j % 4 == 1 else ctx.minus(term))
+        else:
+            cos = ctx.add(cos, term if j % 4 == 0 else ctx.minus(term))
+        j += 1
+        term = ctx.divide(ctx.multiply(term, t), j)
+    return sin, cos
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_quarter_turns())
+def test_sin_cos_and_clausen_next_to_a_multiple_of_a_quarter_turn(case):
+    # the reduction modulo 2 pi cancels up to d + 36 leading digits here:
+    # sin and cos keep their relative accuracy, against the Taylor series
+    # of t, and Cl2 agrees with its value at the argument taken off 2 pi j by hand
+    x, d, m, t = case
+    ctx = core.context(250)
+    s, c = _sin_cos_taylor(t)
+    quarter = [s, c, ctx.minus(s), ctx.minus(c)]  # sin(m pi/2 + t), m = 0, 1, 2, 3 modulo 4
+    assert within_units(ar.sin(x, d), quarter[m % 4], d)
+    assert within_units(ar.cos(x, d), quarter[(m + 1) % 4], d)
+    j = (m + 2) // 4  # m - 4j lies in [-2, 1]
+    reduced = ctx.subtract(x, ctx.multiply(2 * j, _PI_GAUSS))
+    assert within_units(ar.clausen2(x, d), ar.clausen2(reduced, d + 30), d)
 
 
 @settings(max_examples=300, deadline=None)

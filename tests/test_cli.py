@@ -173,7 +173,10 @@ def test_eval_with_param_binding(capsys):
     [
         (["s7.id1", "--param", "n=3"], ["  exact match: True"]),
         (["s1.binet.F", "--param", "r=2"], ["  exact match: True"]),
-        (["s2.lem3.sqrt.alpha"], ["  exact match (squares and signs): True"]),
+        (
+            ["s2.lem3.sqrt.alpha"],
+            ["  lhs = sqrt(1/2 + 1/2*sqrt5)", "  rhs = (1/2 + 1/2*sqrt5)*sqrt(-1/2 + 1/2*sqrt5)", "  exact match: True"],
+        ),
         (["s7.lem7.pi2"], ["  |lhs - rhs| = ", "  verdict: pass"]),
         (["s1.Cn.rep1", "--param", "n=2"], ["  lhs = 2", "  rhs = 2", "  exact match: True"]),
         (["s1.G3.compact"], ["  |lhs - rhs| = ", "  verdict: pass"]),

@@ -9,6 +9,7 @@ from fibcat import arbreal as ar
 from fibcat import cli, engine, exactnum, expr
 from fibcat.arbreal import core
 from fibcat.errors import ConvergenceError, TailBoundViolation
+from fibcat.exactnum import Radical
 from fibcat.expr import BinOp, NumericEvaluator, RatLit, term_ratio
 from fibcat.seriesdsl import (
     AlgebraicTail,
@@ -105,7 +106,7 @@ def test_finite_check_contract_values(records):
 def test_algebraic_check_lemma_instances(records):
     for rid, r in (("s2.lem4.plus", 3), ("s6.lem6.plus", 0), ("s4.lem5.plus", 0)):
         sides = engine.evaluate_sides(records[rid], {"r": r})
-        assert sides.exact and sides.lhs == sides.rhs and not sides.squared, rid
+        assert sides.exact and sides.lhs == sides.rhs and isinstance(sides.lhs, exactnum.QuadRat), rid
         assert sides.diff == 0 and sides.detail == "", rid
 
 
@@ -113,7 +114,9 @@ def test_algebraic_routes_to_radical_when_not_representable(records):
     record = records["s2.lem4.plus"]
     surd = record.replace(rhs=parse_expression("sqrt((alpha*F(r-2) + F(r+1))^2)"))
     sides = engine.evaluate_sides(surd, {"r": 2})
-    assert sides.squared and sides.exact and sides.detail == "routed to radical check"
+    # the forms 2 and 1*sqrt(4) differ by the zero form
+    assert (sides.lhs, sides.rhs) == (Radical.of(2), Radical(exactnum.ONE, exactnum.QuadRat.of(4)))
+    assert sides.exact and sides.detail == "routed to radical check"
     results = engine.verify_identity(surd, engine.VerifyConfig(param_ranges={"r": (2, 2)}))
     assert results[0].status == "pass"
     assert "radical" in results[0].detail
@@ -122,21 +125,24 @@ def test_algebraic_routes_to_radical_when_not_representable(records):
 def test_radical_check_lemma_and_sign_control(records):
     for rid in ("s2.lem3.sqrt.alpha", "s2.lem3.sqrt.alpha.sqrt5"):
         sides = engine.evaluate_sides(records[rid], {})
-        assert sides.squared and sides.exact and sides.lhs == sides.rhs and sides.detail == "", rid
+        assert isinstance(sides.lhs, Radical) and sides.lhs - sides.rhs == Radical.of(0), rid
+        assert sides.exact and sides.lhs**2 == sides.rhs**2 and sides.detail == "", rid
     corrupted = records["s2.lem3.sqrt.alpha"].replace(rhs=parse_expression("-(alpha*sqrt(-beta))"))
     sides = engine.evaluate_sides(corrupted, {})
-    assert sides.squared and sides.lhs == sides.rhs and not sides.exact  # squares agree, signs disagree
+    # the squares agree and the signs do not: the difference is 2 lhs, not zero
+    assert sides.lhs**2 == sides.rhs**2 and sides.lhs - sides.rhs == Radical.of(2) * sides.lhs
+    assert not sides.exact
 
 
 def test_a_radical_record_inside_q_sqrt5_is_compared_exactly(records):
     binet = records["s1.binet.F"]
     record = binet.replace(id="t.radical", kind="radical")
     sides = engine.evaluate_sides(record, {"r": 4})
-    assert (sides.exact, sides.squared, sides.diff) == (True, False, 0)
+    assert (sides.exact, type(sides.lhs), sides.diff) == (True, exactnum.QuadRat, 0)
     assert sides.lhs == sides.rhs == engine.evaluate_sides(binet, {"r": 4}).lhs
     off = record.replace(rhs=BinOp("+", record.rhs, RatLit(Fraction(1, 10**6))))
     sides = engine.evaluate_sides(off, {"r": 4})
-    assert (sides.exact, sides.squared) == (False, False)
+    assert (sides.exact, type(sides.lhs)) == (False, exactnum.QuadRat)
     assert abs(sides.diff - Decimal("1E-6")) < Decimal("1E-18")  # the gap at RADICAL_SIGN_DIGITS
 
 
@@ -203,10 +209,10 @@ def test_a_half_integer_power_of_a_negative_base_is_an_error_row_that_names_it()
 
 
 def test_a_sum_of_radicals_whose_square_leaves_q_sqrt5_stays_an_error_row():
-    # (2 + sqrt2)^2 = 6 + 4*sqrt2 is not in Q(sqrt5)
+    # 2 + sqrt2 is no form u*sqrt(v): its square 6 + 4*sqrt2 is not in Q(sqrt5)
     record = _record('id = "t.out" kind = "radical" paper = "p" lhs = "sqrt(2)*sqrt(2) + sqrt(2)" rhs = "2 + sqrt(2)"')
     (row,) = engine.verify_identity(record)
-    assert (row.status, row.detail) == ("error", "UnsupportedRecordError: t.out: sides do not square into Q(sqrt5)")
+    assert (row.status, row.detail) == ("error", "UnsupportedRecordError: t.out: a side is no form u*sqrt(v) over Q(sqrt5)")
     (row,) = engine.verify_identity(record.replace(lhs=parse_expression("sqrt(2) + sqrt(3)")))
     assert row.status == "error"
 
@@ -312,7 +318,8 @@ def test_evaluate_sides_numeric_and_exact(records):
     assert sides.diff < Decimal("1E-29")
     sides = engine.evaluate_sides(records["s7.id1"], {"n": 3}, None)
     assert (sides.exact, sides.lhs, sides.rhs) == (True, Fraction(118, 15), Fraction(118, 15))
-    assert engine.evaluate_sides(records["s2.lem3.sqrt.alpha"], {}).squared
+    sides = engine.evaluate_sides(records["s2.lem3.sqrt.alpha"], {})
+    assert isinstance(sides.lhs, Radical) and sides.exact
 
 
 @pytest.mark.parametrize("rid", ["s2.G.z15", "s1.lem1.sin.pi10", "s7.wallis.odd", "s7.thm10", "s7.lem7.pi6"])
@@ -329,6 +336,17 @@ def test_digits_below_one_are_refused(records, digits):
         engine.VerifyConfig(digits=digits)
     with pytest.raises(ValueError, match="at least 1"):
         engine.evaluate_sides(records["s2.G2t.pi3.printed"], {}, digits)
+
+
+@pytest.mark.parametrize("digits", [-5, 0])
+def test_sum_series_and_eval_numeric_refuse_digits_below_one(records, digits):
+    # sum_series at 0 digits returned 0.5 after one term; eval_numeric raised
+    # the decimal module's own "valid range for prec"
+    euler = records["s5.Y.euler"]
+    with pytest.raises(ValueError, match="^digits must be at least 1"):
+        engine.sum_series(euler.lhs, {}, euler.tail, digits)
+    with pytest.raises(ValueError, match="^digits must be at least 1"):
+        engine.eval_numeric(parse_expression("pi"), {}, digits)
 
 
 def _record(text):

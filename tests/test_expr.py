@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibcat import arbreal as ar
-from fibcat import exactnum
+from fibcat import engine, exactnum
 from fibcat import expr as expr_module
 from fibcat.arbreal import core
 from fibcat.errors import ConvergenceError, DomainError, UnboundVariableError
@@ -42,7 +42,15 @@ from fibcat.expr import (
     term_ratio,
 )
 from fibcat.poly import linear_product
-from fibcat.seriesdsl import AlgebraicTail, FiniteSpec, SeriesSpec, builtin_registry, format_expr, parse_expression
+from fibcat.seriesdsl import (
+    AlgebraicTail,
+    FiniteSpec,
+    IdentityRecord,
+    SeriesSpec,
+    builtin_registry,
+    format_expr,
+    parse_expression,
+)
 from fibcat.seriesdsl import parse_expression as parse
 
 CTX = core.context(80)
@@ -634,6 +642,24 @@ def test_a_sum_of_radicals_is_a_form_iff_their_radicands_differ_by_a_square(a, b
         assert form is None
     else:
         assert form is not None
+
+
+def _squares_and_signs(lhs, rhs) -> bool:
+    """The rule the difference rule replaced, kept as an oracle: u*sqrt(v) =
+    t*sqrt(w), v and w > 0, iff u^2 v = t^2 w and u, t have one sign."""
+    (u, v), (t, w) = lhs, rhs
+    return exactnum.qr_pow(u, 2) * v == exactnum.qr_pow(t, 2) * w and u.sign() == t.sign()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_radical_exprs, _radical_exprs, _positive_qsqrt5, st.sampled_from(["other", "same", "negated"]))
+def test_radical_sides_are_equal_iff_their_difference_is_the_zero_form(a, b, s, rhs_of):
+    # rhs is b, or a (or -a) times sqrt(s^2)/s: the same value in an unlike form
+    if rhs_of != "other":
+        b = BinOp("/", BinOp("*", a if rhs_of == "same" else Neg(a), Fn("sqrt", _literal(s * s))), _literal(s))
+    sides = engine.evaluate_sides(IdentityRecord("t.pair", "radical", "p", a, b, ()), {})
+    assert sides.exact == _squares_and_signs(eval_one_radical(a, {}), eval_one_radical(b, {}))
+    assert sides.exact == (rhs_of == "same") or rhs_of == "other"
 
 
 @settings(max_examples=200, deadline=None)

@@ -138,7 +138,7 @@ def test_defaults_are_those_of_the_fields():
     row = engine.VerificationResult("t.id", (), "constant", "pass", None, None, None, None, 0.0)
     assert (row.detail, row.strategy, row.tail_bound) == ("", None, None)
     sides = engine.Sides(1, 1)
-    assert (sides.diff, sides.exact, sides.squared, sides.terms, sides.detail) == (None, None, False, None, "")
+    assert (sides.diff, sides.exact, sides.terms, sides.detail) == (None, None, None, "")
     assert engine.VerifyConfig().digits is None
     # a mutable default is a fresh object per value
     config, registry = engine.VerifyConfig(), ParsedRegistry()

@@ -5,9 +5,11 @@ The substitution x = mid + half*tanh((pi/2) sinh t) pushes endpoint
 singularities to t = +-inf where the weights die double-exponentially, so
 integrable algebraic or logarithmic endpoint behaviour costs nothing.
 Node positions are stored as offsets from the endpoints (1 - |tanh u|),
-which keeps x accurate right next to a singular endpoint.  Cl2 takes no
-quadrature: after core's one reduction modulo 2 pi, that of sin and cos,
-its series runs in integer fixed point, as core's kernels do.
+which keeps x accurate right next to a singular endpoint.  Node tables are
+built 20 digits above the precision that reads them (_make_nodes states
+the error budget).  Cl2 takes no quadrature: after core's one reduction
+modulo 2 pi, that of sin and cos, its series runs in integer fixed point,
+as core's kernels do.
 """
 
 from __future__ import annotations
@@ -29,19 +31,33 @@ def _make_nodes(w: int, level: int):
     holds the odd multiples of h = 2^-L.  Each entry is (offset, weight)
     with offset = 1 - tanh((pi/2) sinh t) and weight = (pi/2) cosh t /
     cosh((pi/2) sinh t)^2.  Offsets are symmetric, so negative t reuses the
-    same table mirrored onto the other endpoint.
+    same table mirrored onto the other endpoint.  A node is kept while its
+    weight is at least 10^-(2w+10).
+
+    tanh_sinh reads each entry at w digits; the table is built at w + 20,
+    with one exp per level for the step of e^t and one per node for e^-2u.
+    Error budget, in units of the (w+20)-th digit: e^t after n steps is
+    within n + 2 units (each product rounds once), log10(nodes) + 1 digits.
+    sinh t = (e^t - e^-t)/2 cancels near t = 0, by at most log10(2^level)
+    + 1 digits, but the offset reads sinh t only through e^-2u, whose
+    relative error is pi times sinh's absolute error: e^t's error times
+    pi cosh t <= 2u + pi, which the cutoff holds below 5w + 40, another
+    log10(5w + 40) digits.  Every offset and weight keeps w + 10 digits or
+    more while log10(nodes) + log10(5w + 40) <= 8: at level 12 (8968
+    nodes at w = 21) up to w = 1000.
     """
-    ctx = context(2 * w + 30)
-    pi_half = ctx.divide(const_pi(2 * w + 30), 2)
+    ctx = context(w + 20)
+    pi_half = ctx.divide(const_pi(w + 20), 2)
     cutoff = Decimal(1).scaleb(-(2 * w + 10))
-    h = ctx.divide(1, 1 << level)
-    ks = range(0, 10**9) if level == 0 else range(1, 10**9, 2)
+    e_h = ctx.exp(ctx.divide(1, 1 << level))
+    # t = 0, 1, 2, ... at level 0 and h, 3h, 5h, ... above: e^t steps from
+    # node to node by one multiplication
+    et, step = (Decimal(1), e_h) if level == 0 else (e_h, ctx.multiply(e_h, e_h))
     nodes = []
-    for k in ks:
-        t = ctx.multiply(k, h)
-        et = ctx.exp(t)
-        sinh_t = ctx.divide(ctx.subtract(et, ctx.divide(1, et)), 2)
-        cosh_t = ctx.divide(ctx.add(et, ctx.divide(1, et)), 2)
+    while True:
+        e_minus_t = ctx.divide(1, et)
+        sinh_t = ctx.divide(ctx.subtract(et, e_minus_t), 2)
+        cosh_t = ctx.divide(ctx.add(et, e_minus_t), 2)
         eu = ctx.exp(ctx.multiply(-2, ctx.multiply(pi_half, sinh_t)))
         # 1 - tanh u = 2 e^{-2u} / (1 + e^{-2u}), exact to working precision,
         # and 1 / cosh(u)^2 = 1 - tanh(u)^2 = offset (2 - offset)
@@ -50,6 +66,7 @@ def _make_nodes(w: int, level: int):
         if weight < cutoff:
             break
         nodes.append((offset, weight))
+        et = ctx.multiply(et, step)
     return tuple(nodes)
 
 

@@ -114,9 +114,9 @@ def test_ln_against_library():
         ar.ln(Decimal(0), 10)
 
 
-def within_units(got: Decimal, want: Decimal, digits: int) -> bool:
-    """|got - want| is at most one unit in the digits-th significant digit of want."""
-    unit = CTX.scaleb(Decimal(1), want.adjusted() - digits + 1)
+def within_units(got: Decimal, want: Decimal, digits: int, units: int = 1) -> bool:
+    """|got - want| is at most `units` units in the digits-th significant digit of want."""
+    unit = CTX.scaleb(Decimal(units), want.adjusted() - digits + 1)
     return CTX.subtract(got, want).copy_abs() <= unit
 
 
@@ -568,32 +568,73 @@ def test_quadrature_polynomials_match_antiderivative():
         assert close(v, ctx.divide(1, k + 1), "1E-30")
 
 
-def test_two_exp_node_weights_match_the_four_exp_formula():
-    # weight = (pi/2) cosh t / cosh(u)^2 with u = (pi/2) sinh t, computed
-    # here from four exponentials; _make_nodes uses 1/cosh(u)^2 = offset (2 - offset)
-    w = 54
+def _four_exp_nodes(w: int, level: int):
+    """(offset, weight) from four exponentials per node at 2w + 30 digits:
+    offset = e^-u / cosh u and weight = (pi/2) cosh t / cosh(u)^2 with
+    u = (pi/2) sinh t."""
     ctx = core.context(2 * w + 30)
     pi_half = ctx.divide(ar.const_pi(2 * w + 30), 2)
     cutoff = Decimal(1).scaleb(-(2 * w + 10))
+    h = ctx.divide(1, 1 << level)
+    nodes = []
+    for k in range(0, 10**9) if level == 0 else range(1, 10**9, 2):
+        t = ctx.multiply(k, h)
+        et, emt = ctx.exp(t), ctx.exp(ctx.minus(t))
+        u = ctx.multiply(pi_half, ctx.divide(ctx.subtract(et, emt), 2))
+        eu, emu = ctx.exp(u), ctx.exp(ctx.minus(u))
+        cosh_u = ctx.divide(ctx.add(eu, emu), 2)
+        weight = ctx.divide(ctx.multiply(pi_half, ctx.divide(ctx.add(et, emt), 2)), ctx.multiply(cosh_u, cosh_u))
+        if weight < cutoff:
+            break
+        nodes.append((ctx.divide(emu, cosh_u), weight))
+    return nodes
 
-    def cosh_sinh(v):
-        ev, emv = ctx.exp(v), ctx.exp(ctx.minus(v))
-        return ctx.divide(ctx.add(ev, emv), 2), ctx.divide(ctx.subtract(ev, emv), 2)
 
-    for level in range(4):
-        h = ctx.divide(1, 1 << level)
-        want = []
-        for k in range(0, 10**9) if level == 0 else range(1, 10**9, 2):
-            cosh_t, sinh_t = cosh_sinh(ctx.multiply(k, h))
-            cosh_u, _ = cosh_sinh(ctx.multiply(pi_half, sinh_t))
-            weight = ctx.divide(ctx.multiply(pi_half, cosh_t), ctx.multiply(cosh_u, cosh_u))
-            if weight < cutoff:
-                break
-            want.append(weight)
-        got = [weight for _, weight in quadrature._make_nodes(w, level)]
-        assert len(got) == len(want)
-        for g, v in zip(got, want):
-            assert ctx.subtract(g, v).copy_abs() < Decimal(1).scaleb(-(2 * w + 20))
+def test_node_tables_match_the_four_exp_formula_to_w_plus_10_digits():
+    # _make_nodes works at w + 20 digits and steps e^t; tanh_sinh reads w.
+    # Level 12 at w = 21 is the depth the divergent integrand below reaches.
+    for w, level in [(w, level) for w in (12, 21, 54, 113) for level in range(6)] + [(21, 12)]:
+        want = _four_exp_nodes(w, level)
+        got = quadrature._make_nodes(w, level)
+        assert len(got) == len(want), (w, level)
+        ctx = core.context(2 * w + 30)
+        for pair, oracle in zip(got, want):
+            for g, v in zip(pair, oracle):
+                assert ctx.subtract(g, v).copy_abs() <= ctx.multiply(v, Decimal(1).scaleb(-(w + 10))), (w, level)
+
+
+def test_node_tables_ask_for_no_precision_above_w_plus_20(monkeypatch):
+    asked = []
+    make = core.context
+
+    def record(digits):
+        asked.append(digits)
+        return make(digits)
+
+    monkeypatch.setattr(core, "context", record)
+    monkeypatch.setattr(quadrature, "context", record)
+    for w, level in ((21, 0), (21, 3), (54, 2), (113, 1)):
+        asked.clear()
+        quadrature._make_nodes(w, level)
+        assert asked and max(asked) <= w + 20
+
+
+def test_tanh_sinh_gives_catalan_at_100_digits():
+    # int_0^{pi/2} x / sin x dx = 2G
+    ctx = core.context(130)
+    v = ar.tanh_sinh(lambda x: ctx.divide(x, ar.sin(x, 130)), Decimal(0), ctx.divide(ar.const_pi(130), 2), 100)
+    assert within_units(ar.round_to(v, 100), ctx.multiply(2, ar.const_catalan_g(100)), 100, 2)
+
+
+def test_tanh_sinh_gives_the_x_squared_over_sin_x_integral_at_60_digits():
+    # int_0^{pi/2} x^2 / sin x dx = 2 pi G - 7 zeta(3) / 2
+    ctx = core.context(90)
+    pi = ar.const_pi(90)
+    v = ar.tanh_sinh(lambda x: ctx.divide(ctx.multiply(x, x), ar.sin(x, 90)), Decimal(0), ctx.divide(pi, 2), 60)
+    want = ctx.subtract(
+        ctx.multiply(ctx.multiply(2, pi), ar.const_catalan_g(90)), ctx.divide(ctx.multiply(7, ar.const_zeta3(90)), 2)
+    )
+    assert within_units(ar.round_to(v, 60), ar.round_to(want, 60), 60, 2)
 
 
 def test_quadrature_divergent_integrand_raises():

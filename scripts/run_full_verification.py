@@ -13,7 +13,9 @@ speed varies by up to 1.8x).  outdir defaults to verification_out.
 Besides the counts it prints the seconds its builtin_registry() call took
 (the registry parse), then the row seconds summed by verification class
 (CLASSES): a record with a series side counts by its tail, any other by
-its kind.
+its kind.  For the two series classes (SERIES_CLASSES) it then prints the
+terms summed, the total of the rows' terms_used, and the microseconds of
+row time per term.
 """
 
 import argparse
@@ -28,6 +30,7 @@ from fibcat.cli import _report_csv, _report_json, _report_text  # noqa: E402
 from fibcat.seriesdsl import AlgebraicTail, SeriesSpec, builtin_registry  # noqa: E402
 
 CLASSES = ("finite", "algebraic/radical", "geometric series", "algebraic-tail series", "integrals", "constants")
+SERIES_CLASSES = ("geometric series", "algebraic-tail series")
 
 
 def verification_class(record) -> str:
@@ -41,13 +44,15 @@ def verification_class(record) -> str:
 
 
 def class_seconds(records, report) -> dict:
-    """class -> [rows, summed row seconds], every class of CLASSES listed."""
+    """class -> [rows, summed row seconds, summed terms_used], every class
+    of CLASSES listed; a row without terms_used (an error row) adds none."""
     of = {r.id: verification_class(r) for r in records}
-    out = {name: [0, 0.0] for name in CLASSES}
+    out = {name: [0, 0.0, 0] for name in CLASSES}
     for row in report.results:
         entry = out[of[row.record_id]]
         entry[0] += 1
         entry[1] += row.seconds
+        entry[2] += row.terms_used or 0
     return out
 
 
@@ -73,9 +78,15 @@ def main(argv=None) -> int:
     print(f"{len(report.results)} checks in {elapsed:.1f}s: "
           f"{counts['pass']} pass, {counts['fail']} fail, {counts['error']} error")
     print(f"registry parsed in {parsed:.3f} s")
+    by_class = class_seconds(records, report)
     print("row seconds by class:")
-    for name, (rows, seconds) in class_seconds(records, report).items():
+    for name, (rows, seconds, _) in by_class.items():
         print(f"  {name:<22} {rows:5d} rows {seconds:7.2f} s")
+    print("terms summed by series class:")
+    for name in SERIES_CLASSES:
+        _, seconds, terms = by_class[name]
+        per_term = f"{1e6 * seconds / terms:7.2f}" if terms else "      -"
+        print(f"  {name:<22} {terms:9d} terms {per_term} us/term")
     print(f"as-printed variants failing (expected): "
           f"{sorted({r.record_id for r in report.failures() if r.record_id in printed})}")
     if unexpected:

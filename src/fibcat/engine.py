@@ -1,18 +1,24 @@
 """Series summation with sound tail control, exact checks, verification.
 
 `sum_series` derives the term's ratio (expr.term_ratio) once per binding
-and hands it to the evaluator and to an algebraic tail's expansion.  One
-summation loop, `_terms`, serves both tails: it asks one NumericEvaluator
-for t(start), t(start+1), ..., and the evaluator steps each term from the
-last as Binet chains by that ratio, u_i(n+1) = u_i(n) * P(n)/Q(n) *
-gamma_i, and evaluates the tree only for the first term, any term after a
-zero t, P or Q, and every term of a term without a ratio.  The tails
-differ in where they stop:
+and hands it to the evaluator and to an algebraic tail's expansion.  Each
+tail's loop asks one NumericEvaluator for t(start), t(start+1), ..., one
+`eval` call per term, and the evaluator steps each term from the last as
+Binet chains by that ratio, u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i, and
+evaluates the tree only for the first term, any term after a zero t, P or
+Q, and every term of a term without a ratio.  The tails differ in where
+they stop:
 
-* geometric -- sum until |t_n| * rho/(1-rho) drops under the target,
-  validating the declared ratio bound against every term pair; a violated
-  bound is a hard TailBoundViolation, never a silent wrong answer.  The
-  tail bound adds the rounding allowance of the stepped terms.
+* geometric -- sum until |t_n| * rho/(1-rho) drops under 10^-digits,
+  validating the declared ratio bound against every term pair from the
+  tail's `from` on; a violated bound is a hard TailBoundViolation, never a
+  silent wrong answer.  The tail bound adds the rounding allowance of the
+  stepped terms.  The product |t_n| * rho/(1-rho) is formed only when the
+  exponents of |t_n| and rho/(1-rho) (Decimal.adjusted) sum below
+  -digits: otherwise it is at least 10^-digits, rounded too, and cannot
+  pass.  A zero term at or past `from` is a ConvergenceError: it would
+  pass the test while bounding nothing, so `from` must lie past every zero
+  term.
 * algebraic -- the term must be hypergeometric (one chain, gamma = 1): its
   first N terms (400, or more when a factor of the ratio has a far root)
   are summed, and the tail t(N)*f(N) comes from the asymptotic expansion
@@ -162,15 +168,6 @@ def sum_series(spec: SeriesSpec, env: dict, tail, digits: int) -> SumResult:
     raise TypeError(f"unknown tail strategy {tail!r}")
 
 
-def _terms(spec, env, evaluator):
-    """t(start), t(start + 1), ...: the one loop of both tails, each term
-    stepped from the last by the evaluator (NumericEvaluator.step)."""
-    env, term, index, evaluate = dict(env), spec.term, spec.index, evaluator.eval
-    for n in itertools.count(spec.start):
-        env[index] = n
-        yield evaluate(term, env)
-
-
 def _rounding(evaluator, terms: int, size: Decimal) -> Decimal:
     """The rounding allowance of a sum of `terms` terms whose |t| add up to
     `size`: a stepped term carries up to 3 roundings of 5*10^-w per step."""
@@ -183,23 +180,36 @@ def _sum_geometric(spec, env, tail, evaluator) -> SumResult:
     rho = expr.to_decimal(tail.ratio, ctx)
     factor = ctx.divide(rho, ctx.subtract(1, rho))
     eps = Decimal(1).scaleb(-evaluator.digits)
+    # |t| * factor >= 10^(|t|.adjusted() + factor.adjusted()), rounded too, so
+    # the bound can pass only when |t|.adjusted() is below `floor`
+    floor = -evaluator.digits - factor.adjusted()
+    env, term, index, evaluate = dict(env), spec.term, spec.index, evaluator.eval
+    start = tail.start  # the stop test and the pair checks begin here
     total = size = Decimal(0)  # the partial sum and the sum of |t(n)|
     prev = None  # |t(n-1)|
-    for n, t in enumerate(_terms(spec, env, evaluator), spec.start):
-        terms = n - spec.start + 1
+    for n in range(spec.start, spec.start + GEOMETRIC_TERM_CAP):
+        env[index] = n
+        t = evaluate(term, env)
         now = t.copy_abs()
         total, size = add(total, t), add(size, now)
-        if prev is not None and n > tail.start and now > multiply(rho, prev):
-            observed = ctx.divide(now, prev) if prev != 0 else Decimal("Infinity")
-            raise TailBoundViolation(n - 1, observed, tail.ratio)
-        bound = multiply(now, factor)
-        if n >= tail.start and bound < eps:
-            return SumResult(total, terms, add(bound, _rounding(evaluator, terms, size)), "geometric")
-        if terms >= GEOMETRIC_TERM_CAP:
-            raise ConvergenceError(
-                f"geometric summation hit the {GEOMETRIC_TERM_CAP}-term cap", best=total, gap=bound
-            )
+        if n >= start:
+            if not now:  # |t| * rho/(1-rho) = 0 would pass, yet bound nothing
+                raise ConvergenceError(
+                    f"term {n} is 0, at or past the tail's from={start}: from must lie past every zero term",
+                    best=total,
+                )
+            # a zero prev lies before `from`, where no pair is validated
+            if prev is not None and n > start and now > multiply(rho, prev):
+                raise TailBoundViolation(n - 1, ctx.divide(now, prev), tail.ratio)
+            if now.adjusted() < floor:
+                bound = multiply(now, factor)
+                if bound < eps:
+                    terms = n - spec.start + 1
+                    return SumResult(total, terms, add(bound, _rounding(evaluator, terms, size)), "geometric")
         prev = now
+    raise ConvergenceError(
+        f"geometric summation hit the {GEOMETRIC_TERM_CAP}-term cap", best=total, gap=multiply(now, factor)
+    )
 
 
 def _sum_algebraic(spec, env, evaluator, ratio) -> SumResult:
@@ -213,14 +223,17 @@ def _sum_algebraic(spec, env, evaluator, ratio) -> SumResult:
         raise ConvergenceError(f"algebraic tail needs {terms} terms, past the {ALGEBRAIC_TERM_CAP}-term cap")
     half = max(n_tail // 2, spec.start)
     ctx = evaluator.ctx
+    add = ctx.add
+    env, term, index, evaluate = dict(env), spec.term, spec.index, evaluator.eval
     total = size = Decimal(0)  # the partial sum and the sum of |t(n)|
-    for n, t in zip(range(spec.start, n_tail + 1), _terms(spec, env, evaluator)):
+    for n in range(spec.start, n_tail):
+        env[index] = n
+        t = evaluate(term, env)
         if n == half:
             half_total, half_t = total, t
-        if n == n_tail:
-            break
-        total = ctx.add(total, t)
-        size = ctx.add(size, t.copy_abs())
+        total, size = add(total, t), add(size, t.copy_abs())
+    env[index] = n_tail
+    t = evaluate(term, env)
 
     # S(N) = sum_{n<N} t(n) + t(N) * f(N), f(N) = sum_k c_k N^-k up to two
     # terms in a row below 10^-w (some c_k vanish).  The gap estimate is
@@ -229,9 +242,9 @@ def _sum_algebraic(spec, env, evaluator, ratio) -> SumResult:
     f_tail = f_half = Decimal(0)
     last = [Decimal(1), Decimal(1)]
     for k, c in tail_coefficients(ratio):
-        term, half_term = (expr.to_decimal(c * n**-k if k < 0 else c / n**k, ctx) for n in (n_tail, half))
-        f_tail, f_half = ctx.add(f_tail, term), ctx.add(f_half, half_term)
-        last = [last[1], ctx.multiply(term, t).copy_abs()]
+        at_tail, at_half = (expr.to_decimal(c * n**-k if k < 0 else c / n**k, ctx) for n in (n_tail, half))
+        f_tail, f_half = ctx.add(f_tail, at_tail), ctx.add(f_half, at_half)
+        last = [last[1], ctx.multiply(at_tail, t).copy_abs()]
         if max(last) < eps:
             break
     value = ctx.add(total, ctx.multiply(t, f_tail))
@@ -380,7 +393,8 @@ def _kind(record: IdentityRecord, config: VerifyConfig):
     record's kind: `sides(binding, digits)` gives one binding's Sides,
     numeric kinds at `digits` working digits.  Exact kinds have no target;
     `config.digits` moves the target of series and constants, integrals
-    keep their own."""
+    keep their own.  Whether a series record's rhs holds a quadrature is
+    read here, once per record."""
     kind = record.kind
     if kind == "finite":
         return None, _FiniteSum(record)
@@ -395,7 +409,8 @@ def _kind(record: IdentityRecord, config: VerifyConfig):
         target = config.digits or record.digits or DIGITS_CONSTANT
     else:
         raise UnsupportedRecordError(f"{record.id}: unknown kind {kind!r}")
-    return target, partial(_numeric_sides, record)
+    quad_rhs = isinstance(record.lhs, SeriesSpec) and _has_quadrature(record.rhs)
+    return target, partial(_numeric_sides, record, quad_rhs=quad_rhs)
 
 
 def _has_quadrature(e: Expr) -> bool:
@@ -429,17 +444,17 @@ def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = N
     return sides_of(binding, target + COMPARE_GUARD if digits is None and target is not None else digits)
 
 
-def _numeric_sides(record: IdentityRecord, binding: dict, digits: int) -> Sides:
+def _numeric_sides(record: IdentityRecord, binding: dict, digits: int, quad_rhs: bool) -> Sides:
     """Sides of a series, integral or constant record at `digits` working
     digits: the series summed (first term and stepped terms) and each other
     side evaluated.  A record without a series side is first tried exactly
-    in Q(sqrt2)[pi, 1/pi] (_pi_sides), and so is the quadrature rhs of a
-    series record."""
+    in Q(sqrt2)[pi, 1/pi] (_pi_sides), and so is the rhs of a series record
+    when it holds a quadrature (`quad_rhs`, read by _kind)."""
     rhs, detail = None, ""
     if isinstance(record.lhs, SeriesSpec):
         summed = sum_series(record.lhs, binding, record.tail, digits)
         lhs, terms, strategy, tail_bound = summed.value, summed.terms_used, summed.strategy, summed.tail_bound
-        if _has_quadrature(record.rhs):
+        if quad_rhs:
             digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
             exact = eval_exact_pi(record.rhs, binding)
             if exact is not None:

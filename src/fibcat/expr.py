@@ -581,52 +581,68 @@ def _stepper(index: str, ratio, run, ctx: Context):
     at the precision of `ctx`.  With R = P/Q and the chains (c_i, gamma_i)
     of `ratio`, t(n) = sum u_i(n), u_i(n) = c_i h(n) gamma_i^n, and
     u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i: a call for n steps the chains
-    of the last call when that call was for n - 1.  `run` takes the first
-    term, any term after a zero t, P or Q, and every term of a term without
-    a ratio; its value is split into chains, u_i(n) = t(n) * c_i gamma_i^n
-    / sum_j c_j gamma_j^n, with each c and gamma rounded once.  A chain
+    of the last call when that call was for n - 1.  P(n) and Q(n) are read
+    by Horner's rule from `ratio.p` and `ratio.q`, inline.  `run` takes the
+    first term, any term after a zero t, P or Q, and every term of a term
+    without a ratio; its value is split into chains, u_i(n) = t(n) * c_i
+    gamma_i^n / sum_j c_j gamma_j^n, with each c and gamma rounded once.
+    One chain is kept in two scalars, u and its gamma g (None for 1); more
+    are kept in lists, stepped and added in order in one pass.  A chain
     whose |gamma| is below another's is dropped once it falls under 10^-w
     of |t|: it only shrinks from there, against the chain of the largest
-    |gamma|.  The chains are updated in place, so a step allocates no
-    container."""
+    |gamma|, and the one chain left goes back to the scalars."""
     w = ctx.prec
     multiply, divide, add = ctx.multiply, ctx.divide, ctx.add
-    steps = ratio and _chain_steps(ratio, ctx)
-    us = gammas = fading = last = None  # the chains kept at `last`, or us None
+    if ratio is None:
+        return run
+    pc, qc, zeros = ratio.p, ratio.q, ratio.zeros
+    consts, gammas0, fading0 = _chain_steps(ratio, ctx)
+    # the chains kept at `last` (None when none is): u and g for one chain,
+    # us None; the lists us, gammas, fading for more
+    u = g = us = gammas = fading = last = None
 
     def stepped(env):
-        nonlocal us, gammas, fading, last
+        nonlocal u, g, us, gammas, fading, last
         try:
             n = env[index]
         except KeyError:
             return run(env)  # raises UnboundVariableError
-        before, last = last, n
-        if us is not None and n == before + 1:
-            p, q = ratio(before)
+        m, last = last, None
+        if m == n - 1 and m not in zeros:
+            p = q = 0  # P(m) and Q(m) by Horner's rule
+            for a in pc:
+                p = p * m + a
+            for a in qc:
+                q = q * m + a
             if p and q:
-                if len(us) == 1:  # the common case, without the loops below
-                    t = divide(multiply(us[0], p), q)
-                    us[0] = t = t if gammas[0] is None else multiply(t, gammas[0])
-                    if not t:
-                        us = None
+                if us is None:
+                    t = divide(multiply(u, p), q)
+                    if g is not None:
+                        t = multiply(t, g)
+                    if t:
+                        u, last = t, n
                     return t
-                for i, g in enumerate(gammas):
-                    u = divide(multiply(us[i], p), q)
-                    us[i] = u if g is None else multiply(u, g)
-                t = functools.reduce(add, us)
-                if not t:
-                    us = None
-                    return t
-                floor = t.adjusted() - w
-                keep = [i for i, u in enumerate(us) if not (fading[i] and u.adjusted() < floor)]
-                if len(keep) < len(us):
-                    us, gammas, fading = ([x[i] for i in keep] for x in (us, gammas, fading))
+                t = None
+                for i, gi in enumerate(gammas):
+                    v = divide(multiply(us[i], p), q)
+                    us[i] = v = v if gi is None else multiply(v, gi)
+                    t = v if t is None else add(t, v)
+                if t:
+                    last, floor = n, t.adjusted() - w
+                    keep = [i for i, v in enumerate(us) if not (fading[i] and v.adjusted() < floor)]
+                    if len(keep) == 1:
+                        u, g, us = us[keep[0]], gammas[keep[0]], None
+                    elif len(keep) < len(us):
+                        us, gammas, fading = ([x[i] for i in keep] for x in (us, gammas, fading))
                 return t
-        us = None
         t = run(env)
-        if ratio is not None and t:
-            consts, gammas, fading = steps
-            us = _split_chains(consts, gammas, t, n, ctx)
+        if t:
+            if len(consts) == 1:
+                u, g, us, last = t, gammas0[0], None, n
+            else:
+                us = _split_chains(consts, gammas0, t, n, ctx)
+                if us is not None:
+                    gammas, fading, last = gammas0, fading0, n
         return t
 
     return stepped
@@ -799,7 +815,7 @@ class TermRatio:
     def __call__(self, n: int):
         if n in self.zeros:
             return 0, 0
-        p = q = 0  # Horner's rule, inline: a call per value costs 5% of an algebraic-tail row
+        p = q = 0  # Horner's rule, as the stepper reads P and Q inline
         for a in self.p:
             p = p * n + a
         for a in self.q:
@@ -947,10 +963,8 @@ def _chain_steps(ratio: TermRatio, ctx: Context):
 
 
 def _split_chains(consts: list, gammas: list, t: Decimal, n: int, ctx: Context):
-    """[u_i(n)] with u_i(n) = t(n) * c_i gamma_i^n / sum_j c_j gamma_j^n;
-    None when that sum is 0."""
-    if len(consts) == 1:
-        return [t]
+    """[u_i(n)] with u_i(n) = t(n) * c_i gamma_i^n / sum_j c_j gamma_j^n for
+    two chains or more; None when that sum is 0."""
     parts = [c if g is None else ctx.multiply(c, ctx.power(g, n)) for c, g in zip(consts, gammas)]
     whole = functools.reduce(ctx.add, parts)
     if not whole:

@@ -1,9 +1,10 @@
-import functools
 import itertools
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibcat import arbreal as ar
 from fibcat import cli, engine, exactnum, expr
@@ -278,8 +279,16 @@ def test_geometric_term_cap_convergence_error(monkeypatch):
     monkeypatch.setattr(engine, "GEOMETRIC_TERM_CAP", 1000)
     record = next(r for r in builtin_registry() if r.id == "s2.Gt.pi2")
     slow = parse_tail("geometric ratio=999999/1000000 from=1")
-    with pytest.raises(ConvergenceError, match="hit the 1000-term cap"):
+    with pytest.raises(ConvergenceError, match="hit the 1000-term cap") as exc:
         engine.sum_series(record.lhs, {}, slow, 50)
+    # the gap is |t| * rho/(1-rho) of the last term, t(999), stepped alike
+    spec = record.lhs
+    evaluator = NumericEvaluator(50)
+    evaluator.step(spec.term, spec.index, term_ratio(spec.term, spec.index, {}))
+    last = [evaluator.eval(spec.term, {spec.index: n}) for n in range(1000)][-1]
+    ctx = evaluator.ctx
+    rho = ctx.divide(999999, 1000000)
+    assert exc.value.gap == ctx.multiply(last.copy_abs(), ctx.divide(rho, ctx.subtract(1, rho)))
 
 
 def test_perturbed_rhs_fails(records):
@@ -495,8 +504,10 @@ def test_one_evaluator_sums_a_binding_again_alike(records):
     evaluator = NumericEvaluator(50)
 
     def stepped_sum():
-        terms = itertools.islice(engine._terms(spec, binding, evaluator), alone.terms_used)
-        return functools.reduce(evaluator.ctx.add, terms, Decimal(0))
+        total = Decimal(0)
+        for n in range(spec.start, spec.start + alone.terms_used):
+            total = evaluator.ctx.add(total, evaluator.eval(spec.term, {**binding, spec.index: n}))
+        return total
 
     sums = []
     for _ in range(2):  # the evaluator stepped over the binding again
@@ -513,6 +524,85 @@ def test_a_zero_term_hands_the_next_term_to_the_evaluator():
     assert CTX.subtract(res.value, Decimal("0.375")).copy_abs() < Decimal("1E-40")
     direct = _per_term_sum(record.lhs, {}, 40, res.terms_used)
     assert CTX.subtract(res.value, direct).copy_abs() < Decimal("1E-45")
+
+
+def test_a_zero_term_at_or_past_from_is_a_convergence_error():
+    # from=0: t(0) = 0 met the stop test |t| * rho/(1-rho) < 10^-digits and
+    # the sum ended at 0, though sum binom(n, 2)/3^n = 3/8
+    record = _series_record("binom(n,2)/3^n", "geometric ratio=7/10")
+    with pytest.raises(ConvergenceError, match=r"term 0 is 0, at or past the tail's from=0") as exc:
+        engine.sum_series(record.lhs, {}, record.tail, 40)
+    assert exc.value.best == 0 and exc.value.gap is None
+
+
+@pytest.mark.parametrize("start, detail, terms", [(1, "term 2 is 0, at or past the tail's from=1", None), (10, "", 295)])
+def test_a_zero_term_past_from_is_an_error_row_not_a_false_fail(records, start, detail, terms):
+    # s2.thm.CF at s = -4 with from=1: F(2n - 4) = 0 at n = 2 ended the sum
+    # after 3 terms, a fail row; from=10 lies past the zero
+    rhs = format_expr(records["s2.thm.CF"].rhs)
+    record = _record(
+        'id = "t.cf" kind = "series" paper = "p" index = "n" start = 0 term = "C(n)*F(2*n-4)/4^(2*n+2)" '
+        f'tail = "geometric ratio=7/10 from={start}" rhs = "{rhs}" params = "s=-4..-4"'
+    )
+    (row,) = engine.verify_identity(record)
+    assert row.terms_used == terms
+    if terms is None:
+        assert row.status == "error" and row.detail.startswith("ConvergenceError: " + detail)
+        assert engine.exit_code([row]) == 3
+    else:
+        assert row.status == "pass"
+
+
+# sum_series at the working digits of verify, as strings at the commit before
+# the stepper kept one chain in scalars: a reordered or added rounding shows
+_PINNED = {
+    ("s1.G1.z12", ()): (  # one chain
+        60, "0.1362966948437268530010272010844105294643806439663817983906273298554577682338", 94,
+        "4.791485003370376927334846051922173284525297911747045894831689251907021856000E-61",
+    ),
+    ("s2.thm.CF", (("s", 3),)): (  # two chains, beta fades
+        60, "0.1559045198822066154481976045222780801185251659979603341585804547844754815459", 303,
+        "7.543124177289312236071163970893955752582378375443062101922080667336069666931E-61",
+    ),
+    ("s2.thm.CF", (("s", -4),)): (  # t(2) = 0 hands t(3) to the tree walk
+        60, "-0.1912471463007073635789987464790376298447650455388885972682837741749744999608", 295,
+        "8.030840298122383031446304367889633877882428370340804981967438672140486411148E-61",
+    ),
+    ("s3.sqF", ()): (  # three chains
+        60, "28.18180728667106873028013675388074257813717274749375886696580169507228897710", 352,
+        "7.481987481007844960246005093975013104097362739965591797902425549804869616944E-61",
+    ),
+    ("s7.thm12", (("r", 2),)): (  # algebraic tail
+        20, "0.10657257706567362548014844302321", 400, "6.4382918310323921658403101570721E-30",
+    ),
+}
+
+
+@pytest.mark.parametrize("rid, binding", list(_PINNED))
+def test_sums_are_pinned_bit_for_bit(records, rid, binding):
+    digits, value, terms, tail_bound = _PINNED[rid, binding]
+    record = records[rid]
+    res = engine.sum_series(record.lhs, dict(binding), record.tail, digits)
+    assert (str(res.value), res.terms_used, str(res.tail_bound)) == (value, terms, tail_bound)
+
+
+@st.composite
+def _at_w_digits(draw):
+    w = draw(st.integers(1, 80))
+    now, factor = (
+        Decimal(draw(st.integers(1, 10**w - 1))).scaleb(draw(st.integers(-200, 50))) for _ in range(2)
+    )
+    return w, now, factor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_at_w_digits(), st.integers(0, 300))
+def test_the_stop_test_skips_only_a_bound_that_cannot_pass(args, d):
+    # _sum_geometric multiplies |t| by rho/(1-rho) only when the exponents
+    # sum below -d: otherwise the rounded product is at least 10^-d
+    w, now, factor = args
+    if now.adjusted() + factor.adjusted() >= -d:
+        assert core.context(w).multiply(now, factor) >= Decimal(1).scaleb(-d)
 
 
 def test_a_term_without_a_ratio_is_evaluated_term_by_term():

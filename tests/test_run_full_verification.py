@@ -51,6 +51,30 @@ def test_prints_the_row_seconds_of_each_class(small_registry, tmp_path, capsys):
     assert all(cells[1::2] == ["rows", "s"] and float(cells[2]) >= 0 for cells in table.values())
 
 
+def test_prints_the_terms_and_the_row_time_per_term_of_each_series_class(small_registry, tmp_path, capsys):
+    assert script.main([str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("terms summed by series class:")
+    assert at == lines.index("row seconds by class:") + 1 + len(script.CLASSES)
+    table = {line[:25].strip(): line[25:].split() for line in lines[at + 1 : at + 1 + len(script.SERIES_CLASSES)]}
+    assert list(table) == list(script.SERIES_CLASSES)
+    # the two s2.ex.CF0 rows sum their terms; no algebraic-tail row ran
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())
+    geometric = sum(r["terms"] for r in rows if r["id"].startswith("s2.ex.CF0"))
+    assert table["geometric series"][:2] == [str(geometric), "terms"] and geometric > 0
+    assert table["geometric series"][3] == "us/term" and float(table["geometric series"][2]) > 0
+    assert table["algebraic-tail series"] == ["0", "terms", "-", "us/term"]
+
+
+def test_class_seconds_sums_the_terms_of_each_class(small_registry):
+    report = script.engine.verify_all(small_registry)
+    by_class = script.class_seconds(small_registry, report)
+    assert by_class["geometric series"][2] == sum(
+        r.terms_used for r in report.results if r.record_id.startswith("s2.ex.CF0")
+    )
+    assert by_class["algebraic-tail series"] == [0, 0.0, 0]
+
+
 def test_prints_the_registry_parse_above_the_row_seconds(small_registry, tmp_path, monkeypatch, capsys):
     def slow_registry():
         time.sleep(0.05)

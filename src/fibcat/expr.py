@@ -591,10 +591,10 @@ def _stepper(index: str, ratio, run, ctx: Context):
     whose |gamma| is below another's is dropped once it falls under 10^-w
     of |t|: it only shrinks from there, against the chain of the largest
     |gamma|, and the one chain left goes back to the scalars."""
-    w = ctx.prec
-    multiply, divide, add = ctx.multiply, ctx.divide, ctx.add
     if ratio is None:
         return run
+    w = ctx.prec
+    multiply, divide, add = ctx.multiply, ctx.divide, ctx.add
     pc, qc, zeros = ratio.p, ratio.q, ratio.zeros
     consts, gammas0, fading0 = _chain_steps(ratio, ctx)
     # the chains kept at `last` (None when none is): u and g for one chain,

@@ -66,15 +66,6 @@ def test_prints_the_terms_and_the_row_time_per_term_of_each_series_class(small_r
     assert table["algebraic-tail series"] == ["0", "terms", "-", "us/term"]
 
 
-def test_class_seconds_sums_the_terms_of_each_class(small_registry):
-    report = script.engine.verify_all(small_registry)
-    by_class = script.class_seconds(small_registry, report)
-    assert by_class["geometric series"][2] == sum(
-        r.terms_used for r in report.results if r.record_id.startswith("s2.ex.CF0")
-    )
-    assert by_class["algebraic-tail series"] == [0, 0.0, 0]
-
-
 def test_prints_the_registry_parse_above_the_row_seconds(small_registry, tmp_path, monkeypatch, capsys):
     def slow_registry():
         time.sleep(0.05)

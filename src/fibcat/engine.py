@@ -393,8 +393,7 @@ def _kind(record: IdentityRecord, config: VerifyConfig):
     record's kind: `sides(binding, digits)` gives one binding's Sides,
     numeric kinds at `digits` working digits.  Exact kinds have no target;
     `config.digits` moves the target of series and constants, integrals
-    keep their own.  Whether a series record's rhs holds a quadrature is
-    read here, once per record."""
+    keep their own."""
     kind = record.kind
     if kind == "finite":
         return None, _FiniteSum(record)
@@ -409,8 +408,7 @@ def _kind(record: IdentityRecord, config: VerifyConfig):
         target = config.digits or record.digits or DIGITS_CONSTANT
     else:
         raise UnsupportedRecordError(f"{record.id}: unknown kind {kind!r}")
-    quad_rhs = isinstance(record.lhs, SeriesSpec) and _has_quadrature(record.rhs)
-    return target, partial(_numeric_sides, record, quad_rhs=quad_rhs)
+    return target, partial(_numeric_sides, record)
 
 
 def _has_quadrature(e: Expr) -> bool:
@@ -444,17 +442,17 @@ def evaluate_sides(record: IdentityRecord, binding: dict, digits: int | None = N
     return sides_of(binding, target + COMPARE_GUARD if digits is None and target is not None else digits)
 
 
-def _numeric_sides(record: IdentityRecord, binding: dict, digits: int, quad_rhs: bool) -> Sides:
+def _numeric_sides(record: IdentityRecord, binding: dict, digits: int) -> Sides:
     """Sides of a series, integral or constant record at `digits` working
     digits: the series summed (first term and stepped terms) and each other
     side evaluated.  A record without a series side is first tried exactly
-    in Q(sqrt2)[pi, 1/pi] (_pi_sides), and so is the rhs of a series record
-    when it holds a quadrature (`quad_rhs`, read by _kind)."""
+    in Q(sqrt2)[pi, 1/pi] (_pi_sides), and so is the quadrature rhs of a
+    series record."""
     rhs, detail = None, ""
     if isinstance(record.lhs, SeriesSpec):
         summed = sum_series(record.lhs, binding, record.tail, digits)
         lhs, terms, strategy, tail_bound = summed.value, summed.terms_used, summed.strategy, summed.tail_bound
-        if quad_rhs:
+        if _has_quadrature(record.rhs):
             digits = max(digits, DIGITS_INTEGRAL + COMPARE_GUARD)
             exact = eval_exact_pi(record.rhs, binding)
             if exact is not None:

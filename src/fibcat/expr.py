@@ -798,11 +798,11 @@ class TermRatio:
     term's F and L factors (a term without them has the one chain c =
     gamma = 1); c and gamma are exact in Q(sqrt5).  `p` and `q` are the
     integer coefficient lists of P and Q (poly.py), and `zeros` the n
-    where a cancelled factor vanishes.  Calling it with n gives (P, Q),
-    Python ints with P/Q = h(n+1)/h(n) wherever t(n), P and Q are nonzero,
-    and P = Q = 0 at the `zeros`.  (A plain slotted class, not a
-    value.Value: `p` and `q` are derived from the other fields, not given,
-    and no caller compares two ratios.)"""
+    where a cancelled factor vanishes: P(n)/Q(n) = h(n+1)/h(n) wherever
+    t(n), P(n) and Q(n) are nonzero and n is not one of the `zeros`
+    (_stepper reads P(n) and Q(n) from `p` and `q`).  (A plain slotted
+    class, not a value.Value: `p` and `q` are derived from the other
+    fields, not given, and no caller compares two ratios.)"""
 
     __slots__ = ("num", "den", "const", "zeros", "chains", "p", "q")
 
@@ -811,16 +811,6 @@ class TermRatio:
         self.const, self.zeros = const, zeros
         self.chains = chains  # ((c, gamma), ...)
         self.p, self.q = linear_product(num, const.numerator), linear_product(den, const.denominator)
-
-    def __call__(self, n: int):
-        if n in self.zeros:
-            return 0, 0
-        p = q = 0  # Horner's rule, as the stepper reads P and Q inline
-        for a in self.p:
-            p = p * n + a
-        for a in self.q:
-            q = q * n + a
-        return p, q
 
 
 def term_ratio(term: Expr, index: str, env: Env):

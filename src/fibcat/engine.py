@@ -170,8 +170,10 @@ def sum_series(spec: SeriesSpec, env: dict, tail, digits: int) -> SumResult:
 
 def _rounding(evaluator, terms: int, size: Decimal) -> Decimal:
     """The rounding allowance of a sum of `terms` terms whose |t| add up to
-    `size`: a stepped term carries up to 3 roundings of 5*10^-w per step."""
-    return evaluator.ctx.multiply(Decimal(1).scaleb(-evaluator.w), 15 * terms * size)
+    `size`: a stepped term carries up to 3 roundings of 5*10^-w per step.
+    Formed at the working precision, whatever the caller's context."""
+    ctx = evaluator.ctx
+    return ctx.multiply(Decimal(1).scaleb(-evaluator.w), ctx.multiply(15 * terms, size))
 
 
 def _sum_geometric(spec, env, tail, evaluator) -> SumResult:

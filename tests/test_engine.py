@@ -1,5 +1,5 @@
 import itertools
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -23,6 +23,7 @@ from fibcat.seriesdsl import (
 )
 
 CTX = core.context(80)
+SKEWED = Context(prec=3, rounding=ROUND_FLOOR, capitals=0)  # a caller's context far from the default
 
 
 @pytest.fixture(scope="module")
@@ -553,27 +554,29 @@ def test_a_zero_term_past_from_is_an_error_row_not_a_false_fail(records, start, 
         assert row.status == "pass"
 
 
-# sum_series at the working digits of verify, as strings at the commit before
-# the stepper kept one chain in scalars: a reordered or added rounding shows
+# sum_series at the working digits of verify, as strings: the values and term
+# counts as at the commit before the stepper kept one chain in scalars, the
+# tail bounds since their rounding allowance is formed at the working
+# precision, not the caller's; a reordered or added rounding shows
 _PINNED = {
     ("s1.G1.z12", ()): (  # one chain
         60, "0.1362966948437268530010272010844105294643806439663817983906273298554577682338", 94,
-        "4.791485003370376927334846051922173284525297911747045894831689251907021856000E-61",
+        "4.791485003370376927334846051922173284525326930593590671539681850242752640535E-61",
     ),
     ("s2.thm.CF", (("s", 3),)): (  # two chains, beta fades
         60, "0.1559045198822066154481976045222780801185251659979603341585804547844754815459", 303,
-        "7.543124177289312236071163970893955752582378375443062101922080667336069666931E-61",
+        "7.543124177289312236071163970893955752582332129317200798801541397054820415098E-61",
     ),
     ("s2.thm.CF", (("s", -4),)): (  # t(2) = 0 hands t(3) to the tree walk
         60, "-0.1912471463007073635789987464790376298447650455388885972682837741749744999608", 295,
-        "8.030840298122383031446304367889633877882428370340804981967438672140486411148E-61",
+        "8.030840298122383031446304367889633877882458628828741896640929090097574255447E-61",
     ),
     ("s3.sqF", ()): (  # three chains
         60, "28.18180728667106873028013675388074257813717274749375886696580169507228897710", 352,
-        "7.481987481007844960246005093975013104097362739965591797902425549804869616944E-61",
+        "7.481987481007844960246005093975013104057853060778156070009192596622449049894E-61",
     ),
     ("s7.thm12", (("r", 2),)): (  # algebraic tail
-        20, "0.10657257706567362548014844302321", 400, "6.4382918310323921658403101570721E-30",
+        20, "0.10657257706567362548014844302321", 400, "6.4382918310323921658403101569515E-30",
     ),
 }
 
@@ -583,6 +586,16 @@ def test_sums_are_pinned_bit_for_bit(records, rid, binding):
     digits, value, terms, tail_bound = _PINNED[rid, binding]
     record = records[rid]
     res = engine.sum_series(record.lhs, dict(binding), record.tail, digits)
+    assert (str(res.value), res.terms_used, str(res.tail_bound)) == (value, terms, tail_bound)
+
+
+@pytest.mark.parametrize("rid, binding", list(_PINNED))
+def test_sums_do_not_read_the_callers_decimal_context(records, rid, binding):
+    # the rounding allowance was formed at the caller's precision and rounding
+    digits, value, terms, tail_bound = _PINNED[rid, binding]
+    record = records[rid]
+    with localcontext(SKEWED):
+        res = engine.sum_series(record.lhs, dict(binding), record.tail, digits)
     assert (str(res.value), res.terms_used, str(res.tail_bound)) == (value, terms, tail_bound)
 
 

@@ -2,8 +2,11 @@
 
 `sum_series` derives the term's ratio (expr.term_ratio) once per binding
 and hands it to the evaluator and to an algebraic tail's expansion.  Each
-tail's loop asks one NumericEvaluator for t(start), t(start+1), ..., one
-`eval` call per term, and the evaluator steps each term from the last as
+tail's loop runs inside `NumericEvaluator.stepping`, under the evaluator's
+working context: its Decimal operators round as that context's calls
+would, and the caller's decimal context is never read.  The loop asks the
+evaluator for t(start), t(start+1), ..., one `eval` call per term, and the
+evaluator steps each term from the last as
 Binet chains by that ratio, u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i, and
 evaluates the tree only for the first term, any term after a zero t, P or
 Q, and every term of a term without a ratio.  The tails differ in where
@@ -160,11 +163,11 @@ def sum_series(spec: SeriesSpec, env: dict, tail, digits: int) -> SumResult:
     evaluator = NumericEvaluator(digits)
     # derived once per binding, for the steps and an algebraic tail's expansion
     ratio = expr.term_ratio(spec.term, spec.index, env)
-    evaluator.step(spec.term, spec.index, ratio)
-    if isinstance(tail, GeometricTail):
-        return _sum_geometric(spec, env, tail, evaluator)
-    if isinstance(tail, AlgebraicTail):
-        return _sum_algebraic(spec, env, evaluator, ratio)
+    with evaluator.stepping(spec.term, spec.index, ratio):  # the working context
+        if isinstance(tail, GeometricTail):
+            return _sum_geometric(spec, env, tail, evaluator)
+        if isinstance(tail, AlgebraicTail):
+            return _sum_algebraic(spec, env, evaluator, ratio)
     raise TypeError(f"unknown tail strategy {tail!r}")
 
 
@@ -177,10 +180,9 @@ def _rounding(evaluator, terms: int, size: Decimal) -> Decimal:
 
 
 def _sum_geometric(spec, env, tail, evaluator) -> SumResult:
-    ctx = evaluator.ctx
-    add, multiply = ctx.add, ctx.multiply
-    rho = expr.to_decimal(tail.ratio, ctx)
-    factor = ctx.divide(rho, ctx.subtract(1, rho))
+    # runs under the working context (sum_series): each operator rounds there
+    rho = expr.to_decimal(tail.ratio, evaluator.ctx)
+    factor = rho / (1 - rho)
     eps = Decimal(1).scaleb(-evaluator.digits)
     # |t| * factor >= 10^(|t|.adjusted() + factor.adjusted()), rounded too, so
     # the bound can pass only when |t|.adjusted() is below `floor`
@@ -193,7 +195,7 @@ def _sum_geometric(spec, env, tail, evaluator) -> SumResult:
         env[index] = n
         t = evaluate(term, env)
         now = t.copy_abs()
-        total, size = add(total, t), add(size, now)
+        total, size = total + t, size + now
         if n >= start:
             if not now:  # |t| * rho/(1-rho) = 0 would pass, yet bound nothing
                 raise ConvergenceError(
@@ -201,16 +203,16 @@ def _sum_geometric(spec, env, tail, evaluator) -> SumResult:
                     best=total,
                 )
             # a zero prev lies before `from`, where no pair is validated
-            if prev is not None and n > start and now > multiply(rho, prev):
-                raise TailBoundViolation(n - 1, ctx.divide(now, prev), tail.ratio)
+            if prev is not None and n > start and now > rho * prev:
+                raise TailBoundViolation(n - 1, now / prev, tail.ratio)
             if now.adjusted() < floor:
-                bound = multiply(now, factor)
+                bound = now * factor
                 if bound < eps:
                     terms = n - spec.start + 1
-                    return SumResult(total, terms, add(bound, _rounding(evaluator, terms, size)), "geometric")
+                    return SumResult(total, terms, bound + _rounding(evaluator, terms, size), "geometric")
         prev = now
     raise ConvergenceError(
-        f"geometric summation hit the {GEOMETRIC_TERM_CAP}-term cap", best=total, gap=multiply(now, factor)
+        f"geometric summation hit the {GEOMETRIC_TERM_CAP}-term cap", best=total, gap=now * factor
     )
 
 
@@ -224,8 +226,7 @@ def _sum_algebraic(spec, env, evaluator, ratio) -> SumResult:
     if terms > ALGEBRAIC_TERM_CAP:
         raise ConvergenceError(f"algebraic tail needs {terms} terms, past the {ALGEBRAIC_TERM_CAP}-term cap")
     half = max(n_tail // 2, spec.start)
-    ctx = evaluator.ctx
-    add = ctx.add
+    ctx = evaluator.ctx  # the operators below round under it too (sum_series)
     env, term, index, evaluate = dict(env), spec.term, spec.index, evaluator.eval
     total = size = Decimal(0)  # the partial sum and the sum of |t(n)|
     for n in range(spec.start, n_tail):
@@ -233,7 +234,7 @@ def _sum_algebraic(spec, env, evaluator, ratio) -> SumResult:
         t = evaluate(term, env)
         if n == half:
             half_total, half_t = total, t
-        total, size = add(total, t), add(size, t.copy_abs())
+        total, size = total + t, size + t.copy_abs()
     env[index] = n_tail
     t = evaluate(term, env)
 
@@ -245,13 +246,13 @@ def _sum_algebraic(spec, env, evaluator, ratio) -> SumResult:
     last = [Decimal(1), Decimal(1)]
     for k, c in tail_coefficients(ratio):
         at_tail, at_half = (expr.to_decimal(c * n**-k if k < 0 else c / n**k, ctx) for n in (n_tail, half))
-        f_tail, f_half = ctx.add(f_tail, at_tail), ctx.add(f_half, at_half)
-        last = [last[1], ctx.multiply(at_tail, t).copy_abs()]
+        f_tail, f_half = f_tail + at_tail, f_half + at_half
+        last = [last[1], (at_tail * t).copy_abs()]
         if max(last) < eps:
             break
-    value = ctx.add(total, ctx.multiply(t, f_tail))
-    rough = ctx.add(half_total, ctx.multiply(half_t, f_half))
-    gap = ctx.add(ctx.add(ctx.subtract(value, rough).copy_abs(), max(last)), _rounding(evaluator, terms, size))
+    value = total + t * f_tail
+    rough = half_total + half_t * f_half
+    gap = (value - rough).copy_abs() + max(last) + _rounding(evaluator, terms, size)
     return SumResult(value, terms, gap, "algebraic")
 
 

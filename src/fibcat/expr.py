@@ -29,7 +29,7 @@ factors s*n + o from it and the parser its exponents.
 ratio h(n+1)/h(n) is a quotient of integer products, times Binet chains
 c*gamma^n split from its F and L factors (c, gamma exact in Q(sqrt5)).
 The engine derives it once per binding: an evaluator handed it with the
-series' index (`NumericEvaluator.step`) steps each term from the last
+series' index (`NumericEvaluator.stepping`) steps each term from the last
 through the chains, and the engine expands an algebraic tail from the
 factors.  A radical form u*sqrt(v) has v > 0, so the engine compares two
 sides exactly by their difference.
@@ -43,11 +43,12 @@ body is the node BoundVar, never a Var, so no walk decides scope again.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
 from collections import Counter, defaultdict
-from decimal import Context, Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from . import exactnum
@@ -548,9 +549,14 @@ class NumericEvaluator:
     every quadrature body), are raised when the walk reaches the failing
     node.
 
-    After `step(term, index, ratio)`, `eval` steps that series term from
-    the one before it by the TermRatio its caller derived (see _stepper)
-    instead of walking it again; a later `step` replaces it.
+    Within `with stepping(term, index, ratio):`, `eval` steps that series
+    term from the one before it by the TermRatio its caller derived (see
+    _stepper) instead of walking it again, and the block runs under the
+    working context: the stepper and the sum around it use Decimal
+    operators, each rounded to the working precision as a call on `ctx`
+    would be, and no stepped term is ever taken at the caller's precision.
+    Every other value is computed with `ctx` named, so `eval` never reads
+    the caller's decimal context either.
     """
 
     def __init__(self, digits: int):
@@ -558,7 +564,7 @@ class NumericEvaluator:
         self.digits = digits
         self.w = digits + _core.guard_digits(digits)
         self.ctx = _core.context(self.w)
-        self._stepped = None  # (term, its stepper) after step()
+        self._stepped = None  # (term, its stepper) within stepping()
 
     def eval(self, e: Expr, env: Env) -> Decimal:
         stepped = self._stepped
@@ -566,19 +572,30 @@ class NumericEvaluator:
             return stepped[1](env)
         return _numeric(e, env, self.ctx, self.digits)
 
-    def step(self, term: Expr, index: str, ratio) -> None:
-        """Make `eval(term, env)` step `term` as a series term in `index`
-        from the call before it by `ratio`, its term_ratio at the binding of
-        the calls that follow (see _stepper)."""
+    @contextlib.contextmanager
+    def stepping(self, term: Expr, index: str, ratio):
+        """A block in which `eval(term, env)` steps `term` as a series term
+        in `index` from the call before it by `ratio`, its term_ratio at the
+        binding of the calls in the block (see _stepper), and which runs
+        under a copy of `ctx` (decimal.localcontext).  On exit, a raised
+        exception's included, the stepper goes and the caller's context is
+        restored."""
         # the stepper holds the walk's arguments, not the evaluator, so no
         # reference cycle runs through it
         run = functools.partial(_numeric, term, ctx=self.ctx, digits=self.digits)
         self._stepped = (term, _stepper(index, ratio, run, self.ctx))
+        try:
+            with localcontext(self.ctx):
+                yield
+        finally:
+            self._stepped = None
 
 
 def _stepper(index: str, ratio, run, ctx: Context):
     """env -> t(n) for a series term t in `index`, stepped as Binet chains
-    at the precision of `ctx`.  With R = P/Q and the chains (c_i, gamma_i)
+    at the precision of `ctx`, called under that context (see
+    NumericEvaluator.stepping): a step is Decimal operators, u * P(n) / Q(n)
+    and then * gamma_i, each rounded once, in that order.  With R = P/Q and the chains (c_i, gamma_i)
     of `ratio`, t(n) = sum u_i(n), u_i(n) = c_i h(n) gamma_i^n, and
     u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i: a call for n steps the chains
     of the last call when that call was for n - 1.  P(n) and Q(n) are read
@@ -594,7 +611,6 @@ def _stepper(index: str, ratio, run, ctx: Context):
     if ratio is None:
         return run
     w = ctx.prec
-    multiply, divide, add = ctx.multiply, ctx.divide, ctx.add
     pc, qc, zeros = ratio.p, ratio.q, ratio.zeros
     consts, gammas0, fading0 = _chain_steps(ratio, ctx)
     # the chains kept at `last` (None when none is): u and g for one chain,
@@ -616,17 +632,17 @@ def _stepper(index: str, ratio, run, ctx: Context):
                 q = q * m + a
             if p and q:
                 if us is None:
-                    t = divide(multiply(u, p), q)
+                    t = u * p / q
                     if g is not None:
-                        t = multiply(t, g)
+                        t = t * g
                     if t:
                         u, last = t, n
                     return t
                 t = None
                 for i, gi in enumerate(gammas):
-                    v = divide(multiply(us[i], p), q)
-                    us[i] = v = v if gi is None else multiply(v, gi)
-                    t = v if t is None else add(t, v)
+                    v = us[i] * p / q
+                    us[i] = v = v if gi is None else v * gi
+                    t = v if t is None else t + v
                 if t:
                     last, floor = n, t.adjusted() - w
                     keep = [i for i, v in enumerate(us) if not (fading[i] and v.adjusted() < floor)]

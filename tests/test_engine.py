@@ -1,5 +1,5 @@
 import itertools
-from decimal import ROUND_FLOOR, Context, Decimal, localcontext
+from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -285,8 +285,8 @@ def test_geometric_term_cap_convergence_error(monkeypatch):
     # the gap is |t| * rho/(1-rho) of the last term, t(999), stepped alike
     spec = record.lhs
     evaluator = NumericEvaluator(50)
-    evaluator.step(spec.term, spec.index, term_ratio(spec.term, spec.index, {}))
-    last = [evaluator.eval(spec.term, {spec.index: n}) for n in range(1000)][-1]
+    with evaluator.stepping(spec.term, spec.index, term_ratio(spec.term, spec.index, {})):
+        last = [evaluator.eval(spec.term, {spec.index: n}) for n in range(1000)][-1]
     ctx = evaluator.ctx
     rho = ctx.divide(999999, 1000000)
     assert exc.value.gap == ctx.multiply(last.copy_abs(), ctx.divide(rho, ctx.subtract(1, rho)))
@@ -512,9 +512,25 @@ def test_one_evaluator_sums_a_binding_again_alike(records):
 
     sums = []
     for _ in range(2):  # the evaluator stepped over the binding again
-        evaluator.step(spec.term, spec.index, term_ratio(spec.term, spec.index, binding))
-        sums += [stepped_sum(), stepped_sum()]  # and its terms read again without a new step
+        with evaluator.stepping(spec.term, spec.index, term_ratio(spec.term, spec.index, binding)):
+            sums += [stepped_sum(), stepped_sum()]  # and its terms read again in the same block
     assert sums == [alone.value] * 4
+
+
+def test_stepping_restores_the_callers_context(records):
+    record, binding = records["s5.Y.euler"], {}
+    spec = record.lhs
+    evaluator = NumericEvaluator(50)
+    with localcontext(SKEWED) as caller:
+        with evaluator.stepping(spec.term, spec.index, term_ratio(spec.term, spec.index, binding)):
+            working = getcontext()
+            assert working is not evaluator.ctx  # a copy: its flags are not shared
+            assert (working.prec, working.rounding, working.Emin) == (evaluator.w, ROUND_HALF_EVEN, evaluator.ctx.Emin)
+        assert getcontext() is caller
+        with pytest.raises(TailBoundViolation):  # raised inside the block
+            engine.sum_series(spec, binding, GeometricTail(Fraction(1, 5), 1), 50)
+        assert getcontext() is caller
+    assert (caller.prec, caller.rounding, caller.capitals) == (3, ROUND_FLOOR, 0)
 
 
 def test_a_zero_term_hands_the_next_term_to_the_evaluator():

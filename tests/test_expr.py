@@ -159,16 +159,17 @@ def test_the_quadrature_variable_outside_every_body_is_refused(e, shown):
 
 
 def test_a_stepping_evaluator_is_freed_when_dropped():
-    # no reference cycle runs through a stepped term's closure, so the
-    # evaluator and its caches go at once, not at the next cyclic collection
+    # no reference cycle runs through a stepped term's closure or the
+    # stepping block, so the evaluator and its caches go at once, not at the
+    # next cyclic collection
     import gc
     import weakref
 
     term = parse("C(n)*F(2*n+s)/4^n")
     evaluator = NumericEvaluator(20)
-    evaluator.step(term, "n", term_ratio(term, "n", {"s": 1}))
-    for n in range(5):
-        evaluator.eval(term, {"n": n, "s": 1})
+    with evaluator.stepping(term, "n", term_ratio(term, "n", {"s": 1})):
+        for n in range(5):
+            evaluator.eval(term, {"n": n, "s": 1})
     gone = weakref.ref(evaluator)
     enabled = gc.isenabled()
     gc.disable()
@@ -179,6 +180,24 @@ def test_a_stepping_evaluator_is_freed_when_dropped():
         if enabled:
             gc.enable()
 
+
+def test_eval_walks_the_tree_again_after_the_stepping_block(monkeypatch):
+    walk, walked = expr_module._numeric, []
+
+    def counted(e, env, *args, **kwargs):
+        walked.append(env["n"])
+        return walk(e, env, *args, **kwargs)
+
+    monkeypatch.setattr(expr_module, "_numeric", counted)
+    term = parse("C(n)*F(2*n+s)/4^n")
+    evaluator = NumericEvaluator(20)
+    envs = [{"n": n, "s": 1} for n in range(5)]
+    with evaluator.stepping(term, "n", term_ratio(term, "n", {"s": 1})):
+        stepped = [evaluator.eval(term, env) for env in envs]
+    assert walked == [0]  # the first term only; the others were stepped
+    walked_again = [evaluator.eval(term, env) for env in envs]
+    assert walked == [0, 0, 1, 2, 3, 4]
+    assert all(abs(a - b) < Decimal("1E-25") for a, b in zip(stepped, walked_again))
 
 
 def _nodes(e):

@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import fnmatch
+import functools
 import io
 import json
 import sys
+from decimal import localcontext
 from pathlib import Path
 
 from . import engine
@@ -129,6 +131,19 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _rendered(report):
+    """`report` rendering its Decimals under engine.RENDER_CONTEXT, so that
+    no report reads the caller's decimal context."""
+
+    @functools.wraps(report)
+    def under(*args):
+        with localcontext(engine.RENDER_CONTEXT):
+            return report(*args)
+
+    return under
+
+
+@_rendered
 def _report_text(report: engine.VerificationReport) -> str:
     buf = io.StringIO()
     wid = max((len(r.record_id) for r in report.results), default=8) + 2
@@ -163,10 +178,12 @@ def _result_json(r: engine.VerificationResult) -> dict:
     }
 
 
+@_rendered
 def _report_json(report: engine.VerificationReport) -> str:
     return json.dumps([_result_json(r) for r in report.results], indent=2) + "\n"
 
 
+@_rendered
 def _report_csv(report: engine.VerificationReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -207,22 +224,23 @@ def cmd_eval(args) -> int:
     for binding in engine.bindings(record, config):
         sides, result = check(binding)
         results.append(result)
-        where = f" at {result.binding_text()}" if binding else ""
-        print(f"{record.id}{where}  ({record.kind})")
-        if sides is not None and sides.exact is None:
-            terms = "" if sides.terms is None else (
-                f"  ({sides.terms} terms, {sides.strategy} tail estimate {sides.tail_bound:.2E})")
-            print(f"  lhs = {round_to(sides.lhs, digits)}{terms}")
-            print(f"  rhs = {round_to(sides.rhs, digits)}")
-            print(f"  |lhs - rhs| = {sides.diff:.3E}")
-        elif sides is not None:
-            print(f"  lhs = {sides.lhs}")
-            print(f"  rhs = {sides.rhs}")
-            print(f"  exact match: {sides.exact}")
-        if result.status == "error":
-            print(f"  {result.detail}")
-        elif sides.exact is None:
-            print(f"  verdict: {result.status}")
+        with localcontext(engine.RENDER_CONTEXT):  # Decimals print as in every report
+            where = f" at {result.binding_text()}" if binding else ""
+            print(f"{record.id}{where}  ({record.kind})")
+            if sides is not None and sides.exact is None:
+                terms = "" if sides.terms is None else (
+                    f"  ({sides.terms} terms, {sides.strategy} tail estimate {sides.tail_bound:.2E})")
+                print(f"  lhs = {round_to(sides.lhs, digits)}{terms}")
+                print(f"  rhs = {round_to(sides.rhs, digits)}")
+                print(f"  |lhs - rhs| = {sides.diff:.3E}")
+            elif sides is not None:
+                print(f"  lhs = {sides.lhs}")
+                print(f"  rhs = {sides.rhs}")
+                print(f"  exact match: {sides.exact}")
+            if result.status == "error":
+                print(f"  {result.detail}")
+            elif sides.exact is None:
+                print(f"  verdict: {result.status}")
     return engine.exit_code(results)
 
 

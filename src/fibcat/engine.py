@@ -56,7 +56,7 @@ import itertools
 import math
 import time
 from collections import defaultdict
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -94,6 +94,10 @@ DIGITS_CONSTANT = 50
 RADICAL_SIGN_DIGITS = 20
 COMPARE_GUARD = 10  # both sides get this many digits beyond the pass threshold
 EXACT_RHS = "rhs exact in Q(sqrt2)[pi, 1/pi]"  # the detail of a series row whose quadrature rhs ran none
+# the one context a Decimal is rendered under, in a message or a report:
+# str() follows a context's capitals and the E formats its rounding, so
+# neither may be the caller's
+RENDER_CONTEXT = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0)
 
 
 class SumResult(Value):
@@ -482,10 +486,9 @@ def verdict(sides: Sides, target: int | None):
     achieved = min(_diff_digits(sides.diff), target + COMPARE_GUARD)
     if sides.tail_bound is not None:
         if sides.tail_bound >= tol:
-            raise ConvergenceError(
-                f"{sides.strategy} tail estimate {sides.tail_bound:.2E} is not below {tol:.0E}",
-                best=sides.lhs, gap=sides.tail_bound,
-            )
+            with localcontext(RENDER_CONTEXT):
+                message = f"{sides.strategy} tail estimate {sides.tail_bound:.2E} is not below {tol:.0E}"
+            raise ConvergenceError(message, best=sides.lhs, gap=sides.tail_bound)
         achieved = min(achieved, _diff_digits(sides.tail_bound))
     return ("pass" if sides.diff < tol else "fail"), achieved
 

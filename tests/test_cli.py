@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+from decimal import ROUND_FLOOR, Context, localcontext
+from fractions import Fraction
 
 import pytest
 
+from fibcat import cli, engine
 from fibcat.cli import main
+from fibcat.seriesdsl import GeometricTail, builtin_registry, parse_registry
 
 
 def run(capsys, *argv):
@@ -295,3 +299,38 @@ def test_eval_reports_a_binding_that_raises_and_goes_on(capsys, tmp_path):
     assert lines[-1] == "  exact match: True"
     code, out, _ = run(capsys, "verify", "--registry", str(reg), "--id", "t.pole")
     assert code == 1 and "ZeroDivisionError: division by zero in 1/(r - 2)" in out
+
+
+_DEEP = (  # 1/(n+1)^2 to 100 digits: a ConvergenceError row, its tail estimate in the detail
+    '[identity]\nid = "t.deep" kind = "series" paper = "p" index = "n" start = 0\n'
+    'term = "1/(n+1)^2" tail = "algebraic" rhs = "pi^2/6" digits = 100\n'
+)
+
+
+def test_rows_and_reports_do_not_read_the_callers_decimal_context(capsys, tmp_path):
+    # a caller at 3 digits rounding down, printing a lower-case e, used to
+    # get other tail bounds and other text, JSON and CSV reports
+    shipped = {r.id: r for r in builtin_registry()}
+    euler = shipped["s5.Y.euler"]
+    records = [shipped[rid] for rid in ("s1.G1.z12", "s2.thm.CF", "s7.thm12", "s7.thm12.rm1.printed", "s1.Cn.rep1")]
+    records += parse_registry(_DEEP).records
+    records.append(euler.replace(id="t.violated", tail=GeometricTail(Fraction(1, 5), 1)))
+    reg = tmp_path / "deep.reg"
+    reg.write_text(_DEEP)
+
+    def outputs():
+        report = engine.verify_all(records)
+        rows = [r.replace(seconds=0) for r in report.results]
+        as_json = [{k: v for k, v in row.items() if k != "seconds"} for row in json.loads(cli._report_json(report))]
+        as_csv = [row[:-1] for row in csv.reader(io.StringIO(cli._report_csv(report)))]
+        main(["eval", "--registry", str(reg), "--id", "t.deep", "--digits", "100"])
+        return rows, cli._report_text(report), as_json, as_csv, capsys.readouterr().out
+
+    default = outputs()
+    with localcontext(Context(prec=3, rounding=ROUND_FLOOR, capitals=0)):
+        skewed = outputs()
+    rows, text = default[:2]
+    assert {r.status for r in rows} == {"pass", "fail", "error"}
+    assert "ERROR t.deep" in text and "ConvergenceError: algebraic tail estimate" in text
+    assert "ERROR t.violated" in text and "TailBoundViolation" in text
+    assert skewed == default

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from decimal import Context, Decimal
+from decimal import Decimal
 from fractions import Fraction
 
 from . import core
@@ -55,7 +55,7 @@ def ln_alpha(digits: int) -> Decimal:
 def ln_alpha_check(digits: int) -> Decimal:
     """Independent route: the stdlib decimal logarithm."""
     w = digits + guard_digits(digits)
-    return round_to(Context(prec=w).ln(alpha_decimal(w)), digits)
+    return round_to(context(w).ln(alpha_decimal(w)), digits)
 
 
 def _central_binomial(b: int):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from decimal import Context, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 
 from ..errors import DomainError
@@ -38,8 +38,13 @@ def guard_digits(digits: int) -> int:
 @functools.lru_cache(maxsize=None)
 def context(digits: int) -> Context:
     """The context of this precision, with a wide exponent range.  Shared by
-    every caller, one per precision: do not mutate it (precision, traps)."""
-    return Context(prec=digits, Emax=_EMAX, Emin=-_EMAX)
+    every caller, one per precision: do not mutate it (precision, traps).
+    Every field is set here: a field left out would be copied from
+    decimal.DefaultContext, which the caller may have changed."""
+    return Context(
+        prec=digits, rounding=ROUND_HALF_EVEN, Emin=-_EMAX, Emax=_EMAX, capitals=1, clamp=0,
+        flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
+    )
 
 
 def round_to(x: Decimal, digits: int) -> Decimal:

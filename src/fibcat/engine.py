@@ -6,11 +6,10 @@ tail's loop runs inside `NumericEvaluator.stepping`, under the evaluator's
 working context: its Decimal operators round as that context's calls
 would, and the caller's decimal context is never read.  The loop asks the
 evaluator for t(start), t(start+1), ..., one `eval` call per term, and the
-evaluator steps each term from the last as
-Binet chains by that ratio, u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i, and
-evaluates the tree only for the first term, any term after a zero t, P or
-Q, and every term of a term without a ratio.  The tails differ in where
-they stop:
+evaluator steps each term from the last as Binet chains by that ratio,
+u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i, and evaluates the tree only for
+the first term, any term after a zero t, P or Q, and every term of a term
+without a ratio.  The tails differ in where they stop:
 
 * geometric -- sum until |t_n| * rho/(1-rho) drops under 10^-digits,
   validating the declared ratio bound against every term pair from the
@@ -56,7 +55,7 @@ import itertools
 import math
 import time
 from collections import defaultdict
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -96,8 +95,8 @@ COMPARE_GUARD = 10  # both sides get this many digits beyond the pass threshold
 EXACT_RHS = "rhs exact in Q(sqrt2)[pi, 1/pi]"  # the detail of a series row whose quadrature rhs ran none
 # the one context a Decimal is rendered under, in a message or a report:
 # str() follows a context's capitals and the E formats its rounding, so
-# neither may be the caller's
-RENDER_CONTEXT = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0)
+# neither may be the caller's (arbreal.core.context fixes every field)
+RENDER_CONTEXT = _core.context(28)
 
 
 class SumResult(Value):

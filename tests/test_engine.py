@@ -1,5 +1,5 @@
 import itertools
-from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
+from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal, DefaultContext, Inexact, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -515,6 +515,26 @@ def test_one_evaluator_sums_a_binding_again_alike(records):
         with evaluator.stepping(spec.term, spec.index, term_ratio(spec.term, spec.index, binding)):
             sums += [stepped_sum(), stepped_sum()]  # and its terms read again in the same block
     assert sums == [alone.value] * 4
+
+
+def test_rows_do_not_read_the_default_context(records):
+    # the working contexts copied rounding, capitals and traps from
+    # decimal.DefaultContext: an Inexact trap set there made every numeric
+    # row an error
+    def rows():
+        return [r.replace(seconds=0) for rid in ("s2.G.z15", "s5.Y.euler", "s1.lem1.sin.pi10")
+                for r in engine.verify_identity(records[rid])]
+
+    want = rows()
+    saved = DefaultContext.rounding, DefaultContext.capitals, DefaultContext.traps[Inexact]
+    core.context.cache_clear()  # contexts are made again, after the change below
+    DefaultContext.rounding, DefaultContext.capitals, DefaultContext.traps[Inexact] = ROUND_FLOOR, 0, True
+    try:
+        got = rows()
+    finally:
+        DefaultContext.rounding, DefaultContext.capitals, DefaultContext.traps[Inexact] = saved
+        core.context.cache_clear()
+    assert got == want
 
 
 def test_stepping_restores_the_callers_context(records):

@@ -593,16 +593,17 @@ class NumericEvaluator:
 
 def _stepper(index: str, ratio, run, ctx: Context):
     """env -> t(n) for a series term t in `index`, stepped as Binet chains
-    at the precision of `ctx`, called under that context (see
+    at the precision of `ctx`, and called under that context (see
     NumericEvaluator.stepping): a step is Decimal operators, u * P(n) / Q(n)
-    and then * gamma_i, each rounded once, in that order.  With R = P/Q and the chains (c_i, gamma_i)
-    of `ratio`, t(n) = sum u_i(n), u_i(n) = c_i h(n) gamma_i^n, and
-    u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i: a call for n steps the chains
-    of the last call when that call was for n - 1.  P(n) and Q(n) are read
-    by Horner's rule from `ratio.p` and `ratio.q`, inline.  `run` takes the
-    first term, any term after a zero t, P or Q, and every term of a term
-    without a ratio; its value is split into chains, u_i(n) = t(n) * c_i
-    gamma_i^n / sum_j c_j gamma_j^n, with each c and gamma rounded once.
+    and then * gamma_i, each rounded once, in that order.  With R = P/Q and
+    the chains (c_i, gamma_i) of `ratio`, t(n) = sum u_i(n),
+    u_i(n) = c_i h(n) gamma_i^n, and u_i(n+1) = u_i(n) * P(n)/Q(n) * gamma_i:
+    a call for n steps the chains of the last call when that call was for
+    n - 1.  P(n) and Q(n) are read by Horner's rule from `ratio.p` and
+    `ratio.q`, inline.  `run` takes the first term, any term after a zero
+    t, P or Q, and every term of a term without a ratio; its value is split
+    into chains, u_i(n) = t(n) * c_i gamma_i^n / sum_j c_j gamma_j^n, with
+    each c and gamma rounded once.
     One chain is kept in two scalars, u and its gamma g (None for 1); more
     are kept in lists, stepped and added in order in one pass.  A chain
     whose |gamma| is below another's is dropped once it falls under 10^-w

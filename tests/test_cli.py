@@ -309,7 +309,7 @@ _DEEP = (  # 1/(n+1)^2 to 100 digits: a ConvergenceError row, its tail estimate 
 
 def test_rows_and_reports_do_not_read_the_callers_decimal_context(capsys, tmp_path):
     # a caller at 3 digits rounding down, printing a lower-case e, used to
-    # get other tail bounds and other text, JSON and CSV reports
+    # get other tail bounds and other text and JSON reports
     shipped = {r.id: r for r in builtin_registry()}
     euler = shipped["s5.Y.euler"]
     records = [shipped[rid] for rid in ("s1.G1.z12", "s2.thm.CF", "s7.thm12", "s7.thm12.rm1.printed", "s1.Cn.rep1")]

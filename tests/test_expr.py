@@ -200,6 +200,7 @@ def test_eval_walks_the_tree_again_after_the_stepping_block(monkeypatch):
     assert all(abs(a - b) < Decimal("1E-25") for a, b in zip(stepped, walked_again))
 
 
+
 def _nodes(e):
     yield e
     for child in children(e):
